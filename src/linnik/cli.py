@@ -5,15 +5,13 @@ and bessel (ad-hoc single evaluation for debugging).
 
 All outputs are deterministic functions of the configuration and input files:
 numbers are serialized with 17 significant digits, no timestamps or wallclock
-figures are written, and reruns produce byte-identical files regardless of
-the LINNIK_THREADS setting.
+figures are written, and reruns produce byte-identical files.
 
 Exit codes: 0 ok, 1 usage, 2 data/validation, 3 numeric/precision.
 """
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -57,13 +55,6 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LINNIK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _report_row(rep, slope=None) -> dict:
     return {
         "N": rep.params.N,
@@ -79,7 +70,7 @@ def _report_row(rep, slope=None) -> dict:
     }
 
 
-def _write_rows(path, rows, fmt: str, extras=None) -> None:
+def _write_rows(path, rows, fmt: str) -> None:
     if fmt == "csv":
         lines = [CSV_HEADER]
         for row in rows:
@@ -93,14 +84,7 @@ def _write_rows(path, rows, fmt: str, extras=None) -> None:
                 for f in _ROW_FIELDS
             ) + "}"
             out_rows.append(obj)
-        body = "[" + ", ".join(out_rows) + "]"
-        if extras:
-            extra_txt = ", ".join(
-                f'"{k}": ' + _fmt(v) for k, v in sorted(extras.items())
-            )
-            payload = '{"rows": ' + body + ", " + extra_txt + "}\n"
-        else:
-            payload = '{"rows": ' + body + "}\n"
+        payload = '{"rows": [' + ", ".join(out_rows) + "]}\n"
     Path(path).write_text(payload, encoding="utf-8", newline="\n")
 
 
@@ -122,19 +106,10 @@ def cmd_evaluate(args) -> int:
     zs = _load_zero_set(args.zeros)
     params = CesaroParams(N=args.N, k=args.k)
     spec = _truncation(args, params, zs)
-    diagnostics = args.mode == "diagnostic"
     rep = formula.evaluate(
-        params,
-        zs,
-        spec,
-        allow_subcritical=args.allow_subcritical or args.mode == "probe",
-        threads=_threads(),
-        diagnostics=diagnostics,
+        params, zs, spec, allow_subcritical=args.allow_subcritical or args.mode == "probe"
     )
-    extras = None
-    if diagnostics and "m4_block4_full_power_variant" in rep.extras:
-        extras = {"m4_block4_full_power_variant": rep.extras["m4_block4_full_power_variant"]}
-    _write_rows(args.out, [_report_row(rep)], args.format, extras=extras)
+    _write_rows(args.out, [_report_row(rep)], args.format)
     print(
         f"N={rep.params.N} k={_fmt(rep.params.k)} residual={_fmt(rep.residual)} "
         f"normalized_residual={_fmt(rep.normalized_residual)}"
@@ -166,7 +141,6 @@ def cmd_scan(args) -> int:
         zs,
         spec_overrides=overrides or None,
         allow_subcritical=args.allow_subcritical,
-        threads=_threads(),
     )
     rows = [_report_row(rep, slope=study.slope) for rep in study.rows]
     _write_rows(args.out, rows, args.format)
@@ -346,7 +320,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--out", required=True)
     ev.add_argument("--format", choices=("csv", "json"), default="csv")
     ev.add_argument("--allow-subcritical", action="store_true")
-    ev.add_argument("--mode", choices=("theorem", "probe", "diagnostic"), default="theorem")
+    ev.add_argument("--mode", choices=("theorem", "probe"), default="theorem")
     ev.set_defaults(func=cmd_evaluate)
 
     sc = sub.add_parser("scan", help="scaling study over an N grid")

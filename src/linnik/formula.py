@@ -1,21 +1,27 @@
 """Analytic main terms of the Cesaro-averaged explicit formula.
 
-The arithmetic side sum_{n<=N} r_Q(n) (N-n)^k / Gamma(k+1) is matched by four
-analytic terms:
+The arithmetic side sum_{n<=N} r_Q(n) (N-n)^k / Gamma(k+1) is the inverse
+Laplace transform of z^{-k-1} S(z) omega(z)^2, with S(z) = 1/z
+- sum_rho Gamma(rho) z^{-rho} + ... and omega the theta series of the two
+squares. It is matched by four analytic terms:
 
   m1: smooth closed form in N and k (three Gamma quotients);
   m2: three conjugate-paired sums over zeta zeros with Gamma-ratio weights;
-  m3: a lattice sum of Bessel J_{k+2} values plus a zero-sum of lattice sums
-      of J_{k+1+rho} values (arguments u = 2 pi sqrt(l1^2+l2^2) sqrt(N));
-  m4: four single-index m-sums of Bessel values (arguments 2 pi m sqrt(N)),
-      two of them paired over zeros.
+  m3, m4: Bessel blocks, one per piece pi/z or -sqrt(pi/z) of omega^2 times
+      a piece 1/z or -Gamma(rho) z^{-rho} of S. The pair
+      (1/2 pi i) int e^{Nz - c/z} z^{-s} dz = (N/c)^{(s-1)/2} J_{s-1}(2 sqrt(cN))
+      with c = pi^2 root^2 inverts each one. m3 sums over the lattice
+      root = sqrt(l1^2 + l2^2), m4 over a single index root = m.
+
+The six blocks are the rows (name, sign, a, b, c, paired) of _M3_ROWS and
+_M4_ROWS, all evaluated by one kernel, _bessel_term.
 
 All infinite sums are truncated under a TruncationSpec: Z zeros, lattice
 radius L, single-index cutoff M. Every term carries computed tail bounds:
 
-  * lattice/m tails from |J_nu(u)| <~ sqrt(2/(pi u)), giving per-term decay
-    (l1^2+l2^2)^{-k/2-5/4} N^{-1/4} (and the m-sum analogue), summed past the
-    cutoff with a safety factor 2;
+  * lattice/m tails from |J_nu(u)| <~ sqrt(2/(pi u)): a point past the cutoff
+    weighs root^{-2s}, s = Re nu/2 + 1/4, summed past the cutoff with a safety
+    factor 2;
   * zero tails from the Stirling amplitude |Gamma(rho)| J-growth cancellation:
     each discarded zero contributes at most ~ sqrt(2 pi) gamma^{beta-1/2}
     sqrt(2/(pi u)) times its lattice weight while gamma <~ u/2, decaying like
@@ -49,7 +55,7 @@ from .specfun import (
     gamma_ratio,
 )
 from .summation import CompensatedSum
-from .zeros import ZeroSet, paired_zero_sum, zero_tail_bound
+from .zeros import _RATIO_SLACK, _SAFETY, ZeroSet, paired_zero_sum, zero_tail_bound
 
 __all__ = [
     "TruncationSpec",
@@ -68,8 +74,6 @@ __all__ = [
 ]
 
 _LN_PI = math.log(math.pi)
-_SAFETY = 2.0
-_RATIO_SLACK = 1.25
 _LATTICE_FLUCT = 2.0  # head room for r2 fluctuations around its mean pi/4
 
 THEOREM_MIN_K = 1.5
@@ -108,7 +112,6 @@ class TermValue:
     components: dict = field(default_factory=dict)
     tail_bounds: dict = field(default_factory=dict)
     notes: tuple = ()
-    extras: dict = field(default_factory=dict)
 
     @property
     def tail_total(self) -> float:
@@ -129,7 +132,6 @@ class FormulaReport:
     tail_bounds: dict
     wallclock: dict
     notes: tuple = ()
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,6 @@ def m2_term(
     params: CesaroParams,
     zs: ZeroSet,
     spec: TruncationSpec,
-    threads: int = 1,
 ) -> TermValue:
     """Zero-sum term built from Gamma ratios: three paired blocks with
     coefficients -pi/4, -1/4, +sqrt(pi)/2 and N-powers k+1+rho, k+rho,
@@ -280,25 +281,84 @@ def m2_term(
         def f(rho, offset=offset):
             return gamma_ratio(rho, offset) * cmath.exp((offset - 1.0 + rho) * lnN)
 
-        b = paired_zero_sum(f, zs, spec.Z, threads=threads)
+        b = paired_zero_sum(f, zs, spec.Z)
         components[name] = b
         value += coeff * b
         tail += abs(coeff) * zero_tail_bound(k, N, offset, spec.Z, zs)
     return TermValue(value, components, {"zeros": tail}, notes)
 
 
-def _bessel_lattice_sum(nu: complex, pts, N: float, cfg: PrecisionConfig) -> complex:
-    """sum over (lam, mult) of mult * J_nu(2 pi sqrt(lam N)) / lam^{nu/2}."""
+# ---------------------------------------------------------------------------
+# Bessel blocks of m3 and m4
+# ---------------------------------------------------------------------------
+
+# One row (name, sign, a, b, c, paired) per Bessel block. The block is
+#
+#   sign * N^{k/2+a} pi^{-(k+b)} sum_i mult_i J_nu(2 pi root_i sqrt N) / root_i^nu
+#
+# with nu = k + c, over the points of the term's index set; a paired row has
+# nu = k + c + rho and is summed over zeros with the weight
+# 2 Re Gamma(rho) pi^-rho N^{rho/2}. Components keep the block without its sign.
+_M3_ROWS = (
+    ("lattice", 1, 1.0, 1.0, 2.0, False),
+    ("zeros", -1, 0.5, 0.0, 1.0, True),
+)
+_M4_ROWS = (
+    ("block1", 1, 1.0, 1.0, 2.0, False),
+    ("block2", -1, 0.75, 1.0, 1.5, False),
+    ("block3", -1, 0.5, 0.0, 1.0, True),
+    ("block4", 1, 0.25, 0.0, 0.5, True),
+)
+
+
+def _bessel_sum(nu: complex, points, sqrtN: float, cfg: PrecisionConfig) -> complex:
+    """sum over points of mult * J_nu(2 pi root sqrt N) / root^nu."""
     re = CompensatedSum()
     im = CompensatedSum()
-    sqrtN = math.sqrt(N)
-    for lam, mult in pts:
-        u = 2.0 * math.pi * math.sqrt(lam) * sqrtN
-        j = bessel_j(nu, u, cfg)
-        w = j * cmath.exp(-0.5 * nu * math.log(lam)) * mult
+    for root, log_root, mult in points:
+        j = bessel_j(nu, 2.0 * math.pi * root * sqrtN, cfg)
+        w = j * cmath.exp(-nu * log_root) * mult
         re.add(w.real)
         im.add(w.imag)
     return complex(re.value, im.value)
+
+
+def _bessel_term(rows, points, tail, tail_key, cutoff, params, zs, spec, cfg) -> TermValue:
+    """The rows summed over the points (root, log root, mult) of one index
+    set, with tail bounds. |J_nu(u)| <~ sqrt(2/(pi u)) = N^{-1/4} root^{-1/2}/pi,
+    so a point weighs root^{-2s}, s = Re nu/2 + 1/4 (beta_max for Re rho), and
+    tail(s) bounds the sum of mult root^{-2s} past the cutoff. Paired rows carry
+    the amplitude of the zeros kept; zeros past Z are weighed over all points.
+    """
+    N, k = float(params.N), params.k
+    lnN = math.log(N)
+    sqrtN = math.sqrt(N)
+    beta_max = max((z.beta for z in zs.zeros), default=0.5)
+    amp_in = sum(2.0 * _zero_amp(z.beta, z.gamma, N) for z in zs.zeros[: spec.Z])
+    components = {}
+    value = cut_tail = zero_weight = 0.0
+    for name, sign, a, b, c, paired in rows:
+        pref = math.exp((k / 2.0 + a) * lnN - (k + b) * _LN_PI)
+        if paired:
+
+            def f(rho, c=c):
+                w = cmath.exp(log_gamma(rho) - rho * _LN_PI + 0.5 * rho * lnN)
+                return w * _bessel_sum(k + c + rho, points, sqrtN, cfg)
+
+            block = pref * paired_zero_sum(f, zs, spec.Z)
+            s = (k + c + beta_max) / 2.0 + 0.25
+            cut_tail += pref * amp_in * tail(s)
+            head = sum(mult * root ** (-2.0 * s) for root, _, mult in points)
+            zero_weight += pref * (head + tail(s))
+        else:
+            block = pref * _bessel_sum(complex(k + c), points, sqrtN, cfg).real
+            cut_tail += pref * tail((k + c) / 2.0 + 0.25)
+        components[name] = block
+        value += sign * block
+    factor = _SAFETY * N**-0.25 / math.pi
+    u_ref = 2.0 * math.pi * max(cutoff, 1) * sqrtN
+    zero_tail = factor * zero_weight * _zero_tail_over_table(zs, spec.Z, N, u_ref, k)
+    return TermValue(value, components, {tail_key: factor * cut_tail, "zeros": zero_tail})
 
 
 def m3_term(
@@ -306,65 +366,14 @@ def m3_term(
     zs: ZeroSet,
     spec: TruncationSpec,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
-    threads: int = 1,
 ) -> TermValue:
-    """Two-squares lattice term: J_{k+2} lattice sum minus the paired zero sum
-    of J_{k+1+rho} lattice sums."""
-    N, k = float(params.N), params.k
-    lnN = math.log(N)
-    pts = lattice_points(spec.L)
-    pref1 = math.exp((k / 2.0 + 1.0) * lnN - (k + 1.0) * _LN_PI)
-    pref2 = math.exp((k / 2.0 + 0.5) * lnN - k * _LN_PI)
-
-    lattice_part = pref1 * _bessel_lattice_sum(complex(k + 2.0), pts, N, cfg).real
-
-    def f(rho):
-        w = cmath.exp(log_gamma(rho) - rho * _LN_PI + 0.5 * rho * lnN)
-        return w * _bessel_lattice_sum(k + 1.0 + rho, pts, N, cfg)
-
-    zero_part = pref2 * paired_zero_sum(f, zs, spec.Z, threads=threads)
-    value = lattice_part - zero_part
-
-    # --- tail bounds ---
-    beta_max = max((z.beta for z in zs.zeros), default=0.5)
-    sqrtN = math.sqrt(N)
-    u_max = 2.0 * math.pi * max(spec.L, 1) * sqrtN
-    amp_in = sum(
-        2.0 * _zero_amp(z.beta, z.gamma, N) for z in zs.zeros[: spec.Z]
-    )
-    lat_factor = (1.0 / math.pi) * N ** -0.25  # sqrt(2/(pi u)) = lat_factor * lam^-1/4
+    """Two-squares lattice term (rows _M3_ROWS): J_{k+2} lattice sum minus the
+    paired zero sum of J_{k+1+rho} lattice sums, over root = sqrt(lam)."""
+    pts = tuple((math.sqrt(lam), 0.5 * math.log(lam), m) for lam, m in lattice_points(spec.L))
     X = max(spec.L * spec.L, 2)
-    s1 = k / 2.0 + 1.25
-    s2 = (k + 1.0 + beta_max) / 2.0 + 0.25
-    lattice_tail = _SAFETY * lat_factor * (
-        pref1 * _lattice_tail_sum(X, s1) + pref2 * amp_in * _lattice_tail_sum(X, s2)
+    return _bessel_term(
+        _M3_ROWS, pts, lambda s: _lattice_tail_sum(X, s), "lattice", spec.L, params, zs, spec, cfg
     )
-    lam_weight = sum(m * lam ** -s2 for lam, m in pts) + _lattice_tail_sum(X, s2)
-    zero_tail = (
-        _SAFETY
-        * pref2
-        * lat_factor
-        * lam_weight
-        * _zero_tail_over_table(zs, spec.Z, N, u_max, k)
-    )
-    return TermValue(
-        value,
-        {"lattice": lattice_part, "zeros": zero_part},
-        {"lattice": lattice_tail, "zeros": zero_tail},
-    )
-
-
-def _bessel_m_sum(nu: complex, M: int, N: float, cfg: PrecisionConfig) -> complex:
-    re = CompensatedSum()
-    im = CompensatedSum()
-    sqrtN = math.sqrt(N)
-    for m in range(1, M + 1):
-        u = 2.0 * math.pi * m * sqrtN
-        j = bessel_j(nu, u, cfg)
-        w = j * cmath.exp(-nu * math.log(m))
-        re.add(w.real)
-        im.add(w.imag)
-    return complex(re.value, im.value)
 
 
 def m4_term(
@@ -372,80 +381,12 @@ def m4_term(
     zs: ZeroSet,
     spec: TruncationSpec,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
-    threads: int = 1,
-    diagnostics: bool = False,
 ) -> TermValue:
-    """Single-index theta term: four m-sum blocks, signs +, -, -, +.
-
-    Block 4 carries N^{rho/2}; diagnostics additionally reports the N^{rho}
-    variant of block 4 (the two candidate transcriptions differ in that
-    exponent) without affecting the returned value.
-    """
-    N, k = float(params.N), params.k
-    lnN = math.log(N)
-    M = spec.M
-
-    p1 = math.exp((k / 2.0 + 1.0) * lnN - (k + 1.0) * _LN_PI)
-    p2 = math.exp((k / 2.0 + 0.75) * lnN - (k + 1.0) * _LN_PI)
-    p3 = math.exp((k + 1.0) / 2.0 * lnN - k * _LN_PI)
-    p4 = math.exp((k / 2.0 + 0.25) * lnN - k * _LN_PI)
-
-    b1 = p1 * _bessel_m_sum(complex(k + 2.0), M, N, cfg).real
-    b2 = p2 * _bessel_m_sum(complex(k + 1.5), M, N, cfg).real
-
-    def f3(rho):
-        w = cmath.exp(log_gamma(rho) - rho * _LN_PI + 0.5 * rho * lnN)
-        return w * _bessel_m_sum(k + 1.0 + rho, M, N, cfg)
-
-    def f4(rho):
-        w = cmath.exp(log_gamma(rho) - rho * _LN_PI + 0.5 * rho * lnN)
-        return w * _bessel_m_sum(k + 0.5 + rho, M, N, cfg)
-
-    b3 = p3 * paired_zero_sum(f3, zs, spec.Z, threads=threads)
-    b4 = p4 * paired_zero_sum(f4, zs, spec.Z, threads=threads)
-    value = b1 - b2 - b3 + b4
-
-    extras = {}
-    if diagnostics:
-
-        def f4_alt(rho):
-            w = cmath.exp(log_gamma(rho) - rho * _LN_PI + rho * lnN)
-            return w * _bessel_m_sum(k + 0.5 + rho, M, N, cfg)
-
-        extras["m4_block4_full_power_variant"] = p4 * paired_zero_sum(
-            f4_alt, zs, spec.Z, threads=threads
-        )
-
-    # --- tail bounds ---
-    beta_max = max((z.beta for z in zs.zeros), default=0.5)
-    sqrtN = math.sqrt(N)
-    u_ref = 2.0 * math.pi * max(M, 1) * sqrtN
-    amp_in = sum(2.0 * _zero_amp(z.beta, z.gamma, N) for z in zs.zeros[: spec.Z])
-    m_factor = (1.0 / math.pi) * N ** -0.25  # sqrt(2/(pi u_m)) = m_factor * m^-1/2
-    Xm = max(M, 1)
-    msum_tail = _SAFETY * m_factor * (
-        p1 * _msum_tail(Xm, k + 2.5)
-        + p2 * _msum_tail(Xm, k + 2.0)
-        + p3 * amp_in * _msum_tail(Xm, k + 1.5 + beta_max)
-        + p4 * amp_in * _msum_tail(Xm, k + 1.0 + beta_max)
-    )
-    w3 = sum(m ** -(k + 1.5 + beta_max) for m in range(1, M + 1)) + _msum_tail(
-        Xm, k + 1.5 + beta_max
-    )
-    w4 = sum(m ** -(k + 1.0 + beta_max) for m in range(1, M + 1)) + _msum_tail(
-        Xm, k + 1.0 + beta_max
-    )
-    zero_tail = (
-        _SAFETY
-        * m_factor
-        * (p3 * w3 + p4 * w4)
-        * _zero_tail_over_table(zs, spec.Z, N, u_ref, k)
-    )
-    return TermValue(
-        value,
-        {"block1": b1, "block2": b2, "block3": b3, "block4": b4},
-        {"msum": msum_tail, "zeros": zero_tail},
-        extras=extras,
+    """Single-index theta term (rows _M4_ROWS): four m-sum blocks, signs
+    +, -, -, +; the paired blocks carry N^{rho/2}."""
+    pts = tuple((m, math.log(m), 1) for m in range(1, spec.M + 1))
+    return _bessel_term(
+        _M4_ROWS, pts, lambda s: _msum_tail(spec.M, 2.0 * s), "msum", spec.M, params, zs, spec, cfg
     )
 
 
@@ -535,8 +476,6 @@ def evaluate(
     spec: Optional[TruncationSpec] = None,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
     allow_subcritical: bool = False,
-    threads: int = 1,
-    diagnostics: bool = False,
 ) -> FormulaReport:
     """Compute both sides of the explicit formula and their residual.
 
@@ -571,25 +510,20 @@ def evaluate(
 
     t0 = time.perf_counter()
     with _term_context("m2"):
-        t2 = m2_term(params, zs, spec, threads=threads)
+        t2 = m2_term(params, zs, spec)
     wall["m2"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with _term_context("m3"):
-        t3 = m3_term(params, zs, spec, cfg, threads=threads)
+        t3 = m3_term(params, zs, spec, cfg)
     wall["m3"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with _term_context("m4"):
-        t4 = m4_term(params, zs, spec, cfg, threads=threads, diagnostics=diagnostics)
+        t4 = m4_term(params, zs, spec, cfg)
     wall["m4"] = time.perf_counter() - t0
 
     notes.extend(t2.notes)
-    extras = {}
-    if diagnostics:
-        extras["m3_components"] = dict(t3.components)
-        extras["m4_components"] = dict(t4.components)
-        extras.update(t4.extras)
 
     total = v1 + t2.value + t3.value + t4.value
     residual = lhs - total
@@ -610,7 +544,6 @@ def evaluate(
         },
         wallclock=wall,
         notes=tuple(notes),
-        extras=extras,
     )
 
 
@@ -743,7 +676,6 @@ def scaling_study(
     spec_overrides: Optional[dict] = None,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
     allow_subcritical: bool = False,
-    threads: int = 1,
 ) -> ScalingStudy:
     """Run evaluate over an ascending N grid and fit the residual growth."""
     N_list = list(N_list)
@@ -762,15 +694,6 @@ def scaling_study(
                 M=spec_overrides.get("M", spec.M),
                 tol=spec_overrides.get("tol", spec.tol),
             )
-        rows.append(
-            evaluate(
-                params,
-                zs,
-                spec,
-                cfg,
-                allow_subcritical=allow_subcritical,
-                threads=threads,
-            )
-        )
+        rows.append(evaluate(params, zs, spec, cfg, allow_subcritical=allow_subcritical))
     slope, excluded = fit_loglog_slope(N_list, [r.residual for r in rows])
     return ScalingStudy(rows=tuple(rows), slope=slope, excluded=excluded)

@@ -2,11 +2,9 @@
 
 Every long accumulation in the package goes through one of these helpers so
 results are reproducible bit for bit: terms are always combined in a fixed
-order (index order within fixed-size chunks, then chunk order), independent of
-how many worker threads evaluated them.
+order (index order within fixed-size chunks, then chunk order).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -59,14 +57,12 @@ def deterministic_map_sum(
     fn: Callable,
     items: Sequence,
     chunk_size: int = 256,
-    threads: int = 1,
 ) -> float:
     """Sum fn(item) over items with a deterministic chunked reduction.
 
     Items are split into consecutive chunks of fixed size; each chunk is
     compensated-summed in index order, and chunk totals are combined in chunk
-    order. Threads only parallelize chunk evaluation, never reorder it, so the
-    result is bitwise identical for any thread count.
+    order.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
@@ -78,13 +74,7 @@ def deterministic_map_sum(
             acc.add(fn(it))
         return acc.value
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            totals = list(pool.map(chunk_total, chunks))
-    else:
-        totals = [chunk_total(c) for c in chunks]
-
     outer = CompensatedSum()
-    for t in totals:
-        outer.add(t)
+    for chunk in chunks:
+        outer.add(chunk_total(chunk))
     return outer.value

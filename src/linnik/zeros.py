@@ -40,6 +40,7 @@ _FIRST_ZERO_WINDOW = (14.0, 14.3)
 # Stirling-ratio slack: |Gamma(rho)/Gamma(rho+power)| <= RATIO_SLACK * gamma^-power
 # on every table zero (asserted against log_gamma in the test suite).
 _RATIO_SLACK = 1.25
+# Factor on every reported tail bound, here and in formula's lattice/m/zero tails.
 _SAFETY = 2.0
 
 
@@ -213,7 +214,6 @@ def paired_zero_sum(
     f: Callable[[complex], complex],
     zs: ZeroSet,
     Z: int,
-    threads: int = 1,
 ) -> float:
     """2 * sum_{j < Z} Re f(rho_j): the conjugate-paired zero sum.
 
@@ -227,7 +227,7 @@ def paired_zero_sum(
         return 0.0
     subset = zs.zeros[:Z]
     total = deterministic_map_sum(
-        lambda zero: complex(f(zero.rho)).real, subset, chunk_size=64, threads=threads
+        lambda zero: complex(f(zero.rho)).real, subset, chunk_size=64
     )
     return 2.0 * total
 

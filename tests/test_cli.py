@@ -51,27 +51,6 @@ class TestEvaluateCommand:
         assert run(base) == cli.EXIT_DATA
         assert run(base + ["--allow-subcritical"]) == 0
 
-    def test_diagnostic_mode_emits_variant(self, tmp_path):
-        out = tmp_path / "r.json"
-        assert run([
-            "evaluate", "--N", "300", "--k", "2", "--Z", "5", "--L", "3",
-            "--M", "2", "--out", str(out), "--format", "json",
-            "--mode", "diagnostic",
-        ]) == 0
-        doc = json.loads(out.read_text())
-        assert "m4_block4_full_power_variant" in doc
-
-    def test_thread_env_does_not_change_bytes(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        argv = ["evaluate", "--N", "300", "--k", "2", "--Z", "10", "--L", "3",
-                "--M", "2"]
-        monkeypatch.setenv("LINNIK_THREADS", "1")
-        assert run(argv + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("LINNIK_THREADS", "3")
-        assert run(argv + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
 
 class TestScanCommand:
     def test_three_point_scan_with_plot_data(self, tmp_path):

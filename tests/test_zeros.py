@@ -181,14 +181,6 @@ class TestPairedZeroSum:
             w = 1j * g(zero.rho).conjugate()
             assert abs((v + w).real) <= 1e-18
 
-    def test_thread_count_invariance(self, zeros100):
-        def f(rho):
-            return gamma_ratio(rho, 3.0) * cmath.exp(rho * math.log(50.0))
-
-        r1 = paired_zero_sum(f, zeros100, 100, threads=1)
-        r2 = paired_zero_sum(f, zeros100, 100, threads=4)
-        assert r1 == r2
-
 
 class TestZeroTailBound:
     def test_ratio_model_dominates_true_ratio(self, zeros100):
