@@ -106,9 +106,7 @@ def cmd_evaluate(args) -> int:
     zs = _load_zero_set(args.zeros)
     params = CesaroParams(N=args.N, k=args.k)
     spec = _truncation(args, params, zs)
-    rep = formula.evaluate(
-        params, zs, spec, allow_subcritical=args.allow_subcritical or args.mode == "probe"
-    )
+    rep = formula.evaluate(params, zs, spec, allow_subcritical=args.allow_subcritical)
     _write_rows(args.out, [_report_row(rep)], args.format)
     print(
         f"N={rep.params.N} k={_fmt(rep.params.k)} residual={_fmt(rep.residual)} "
@@ -320,7 +318,6 @@ def _build_parser() -> _Parser:
     ev.add_argument("--out", required=True)
     ev.add_argument("--format", choices=("csv", "json"), default="csv")
     ev.add_argument("--allow-subcritical", action="store_true")
-    ev.add_argument("--mode", choices=("theorem", "probe"), default="theorem")
     ev.set_defaults(func=cmd_evaluate)
 
     sc = sub.add_parser("scan", help="scaling study over an N grid")

@@ -3,25 +3,30 @@
 The arithmetic side sum_{n<=N} r_Q(n) (N-n)^k / Gamma(k+1) is the inverse
 Laplace transform of z^{-k-1} S(z) omega(z)^2, with S(z) = 1/z
 - sum_rho Gamma(rho) z^{-rho} + ... and omega the theta series of the two
-squares. It is matched by four analytic terms:
+squares. Each of the four analytic terms inverts pieces of it:
 
-  m1: smooth closed form in N and k (three Gamma quotients);
-  m2: three conjugate-paired sums over zeta zeros with Gamma-ratio weights;
-  m3, m4: Bessel blocks, one per piece pi/z or -sqrt(pi/z) of omega^2 times
-      a piece 1/z or -Gamma(rho) z^{-rho} of S. The pair
+  m1, m2: the index-free pieces coef z^{-e} of omega^2 (pi/(4z), 1/4 and
+      -sqrt(pi/z)/2, the rows (name, coef, e) of _SMOOTH_ROWS) times the
+      piece 1/z (m1, a closed form in N and k) or -Gamma(rho) z^{-rho} (m2,
+      conjugate-paired sums over zeta zeros with Gamma-ratio weights) of S,
+      each inverted by (1/2 pi i) int e^{Nz} z^{-s} dz = N^{s-1}/Gamma(s);
+  m3, m4: Bessel blocks, one per piece pi/z or -sqrt(pi/z) of the theta
+      series part of omega^2 times a piece 1/z or -Gamma(rho) z^{-rho} of S.
+      The pair
       (1/2 pi i) int e^{Nz - c/z} z^{-s} dz = (N/c)^{(s-1)/2} J_{s-1}(2 sqrt(cN))
       with c = pi^2 root^2 inverts each one. m3 sums over the lattice
       root = sqrt(l1^2 + l2^2), m4 over a single index root = m.
 
-The six blocks are the rows (name, sign, a, b, c, paired) of _M3_ROWS and
-_M4_ROWS, all evaluated by one kernel, _bessel_term.
+The six Bessel blocks are the rows (name, sign, a, b, c, paired) of _M3_ROWS
+and _M4_ROWS, all evaluated by one kernel, _bessel_term.
 
 All infinite sums are truncated under a TruncationSpec: Z zeros, lattice
 radius L, single-index cutoff M. Every term carries computed tail bounds:
 
   * lattice/m tails from |J_nu(u)| <~ sqrt(2/(pi u)): a point past the cutoff
     weighs root^{-2s}, s = Re nu/2 + 1/4, summed past the cutoff with a safety
-    factor 2;
+    factor 2 (_cut_tail). default_truncation picks L and M by the same rule,
+    as the smallest cutoffs whose unpaired rows' tail meets tol/4;
   * zero tails from the Stirling amplitude |Gamma(rho)| J-growth cancellation:
     each discarded zero contributes at most ~ sqrt(2 pi) gamma^{beta-1/2}
     sqrt(2/(pi u)) times its lattice weight while gamma <~ u/2, decaying like
@@ -47,13 +52,7 @@ from . import arithmetic
 from .arithmetic import CesaroParams
 from .errors import DomainError, PrecisionError
 from .quadrature import adaptive_gauss_kronrod
-from .specfun import (
-    DEFAULT_PRECISION,
-    PrecisionConfig,
-    bessel_j,
-    log_gamma,
-    gamma_ratio,
-)
+from .specfun import bessel_j, gamma_ratio, log_gamma
 from .summation import CompensatedSum
 from .zeros import _RATIO_SLACK, _SAFETY, ZeroSet, paired_zero_sum, zero_tail_bound
 
@@ -174,15 +173,18 @@ def lattice_points(L: int):
     return pts
 
 
-def _lattice_tail_sum(X: float, s: float) -> float:
-    """Bound for sum over lam > X of r2(lam) lam^-s (r2 over positive pairs)."""
+def _lattice_tail(L: int, s: float) -> float:
+    """Bound for the sum of r2(lam) lam^-s over lam > max(L^2, 2), the m3
+    points past radius L (r2 over positive pairs)."""
     if s <= 1.0:
         return math.inf
+    X = max(L * L, 2)
     return _LATTICE_FLUCT * (math.pi / 4.0) * X ** (1.0 - s) / (s - 1.0)
 
 
-def _msum_tail(M: int, t: float) -> float:
-    """Bound for sum_{m > M} m^-t."""
+def _m_tail(M: int, s: float) -> float:
+    """Bound for sum_{m > M} m^{-2s}, the m4 points past M."""
+    t = 2.0 * s
     if t <= 1.0:
         return math.inf
     return max(M, 1) ** (1.0 - t) / (t - 1.0)
@@ -237,21 +239,29 @@ def _zero_tail_over_table(zs: ZeroSet, Z: int, N: float, u_ref: float, k: float)
 # ---------------------------------------------------------------------------
 
 
+# The index-free theta pieces coef * z^{-e} of omega(z)^2, from the Jacobi main
+# term (sqrt(pi/z) - 1)/2 of omega squared: pi/(4z) + 1/4 - sqrt(pi/z)/2. One
+# row (name, coef, e) each; against the 1/z piece of S they give m1, against
+# -Gamma(rho) z^{-rho} the paired zero sums of m2 (components keep each sum
+# without its coefficient).
+_SMOOTH_ROWS = (
+    ("block1", math.pi / 4.0, 1.0),
+    ("block2", 0.25, 0.0),
+    ("block3", -0.5 * math.sqrt(math.pi), 0.5),
+)
+
+
 def m1_term(params: CesaroParams) -> float:
-    """Smooth leading term: pi N^{k+2}/(4 G(k+3)) + N^{k+1}/(4 G(k+2))
-    - sqrt(pi) N^{k+3/2} / (2 G(k+5/2))."""
+    """Smooth leading term: sum over _SMOOTH_ROWS of coef N^{k+1+e} / Gamma(k+2+e)."""
     N, k = float(params.N), params.k
     if k <= -1:
         raise DomainError("m1_term requires k > -1")
     lnN = math.log(N)
-
-    def g(c: float) -> float:
-        return log_gamma(complex(k + c, 0.0)).real
-
-    t1 = math.pi / 4.0 * math.exp((k + 2.0) * lnN - g(3.0))
-    t2 = 0.25 * math.exp((k + 1.0) * lnN - g(2.0))
-    t3 = 0.5 * math.sqrt(math.pi) * math.exp((k + 1.5) * lnN - g(2.5))
-    return t1 + t2 - t3
+    value = 0.0
+    for _, coef, e in _SMOOTH_ROWS:
+        g = log_gamma(complex(k + (2.0 + e), 0.0)).real
+        value += coef * math.exp((k + (1.0 + e)) * lnN - g)
+    return value
 
 
 def m2_term(
@@ -259,32 +269,26 @@ def m2_term(
     zs: ZeroSet,
     spec: TruncationSpec,
 ) -> TermValue:
-    """Zero-sum term built from Gamma ratios: three paired blocks with
-    coefficients -pi/4, -1/4, +sqrt(pi)/2 and N-powers k+1+rho, k+rho,
-    k+1/2+rho."""
+    """Zero-sum term: sum over _SMOOTH_ROWS of -coef times the paired sum of
+    Gamma(rho)/Gamma(rho+k+1+e) N^{k+e+rho}."""
     N, k = float(params.N), params.k
     lnN = math.log(N)
     notes = ()
     if k <= 0.5:
         notes = ("m2 evaluated below its absolute-convergence range k > 1/2",)
 
-    blocks = (
-        ("block1", -(math.pi / 4.0), k + 2.0),
-        ("block2", -0.25, k + 1.0),
-        ("block3", 0.5 * math.sqrt(math.pi), k + 1.5),
-    )
     components = {}
-    value = 0.0
-    tail = 0.0
-    for name, coeff, offset in blocks:
+    value = tail = 0.0
+    for name, coef, e in _SMOOTH_ROWS:
+        offset = k + (1.0 + e)
 
         def f(rho, offset=offset):
             return gamma_ratio(rho, offset) * cmath.exp((offset - 1.0 + rho) * lnN)
 
         b = paired_zero_sum(f, zs, spec.Z)
         components[name] = b
-        value += coeff * b
-        tail += abs(coeff) * zero_tail_bound(k, N, offset, spec.Z, zs)
+        value -= coef * b
+        tail += abs(coef) * zero_tail_bound(k, N, offset, spec.Z, zs)
     return TermValue(value, components, {"zeros": tail}, notes)
 
 
@@ -311,24 +315,45 @@ _M4_ROWS = (
 )
 
 
-def _bessel_sum(nu: complex, points, sqrtN: float, cfg: PrecisionConfig) -> complex:
+def _pref(a: float, b: float, k: float, lnN: float) -> float:
+    """N^{k/2+a} pi^{-(k+b)}, the prefactor of a block row."""
+    return math.exp((k / 2.0 + a) * lnN - (k + b) * _LN_PI)
+
+
+def _envelope(N: float) -> float:
+    """_SAFETY times N^{-1/4}/pi, from |J_nu(2 pi root sqrt N)| <~ N^{-1/4} root^{-1/2}/pi."""
+    return _SAFETY * N**-0.25 / math.pi
+
+
+def _cut_tail(rows, tail, cutoff: int, N: float, k: float, paired_tails=()) -> float:
+    """Tail bound past the cutoff of the unpaired rows: a point there weighs
+    root^{-2s}, s = (k+c)/2 + 1/4, and tail(cutoff, s) bounds their sum. The
+    caller's paired_tails (already in these units) are added after them."""
+    lnN = math.log(N)
+    total = 0.0
+    for _, _, a, b, c, paired in rows:
+        if not paired:
+            total += _pref(a, b, k, lnN) * tail(cutoff, (k + c) / 2.0 + 0.25)
+    return _envelope(N) * sum(paired_tails, total)
+
+
+def _bessel_sum(nu: complex, points, sqrtN: float) -> complex:
     """sum over points of mult * J_nu(2 pi root sqrt N) / root^nu."""
     re = CompensatedSum()
     im = CompensatedSum()
     for root, log_root, mult in points:
-        j = bessel_j(nu, 2.0 * math.pi * root * sqrtN, cfg)
+        j = bessel_j(nu, 2.0 * math.pi * root * sqrtN)
         w = j * cmath.exp(-nu * log_root) * mult
         re.add(w.real)
         im.add(w.imag)
     return complex(re.value, im.value)
 
 
-def _bessel_term(rows, points, tail, tail_key, cutoff, params, zs, spec, cfg) -> TermValue:
+def _bessel_term(rows, points, tail, tail_key, cutoff, params, zs, spec) -> TermValue:
     """The rows summed over the points (root, log root, mult) of one index
-    set, with tail bounds. |J_nu(u)| <~ sqrt(2/(pi u)) = N^{-1/4} root^{-1/2}/pi,
-    so a point weighs root^{-2s}, s = Re nu/2 + 1/4 (beta_max for Re rho), and
-    tail(s) bounds the sum of mult root^{-2s} past the cutoff. Paired rows carry
-    the amplitude of the zeros kept; zeros past Z are weighed over all points.
+    set, with tail bounds from _cut_tail. Past the cutoff a paired row carries
+    the amplitude of the zeros kept, with s = (k+c+beta_max)/2 + 1/4; zeros
+    past Z are weighed over all points.
     """
     N, k = float(params.N), params.k
     lnN = math.log(N)
@@ -336,63 +361,65 @@ def _bessel_term(rows, points, tail, tail_key, cutoff, params, zs, spec, cfg) ->
     beta_max = max((z.beta for z in zs.zeros), default=0.5)
     amp_in = sum(2.0 * _zero_amp(z.beta, z.gamma, N) for z in zs.zeros[: spec.Z])
     components = {}
-    value = cut_tail = zero_weight = 0.0
+    value = zero_weight = 0.0
+    paired_tails = []
     for name, sign, a, b, c, paired in rows:
-        pref = math.exp((k / 2.0 + a) * lnN - (k + b) * _LN_PI)
+        pref = _pref(a, b, k, lnN)
         if paired:
 
             def f(rho, c=c):
                 w = cmath.exp(log_gamma(rho) - rho * _LN_PI + 0.5 * rho * lnN)
-                return w * _bessel_sum(k + c + rho, points, sqrtN, cfg)
+                return w * _bessel_sum(k + c + rho, points, sqrtN)
 
             block = pref * paired_zero_sum(f, zs, spec.Z)
             s = (k + c + beta_max) / 2.0 + 0.25
-            cut_tail += pref * amp_in * tail(s)
+            paired_tails.append(pref * amp_in * tail(cutoff, s))
             head = sum(mult * root ** (-2.0 * s) for root, _, mult in points)
-            zero_weight += pref * (head + tail(s))
+            zero_weight += pref * (head + tail(cutoff, s))
         else:
-            block = pref * _bessel_sum(complex(k + c), points, sqrtN, cfg).real
-            cut_tail += pref * tail((k + c) / 2.0 + 0.25)
+            block = pref * _bessel_sum(complex(k + c), points, sqrtN).real
         components[name] = block
         value += sign * block
-    factor = _SAFETY * N**-0.25 / math.pi
+    cut_tail = _cut_tail(rows, tail, cutoff, N, k, paired_tails)
     u_ref = 2.0 * math.pi * max(cutoff, 1) * sqrtN
-    zero_tail = factor * zero_weight * _zero_tail_over_table(zs, spec.Z, N, u_ref, k)
-    return TermValue(value, components, {tail_key: factor * cut_tail, "zeros": zero_tail})
+    zero_tail = _envelope(N) * zero_weight * _zero_tail_over_table(zs, spec.Z, N, u_ref, k)
+    return TermValue(value, components, {tail_key: cut_tail, "zeros": zero_tail})
 
 
 def m3_term(
     params: CesaroParams,
     zs: ZeroSet,
     spec: TruncationSpec,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
 ) -> TermValue:
     """Two-squares lattice term (rows _M3_ROWS): J_{k+2} lattice sum minus the
     paired zero sum of J_{k+1+rho} lattice sums, over root = sqrt(lam)."""
     pts = tuple((math.sqrt(lam), 0.5 * math.log(lam), m) for lam, m in lattice_points(spec.L))
-    X = max(spec.L * spec.L, 2)
-    return _bessel_term(
-        _M3_ROWS, pts, lambda s: _lattice_tail_sum(X, s), "lattice", spec.L, params, zs, spec, cfg
-    )
+    return _bessel_term(_M3_ROWS, pts, _lattice_tail, "lattice", spec.L, params, zs, spec)
 
 
 def m4_term(
     params: CesaroParams,
     zs: ZeroSet,
     spec: TruncationSpec,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
 ) -> TermValue:
     """Single-index theta term (rows _M4_ROWS): four m-sum blocks, signs
     +, -, -, +; the paired blocks carry N^{rho/2}."""
     pts = tuple((m, math.log(m), 1) for m in range(1, spec.M + 1))
-    return _bessel_term(
-        _M4_ROWS, pts, lambda s: _msum_tail(spec.M, 2.0 * s), "msum", spec.M, params, zs, spec, cfg
-    )
+    return _bessel_term(_M4_ROWS, pts, _m_tail, "msum", spec.M, params, zs, spec)
 
 
 # ---------------------------------------------------------------------------
 # Truncation auto-selection
 # ---------------------------------------------------------------------------
+
+
+def _smallest_cutoff(rows, tail, lo: int, hi: int, N: float, k: float, tol: float) -> int:
+    """Smallest cutoff n in [lo, hi) whose unpaired rows' _cut_tail is
+    <= tol/4; hi if there is none."""
+    for n in range(lo, hi):
+        if _cut_tail(rows, tail, n, N, k) <= tol / 4.0:
+            return n
+    return hi
 
 
 def default_truncation(
@@ -401,38 +428,21 @@ def default_truncation(
     tol: Optional[float] = None,
     Z: Optional[int] = None,
 ) -> TruncationSpec:
-    """Pick cutoffs: Z = 50 (or the table size), L and M as the smallest radii
-    for which the Bessel-decay tail model of the blocks those cutoffs control
-    (per-term (l1^2+l2^2)^{-k/2-5/4} N^{-1/4}, and the m-sum analogue) meets
-    tol (default 1e-6 N^{k+1}).
+    """Pick cutoffs: Z = 50 (or the table size), L in [3, 64) and M in
+    [3, 256) as the smallest for which the cut tail of the unpaired rows of
+    _M3_ROWS and _M4_ROWS, the rule m3_term and m4_term report, meets tol/4
+    (tol defaults to 1e-6 N^{k+1}); L = 64 or M = 256 if none does.
 
-    The zero-block lattice/m tails carry a Z-driven amplitude that no lattice
-    radius can push below tol; they are reported by the term evaluators but do
-    not drive the cutoff choice.
+    The paired rows' lattice/m tails carry a Z-driven amplitude that no
+    cutoff can push below tol; the term evaluators report them, but they do
+    not drive the choice.
     """
     N, k = float(params.N), params.k
     if tol is None:
         tol = 1e-6 * N ** (k + 1.0)
     Z = min(50, zs.count) if Z is None else Z
-    lat_factor = (1.0 / math.pi) * N ** -0.25
-    pref1 = math.exp((k / 2.0 + 1.0) * math.log(N) - (k + 1.0) * _LN_PI)
-
-    L = 3
-    while L < 64:
-        lt = _SAFETY * lat_factor * pref1 * _lattice_tail_sum(L * L, k / 2.0 + 1.25)
-        if lt <= tol / 4.0:
-            break
-        L += 1
-
-    p2 = math.exp((k / 2.0 + 0.75) * math.log(N) - (k + 1.0) * _LN_PI)
-    M = 3
-    while M < 256:
-        mt = _SAFETY * lat_factor * (
-            pref1 * _msum_tail(M, k + 2.5) + p2 * _msum_tail(M, k + 2.0)
-        )
-        if mt <= tol / 4.0:
-            break
-        M += 1
+    L = _smallest_cutoff(_M3_ROWS, _lattice_tail, 3, 64, N, k, tol)
+    M = _smallest_cutoff(_M4_ROWS, _m_tail, 3, 256, N, k, tol)
     return TruncationSpec(Z=Z, L=L, M=M, tol=tol)
 
 
@@ -474,7 +484,6 @@ def evaluate(
     params: CesaroParams,
     zs: ZeroSet,
     spec: Optional[TruncationSpec] = None,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
     allow_subcritical: bool = False,
 ) -> FormulaReport:
     """Compute both sides of the explicit formula and their residual.
@@ -515,12 +524,12 @@ def evaluate(
 
     t0 = time.perf_counter()
     with _term_context("m3"):
-        t3 = m3_term(params, zs, spec, cfg)
+        t3 = m3_term(params, zs, spec)
     wall["m3"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with _term_context("m4"):
-        t4 = m4_term(params, zs, spec, cfg)
+        t4 = m4_term(params, zs, spec)
     wall["m4"] = time.perf_counter() - t0
 
     notes.extend(t2.notes)
@@ -674,7 +683,6 @@ def scaling_study(
     k: float,
     zs: ZeroSet,
     spec_overrides: Optional[dict] = None,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
     allow_subcritical: bool = False,
 ) -> ScalingStudy:
     """Run evaluate over an ascending N grid and fit the residual growth."""
@@ -694,6 +702,6 @@ def scaling_study(
                 M=spec_overrides.get("M", spec.M),
                 tol=spec_overrides.get("tol", spec.tol),
             )
-        rows.append(evaluate(params, zs, spec, cfg, allow_subcritical=allow_subcritical))
+        rows.append(evaluate(params, zs, spec, allow_subcritical=allow_subcritical))
     slope, excluded = fit_loglog_slope(N_list, [r.residual for r in rows])
     return ScalingStudy(rows=tuple(rows), slope=slope, excluded=excluded)

@@ -61,18 +61,14 @@ _STIRLING_RADIUS = 12.0
 class PrecisionConfig:
     """Evaluation policy for the special-function layer.
 
-    working_bits is the minimum mantissa width of extended-precision paths;
-    target_rel_tol the relative error the caller wants certified;
+    target_rel_tol is the relative error the caller wants certified;
     strategy_override forces 'series', 'asymptotic' or 'quadrature'.
     """
 
-    working_bits: int = 53
     target_rel_tol: float = 1e-10
     strategy_override: Optional[str] = None
 
     def __post_init__(self):
-        if self.working_bits < 53:
-            raise DomainError("working_bits must be >= 53")
         if not (0.0 < self.target_rel_tol < 1.0):
             raise DomainError("target_rel_tol must be in (0, 1)")
         if self.strategy_override not in (None, "auto", "series", "asymptotic", "quadrature"):
@@ -179,7 +175,7 @@ def series_bits(u: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> int:
     (largest term ~ e^u against a result of order 1); 1.5x that plus the
     target-accuracy bits gives uniform headroom.
     """
-    target_bits = max(cfg.working_bits, int(-math.log2(cfg.target_rel_tol)) + 16)
+    target_bits = max(53, int(-math.log2(cfg.target_rel_tol)) + 16)
     cancel = math.ceil(1.5 * u * _LOG2E) if u > 0 else 0
     return target_bits + cancel
 
@@ -398,8 +394,8 @@ def bessel_j_detailed(nu, u: float, cfg: PrecisionConfig = DEFAULT_PRECISION) ->
     if strategy == "asymptotic":
         return _bessel_asymptotic(nu, u, cfg)
     if strategy == "quadrature":
-        value = bessel_j_sonine(nu, u, prec_bits=max(200, cfg.working_bits))
-        return BesselEval(value, "quadrature", max(200, cfg.working_bits), 0, 1e-40)
+        value = bessel_j_sonine(nu, u, prec_bits=200)
+        return BesselEval(value, "quadrature", 200, 0, 1e-40)
     # auto: asymptotic when clearly in its regime and certifiable, else series
     if u >= _ASYMP_MIN_U and u >= 4.0 * abs(nu) ** 2:
         try:
@@ -415,7 +411,7 @@ def bessel_j(nu, u: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> complex:
     Results are memoized (evaluations are pure); identical inputs always
     return the identical float, which the determinism contract relies on.
     """
-    key = (complex(nu), float(u), cfg.working_bits, cfg.target_rel_tol, cfg.strategy_override)
+    key = (complex(nu), float(u), cfg.target_rel_tol, cfg.strategy_override)
     hit = _BESSEL_CACHE.get(key)
     if hit is not None:
         return hit

@@ -8,7 +8,8 @@ from named sources with checksum verification.
 
 Weighted sums over zeros always run over conjugate pairs: for weights f with
 f(conj rho) = conj f(rho) the pair sum is 2 Re f(rho), so paired_zero_sum
-returns an exactly real number by construction.
+returns an exactly real number by construction. It adds the terms in one
+compensated pass in ascending gamma, so its value is reproducible bit for bit.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import DomainError, FetchError, IntegrityError, ZeroTableError
-from .summation import deterministic_map_sum
+from .summation import compensated_sum
 
 __all__ = [
     "ZetaZero",
@@ -218,18 +219,12 @@ def paired_zero_sum(
     """2 * sum_{j < Z} Re f(rho_j): the conjugate-paired zero sum.
 
     Requires f(conj rho) = conj f(rho), which holds for every weight in the
-    main terms (N, k, and the Bessel arguments are real). Ascending-gamma
-    order with compensated, deterministically chunked accumulation.
+    main terms (N, k, and the Bessel arguments are real). One compensated
+    pass in ascending-gamma order.
     """
     if Z < 0 or Z > zs.count:
         raise DomainError(f"Z = {Z} out of range for table of {zs.count} zeros")
-    if Z == 0:
-        return 0.0
-    subset = zs.zeros[:Z]
-    total = deterministic_map_sum(
-        lambda zero: complex(f(zero.rho)).real, subset, chunk_size=64
-    )
-    return 2.0 * total
+    return 2.0 * compensated_sum(complex(f(zero.rho)).real for zero in zs.zeros[:Z])
 
 
 def zero_tail_bound(k: float, N: float, power: float, Z: int, zs: ZeroSet) -> float:

@@ -138,12 +138,18 @@ def _inverse_laplace(coef, s, c, N):
     return coef * (N / c) ** ((s - 1) / 2) * mpmath.besselj(s - 1, 2 * mpmath.sqrt(c * N))
 
 
-class TestBesselBlockOracle:
-    """Each signed Bessel block of m3 and m4 against its piece of the
-    generating function z^{-k-1} S(z) omega(z)^2, inverted term by term.
+def _invert_power(coef, s, N):
+    """(1/2 pi i) int e^{Nz} coef z^{-s} dz = coef N^{s-1} / Gamma(s)."""
+    return coef * mpmath.mpf(N) ** (s - 1) / mpmath.gamma(s)
+
+
+class TestBlockOracle:
+    """Each block of m1 to m4 against its piece of the generating function
+    z^{-k-1} S(z) omega(z)^2, inverted term by term.
 
     With omega(z) = sum_{l>=1} e^{-l^2 z} = (sqrt(pi/z) - 1)/2
-    + sqrt(pi/z) sum_{m>=1} e^{-pi^2 m^2/z}, omega^2 has the theta pieces
+    + sqrt(pi/z) sum_{m>=1} e^{-pi^2 m^2/z}, omega^2 has the index-free
+    pieces ((sqrt(pi/z) - 1)/2)^2 (m1, m2) and the theta pieces
     (pi/z) sum_{l1,l2>=1} e^{-pi^2 (l1^2+l2^2)/z} (m3) and
     (pi/z - sqrt(pi/z)) sum_m e^{-pi^2 m^2/z} (m4); S(z) = 1/z
     - sum_rho Gamma(rho) z^{-rho} + ..., the zeros summed in conjugate pairs.
@@ -199,6 +205,41 @@ class TestBesselBlockOracle:
                 scale = sum(abs(v) for v in expected.values())
                 assert abs(t.value - sum(expected.values())) <= 1e-12 * scale, term
 
+    def smooth_pieces(self):
+        """{m2 component: (coef, e)} for the pieces coef z^{-e} of the square
+        of (sqrt(pi/z) - 1)/2 = A z^{-1/2} + B."""
+        A, B = mpmath.sqrt(mpmath.pi) / 2, mpmath.mpf(-0.5)
+        return {
+            "block1": (A * A, mpmath.mpf(1)),
+            "block2": (B * B, mpmath.mpf(0)),
+            "block3": (2 * A * B, mpmath.mpf(0.5)),
+        }
+
+    @pytest.mark.parametrize("k", [2.0, 2.5])
+    @pytest.mark.parametrize("N", [30, 200])
+    def test_index_free_pieces_match_inverse_laplace(self, zeros100, N, k):
+        spec = TruncationSpec(Z=1, L=2, M=1, tol=1.0)
+        params = CesaroParams(N=N, k=k)
+        m1 = m1_term(params)
+        t2 = m2_term(params, zeros100, spec)
+        zero = zeros100.zeros[0]
+        with mpmath.workdps(30):
+            rho = mpmath.mpc(zero.beta, zero.gamma)
+            kk = mpmath.mpf(k)
+            pieces = self.smooth_pieces()
+            # the 1/z piece of S: coef z^{-(k+2+e)}
+            expected_m1 = sum(_invert_power(coef, kk + 2 + e, N) for coef, e in pieces.values())
+            assert m1 == pytest.approx(float(expected_m1), rel=1e-12)
+            # the -Gamma(rho) z^{-rho} piece: -coef Gamma(rho) z^{-(k+1+e+rho)};
+            # an m2 component is the paired sum without -coef
+            expected = {}
+            for name, (coef, e) in pieces.items():
+                paired = 2 * mpmath.re(_invert_power(mpmath.gamma(rho), kk + 1 + e + rho, N))
+                assert t2.components[name] == pytest.approx(float(paired), rel=1e-12), name
+                expected[name] = float(-coef * paired)
+        scale = sum(abs(v) for v in expected.values())
+        assert abs(t2.value - sum(expected.values())) <= 1e-12 * scale
+
 
 class TestEvaluate:
     def test_theorem_range_gate(self, zeros100):
@@ -239,17 +280,19 @@ class TestEvaluate:
             assert rep.m1 > 0.0
             assert abs(rep.m2) + abs(rep.m3) + abs(rep.m4) < 0.05 * rep.m1
 
-    def test_subterm_error_carries_term_identification(self, zeros100):
+    def test_subterm_error_carries_term_identification(self, zeros100, monkeypatch):
         from linnik.errors import PrecisionError
-        from linnik.specfun import PrecisionConfig
 
-        # forcing the asymptotic strategy makes the complex-order Bessel
-        # evaluations in m3 uncertifiable at this argument
-        cfg = PrecisionConfig(strategy_override="asymptotic")
+        # m3 is the first term to evaluate a Bessel function
+        def uncertifiable(nu, u):
+            raise PrecisionError("uncertifiable", strategy="series", requested=1e-10)
+
+        monkeypatch.setattr("linnik.formula.bessel_j", uncertifiable)
         spec = TruncationSpec(Z=5, L=2, M=1, tol=1.0)
         with pytest.raises(PrecisionError) as exc:
-            evaluate(CesaroParams(N=100, k=2.0), zeros100, spec, cfg=cfg)
+            evaluate(CesaroParams(N=100, k=2.0), zeros100, spec)
         assert str(exc.value).startswith("m3:")
+        assert exc.value.strategy == "series"
 
 
 class TestLemma5Probe:

@@ -203,8 +203,6 @@ class TestLaplaceLineIntegral:
 class TestPrecisionConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
-            PrecisionConfig(working_bits=32)
-        with pytest.raises(DomainError):
             PrecisionConfig(target_rel_tol=2.0)
         with pytest.raises(DomainError):
             PrecisionConfig(strategy_override="magic")

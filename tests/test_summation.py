@@ -1,11 +1,7 @@
 import math
 import random
 
-from linnik.summation import (
-    CompensatedSum,
-    compensated_sum,
-    deterministic_map_sum,
-)
+from linnik.summation import CompensatedSum, compensated_sum
 
 
 class TestCompensatedSum:
@@ -26,18 +22,3 @@ class TestCompensatedSum:
         for x in xs:
             acc.add(x)
         assert acc.value == compensated_sum(xs)
-
-
-class TestDeterministicMapSum:
-    def test_chunking_is_part_of_the_contract(self):
-        # fixed chunk size means the reduction tree is fixed; repeat runs agree
-        items = list(range(999))
-        fn = lambda i: (-1.0) ** i / (i + 1)  # noqa: E731
-        assert deterministic_map_sum(fn, items) == deterministic_map_sum(fn, items)
-
-    def test_accuracy_against_fsum(self):
-        items = list(range(4096))
-        fn = lambda i: 10.0 ** ((i % 31) - 15) * math.cos(i)  # noqa: E731
-        exact = math.fsum(fn(i) for i in items)
-        got = deterministic_map_sum(fn, items, chunk_size=128)
-        assert abs(got - exact) <= 1e-12 * sum(abs(fn(i)) for i in items)
