@@ -435,7 +435,8 @@ def default_truncation(
 
     The paired rows' lattice/m tails carry a Z-driven amplitude that no
     cutoff can push below tol; the term evaluators report them, but they do
-    not drive the choice.
+    not drive the choice. evaluate notes every term whose reported tail
+    exceeds tol, including one whose cutoff search ran into its cap.
     """
     N, k = float(params.N), params.k
     if tol is None:
@@ -451,6 +452,14 @@ def default_truncation(
 # ---------------------------------------------------------------------------
 
 _TABLE_CACHE: dict = {}
+# Bytes of (Lambda, r_Q) tables kept across evaluations; a table at N = 10^6
+# takes about 18 MB. Tables past the budget are built and not kept.
+_TABLE_CACHE_BYTES = 64 * 2**20
+
+
+def _table_bytes(tables) -> int:
+    lam, rq = tables
+    return sum(a.nbytes for a in (lam.values, lam.pp_n, lam.pp_p, lam.pp_j, rq.values))
 
 
 def _tables_for(N: int):
@@ -459,7 +468,8 @@ def _tables_for(N: int):
         lam = arithmetic.sieve_von_mangoldt(N)
         rq = arithmetic.compute_rq(lam, N)
         hit = (lam, rq)
-        if len(_TABLE_CACHE) < 64:
+        kept = sum(map(_table_bytes, _TABLE_CACHE.values()))
+        if kept + _table_bytes(hit) <= _TABLE_CACHE_BYTES:
             _TABLE_CACHE[N] = hit
     return hit
 
@@ -491,6 +501,7 @@ def evaluate(
     k <= 3/2 (outside the theorem range) is refused unless allow_subcritical
     is set, in which case the report is flagged. The m2/m3/m4 values are real
     by construction (conjugate pairing); no imaginary part is ever dropped.
+    Each term whose reported tail bound exceeds spec.tol gets a note.
     """
     N, k = params.N, params.k
     notes = []
@@ -533,6 +544,12 @@ def evaluate(
     wall["m4"] = time.perf_counter() - t0
 
     notes.extend(t2.notes)
+    tails = {"m2": t2.tail_total, "m3": t3.tail_total, "m4": t4.tail_total}
+    notes.extend(
+        f"{name} tail bound {tail:.3e} exceeds tol {spec.tol:.3e}"
+        for name, tail in tails.items()
+        if tail > spec.tol
+    )
 
     total = v1 + t2.value + t3.value + t4.value
     residual = lhs - total
@@ -546,11 +563,7 @@ def evaluate(
         total=total,
         residual=residual,
         normalized_residual=residual / float(N) ** (k + 1.0),
-        tail_bounds={
-            "m2": t2.tail_total,
-            "m3": t3.tail_total,
-            "m4": t4.tail_total,
-        },
+        tail_bounds=tails,
         wallclock=wall,
         notes=tuple(notes),
     )

@@ -9,7 +9,9 @@ strategies are implemented behind one contract:
   53 + ceil(1.5 u log2 e) bits, which defeats the e^u-scale cancellation of
   the alternating series at any argument this package needs;
 * the large-argument (Hankel) asymptotic expansion, used automatically only
-  when u >= 4 |nu|^2 and its own error estimate certifies the target;
+  when u >= 4 |nu|^2 and its own error estimate certifies the target; where
+  it refuses a real order (close to a zero of J), mpmath.besselj at 53 bits
+  takes its place instead of a series at thousands of bits;
 * direct quadrature of the contour-integral representation
   (u/2)^nu / (2 pi i) * int e^s s^{-nu-1} e^{-u^2/(4 s)} ds over a vertical
   line, kept as an independent cross-check oracle (never the default path).
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp
+from mpmath.libmp import NoConvergence
 
 from .errors import DomainError, PoleError, PrecisionError
 from .quadrature import adaptive_gauss_kronrod
@@ -325,6 +328,25 @@ def _bessel_asymptotic(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEva
     return BesselEval(value, "asymptotic", 53, terms, err_rel)
 
 
+# mpmath adds guard bits until it has accounted for the cancellation, so its
+# 53-bit result is claimed to a couple of ulps relative.
+_MPMATH_REL_ERR = 4.0 * 2.0**-53
+
+
+def _bessel_mpmath(nu: float, u: float, cfg: PrecisionConfig) -> BesselEval:
+    """J_nu(u) for a real order from mpmath.besselj at 53 bits."""
+    try:
+        with mp.workprec(53):
+            value = float(mp.besselj(nu, u))
+    except NoConvergence as exc:
+        raise PrecisionError(
+            f"mpmath besselj did not converge: {exc}",
+            strategy="mpmath",
+            requested=cfg.target_rel_tol,
+        ) from exc
+    return BesselEval(complex(value, 0.0), "mpmath", 53, 0, _MPMATH_REL_ERR)
+
+
 # ---------------------------------------------------------------------------
 # Bessel J: contour-quadrature oracle
 # ---------------------------------------------------------------------------
@@ -396,12 +418,15 @@ def bessel_j_detailed(nu, u: float, cfg: PrecisionConfig = DEFAULT_PRECISION) ->
     if strategy == "quadrature":
         value = bessel_j_sonine(nu, u, prec_bits=200)
         return BesselEval(value, "quadrature", 200, 0, 1e-40)
-    # auto: asymptotic when clearly in its regime and certifiable, else series
+    # auto: asymptotic when clearly in its regime and certifiable, else series;
+    # a real order the asymptotic refuses sits near a zero of J, where mpmath
+    # costs milliseconds and the series ~1.5 u log2(e) bits
     if u >= _ASYMP_MIN_U and u >= 4.0 * abs(nu) ** 2:
         try:
             return _bessel_asymptotic(nu, u, cfg)
         except PrecisionError:
-            pass
+            if nu.imag == 0.0 and cfg.target_rel_tol >= _MPMATH_REL_ERR:
+                return _bessel_mpmath(nu.real, u, cfg)
     return _bessel_series(nu, u, cfg)
 
 

@@ -1,8 +1,11 @@
 """Compensated summation.
 
-Every long accumulation in the package goes through CompensatedSum so results
-are reproducible bit for bit: terms are always added one at a time in a fixed
-order (index order, ascending gamma for zero sums).
+Long accumulations in the package go through CompensatedSum so results are
+reproducible bit for bit: terms are always added one at a time in a fixed
+order (index order, ascending gamma for zero sums). The one exception is
+arithmetic.cesaro_lhs, which sums its weighted table with math.fsum: that sum
+is exactly rounded, so it is reproducible in any order and at least as
+accurate.
 """
 
 from typing import Iterable

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linnik.arithmetic import (
     CesaroParams,
@@ -15,6 +17,7 @@ from linnik.arithmetic import (
     theta3,
 )
 from linnik.errors import DomainError, TableSizeError
+from linnik.summation import CompensatedSum
 
 
 def brute_prime_powers(limit):
@@ -99,6 +102,30 @@ def counts_to_value(c):
     return math.fsum(cnt * math.log(p) for p, cnt in sorted(c.items()))
 
 
+def pair_loop_rq(lam, N):
+    """r_Q by one slice add per lattice pair (l1, l2), ascending: O(N^2) adds."""
+    values = np.zeros(N + 1, dtype=np.float64)
+    l1 = 1
+    while l1 * l1 + 1 < N:
+        l2 = 1
+        while l1 * l1 + l2 * l2 < N:
+            norm = l1 * l1 + l2 * l2
+            values[norm + 1 : N + 1] += lam.values[1 : N - norm + 1]
+            l2 += 1
+        l1 += 1
+    return values
+
+
+def compensated_lhs(rq, N, k):
+    """The Cesaro sum as one compensated add per nonzero term, descending n."""
+    acc = CompensatedSum()
+    for n in range(N, 0, -1):
+        r = rq.values[n]
+        if r != 0.0:
+            acc.add(r * float(N - n) ** k)
+    return acc.value / math.gamma(k + 1)
+
+
 class TestLinnikCounts:
     def test_small_values(self, lam500):
         rq = compute_rq(lam500, 20)
@@ -122,6 +149,30 @@ class TestLinnikCounts:
         for n in range(1, 501):
             expected = counts_to_value(counts[n])
             assert rq500.values[n] == pytest.approx(expected, rel=5e-14, abs=1e-300)
+
+    @pytest.mark.parametrize("N", [4, 5, 17, 1001, 20000])
+    def test_matches_pair_loop(self, N):
+        lam = sieve_von_mangoldt(N)
+        ours = compute_rq(lam, N).values
+        oracle = pair_loop_rq(lam, N)
+        assert np.array_equal(ours == 0.0, oracle == 0.0)
+        nz = oracle != 0.0
+        assert np.all(np.abs(ours[nz] - oracle[nz]) <= 1e-13 * oracle[nz])
+
+    def test_prefix_is_the_same_bits_for_any_length(self):
+        lam = sieve_von_mangoldt(5000)
+        full = compute_rq(lam, 5000).values
+        for M in (4, 17, 1000, 4999):
+            assert full[: M + 1].tobytes() == compute_rq(lam, M).values.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=4, max_value=300))
+    def test_float_table_matches_exact_counts_generated(self, N):
+        lam = sieve_von_mangoldt(N)
+        rq = compute_rq(lam, N)
+        counts = rq_prime_counts(lam, N)
+        for n in range(N + 1):
+            assert rq.values[n] == pytest.approx(counts_to_value(counts[n]), rel=5e-14, abs=1e-300)
 
     def test_table_shorter_than_requested(self, lam500):
         with pytest.raises(DomainError):
@@ -154,6 +205,14 @@ class TestCesaroLhs:
                 oracle = math.fsum(terms) / math.gamma(k + 1)
                 got = cesaro_lhs(rq500, CesaroParams(N=N, k=k))
                 assert got == pytest.approx(oracle, rel=1e-12)
+
+    def test_against_compensated_loop(self):
+        lam = sieve_von_mangoldt(4000)
+        for N in (500, 4000):
+            rq = compute_rq(lam, N)
+            for k in (0.0, 2.0, 2.5):
+                got = cesaro_lhs(rq, CesaroParams(N=N, k=k))
+                assert got == pytest.approx(compensated_lhs(rq, N, k), rel=1e-15)
 
     def test_monotone_in_N(self, rq500):
         vals = [cesaro_lhs(rq500, CesaroParams(N=N, k=2.0)) for N in range(4, 120)]

@@ -280,6 +280,26 @@ class TestEvaluate:
             assert rep.m1 > 0.0
             assert abs(rep.m2) + abs(rep.m3) + abs(rep.m4) < 0.05 * rep.m1
 
+    def test_tails_missing_tol_are_noted(self, zeros100, grid_runs):
+        spec, rep = grid_runs[2000]
+        assert rep.tail_bounds["m3"] > spec.tol  # 3.2e6 against 8000
+        assert (f"m3 tail bound {rep.tail_bounds['m3']:.3e} exceeds tol "
+                f"{spec.tol:.3e}") in rep.notes
+        loose = TruncationSpec(Z=spec.Z, L=spec.L, M=spec.M, tol=1e30)
+        rep = evaluate(CesaroParams(N=2000, k=2.0), zeros100, loose)
+        assert not any("exceeds tol" in n for n in rep.notes)
+
+    def test_table_cache_bounded_by_bytes(self, monkeypatch):
+        from linnik import formula
+
+        monkeypatch.setattr(formula, "_TABLE_CACHE", {})
+        small = formula._tables_for(600)
+        monkeypatch.setattr(formula, "_TABLE_CACHE_BYTES", formula._table_bytes(small) + 1)
+        formula._TABLE_CACHE.clear()
+        assert formula._tables_for(600) is formula._tables_for(600)
+        formula._tables_for(700)  # built, but past the budget
+        assert set(formula._TABLE_CACHE) == {600}
+
     def test_subterm_error_carries_term_identification(self, zeros100, monkeypatch):
         from linnik.errors import PrecisionError
 

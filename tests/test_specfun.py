@@ -142,6 +142,16 @@ class TestBesselJ:
         d2 = bessel_j_detailed(3.5 + 14.1347j, 100.0)
         assert d2.strategy == "series"
 
+    def test_real_order_near_a_zero_goes_to_mpmath(self):
+        # J_4 is -7.5e-7 here, close to a zero: the asymptotic refuses (its
+        # relative estimate is 1.3e-8) and the series would need 6844 bits
+        u = 3137.6632053307817
+        d = bessel_j_detailed(4.0, u)
+        assert (d.strategy, d.bits) == ("mpmath", 53)
+        s = bessel_j_detailed(4.0, u, PrecisionConfig(strategy_override="series"))
+        assert abs(d.value - s.value) <= 1e-12 * abs(s.value)
+        assert d.value.imag == 0.0
+
     def test_negative_u_rejected(self):
         with pytest.raises(DomainError):
             bessel_j(1.0, -2.0)
