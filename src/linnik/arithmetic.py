@@ -19,7 +19,8 @@ truncated generating functions
     omega2(z) = sum_{m >= 1} e^{-m^2 z}
     theta3(z) = 1 + 2 omega2(z)            (full integer lattice folded in)
 
-for Re z > 0, each with a computed bound on the discarded tail.
+for Re z > 0, each with a computed bound on the discarded tail. Each sum is
+one exactly rounded math.fsum (one per part for complex terms).
 
 Lambda values are stored as floating log p with the underlying (n, p, j)
 prime-power structure retained, so any Lambda-weighted sum can be re-accumulated
@@ -35,7 +36,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, TableSizeError
-from .summation import CompensatedSum
 
 __all__ = [
     "LambdaTable",
@@ -235,6 +235,12 @@ def cesaro_lhs(rq: LinnikTable, params: CesaroParams) -> float:
     return math.fsum(w) / math.gamma(k + 1)
 
 
+def fsum_complex(terms) -> complex:
+    """Exactly rounded sum of complex terms: one math.fsum per part."""
+    terms = list(terms)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
 def _check_right_half_plane(z: complex) -> complex:
     z = complex(z)
     if not (z.real > 0):
@@ -260,22 +266,17 @@ def s_tilde(
     elif lam.limit < cutoff:
         raise DomainError("Lambda table shorter than cutoff")
 
-    re = CompensatedSum()
-    im = CompensatedSum()
     hi = np.searchsorted(lam.pp_n, cutoff, side="right")
-    for idx in range(hi):
-        m = int(lam.pp_n[idx])
-        w = float(lam.values[m])
-        e = cmath.exp(-m * z)
-        re.add(w * e.real)
-        im.add(w * e.imag)
+    head = fsum_complex(
+        float(lam.values[m]) * cmath.exp(-m * z) for m in map(int, lam.pp_n[:hi])
+    )
 
     # sum_{m > C} m e^{-ma} = e^{-a(C+1)} * ((C+1)/(1-q) + q/(1-q)^2), q = e^{-a}
     q = math.exp(-a)
     if q >= 1.0:  # pragma: no cover - a > 0 guarantees q < 1
         raise DomainError("nonpositive a")
     tail = math.exp(-a * (cutoff + 1)) * ((cutoff + 1) / (1 - q) + q / (1 - q) ** 2)
-    return TruncatedValue(complex(re.value, im.value), tail)
+    return TruncatedValue(head, tail)
 
 
 def default_theta_cutoff(a: float, tol: float = 1e-18) -> int:
@@ -292,16 +293,11 @@ def omega2(z: complex, cutoff: Optional[int] = None) -> TruncatedValue:
         cutoff = default_theta_cutoff(a)
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
-    re = CompensatedSum()
-    im = CompensatedSum()
-    for m in range(1, cutoff + 1):
-        e = cmath.exp(-(m * m) * z)
-        re.add(e.real)
-        im.add(e.imag)
+    head = fsum_complex(cmath.exp(-(m * m) * z) for m in range(1, cutoff + 1))
     # |e^{-m^2 z}| = e^{-m^2 a}; for m > M, m^2 >= M^2 + (2M+1)(m - M)
     r = math.exp(-(2 * cutoff + 1) * a)
     tail = math.exp(-(cutoff + 1) ** 2 * a) / (1 - r) if r < 1 else math.inf
-    return TruncatedValue(complex(re.value, im.value), tail)
+    return TruncatedValue(head, tail)
 
 
 def theta3(z: complex, cutoff: Optional[int] = None) -> TruncatedValue:

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 usage, 2 data/validation, 3 numeric/precision.
 """
 
 import argparse
+import cmath
 import math
 import sys
 from pathlib import Path
@@ -123,7 +124,10 @@ def cmd_scan(args) -> int:
         slope, _ = formula.fit_loglog_slope(ns, [0.7 * n**3 for n in ns])
         print(f"synthetic slope={_fmt(slope)}")
         return EXIT_OK if abs(slope - 3.0) <= 1e-6 else EXIT_NUMERIC
-    n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
+    try:
+        n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"--N-list must be comma-separated integers ({exc})") from None
     if len(n_list) < 3:
         raise _UsageError("--N-list needs at least 3 ascending values")
     zs = _load_zero_set(args.zeros)
@@ -198,8 +202,6 @@ def _selftest_checks():
     """(name, category, callable) triples; callables raise on failure."""
 
     def theta_modularity():
-        import cmath
-
         for a in (0.01, 0.1, 1.0):
             for y in (-2.0, 0.0, 3.0):
                 z = complex(a, y)
@@ -210,8 +212,6 @@ def _selftest_checks():
                     raise AssertionError(f"theta functional equation off at z={z}")
 
     def laplace_identity():
-        import cmath
-
         for s in (1.0, 3.0, 2.0 + 1.0j):
             v = specfun.laplace_line_integral(s, 10.0)
             ref = cmath.exp((complex(s) - 1) * math.log(10.0) - specfun.log_gamma(s))

@@ -31,7 +31,9 @@ radius L, single-index cutoff M. Every term carries computed tail bounds:
     each discarded zero contributes at most ~ sqrt(2 pi) gamma^{beta-1/2}
     sqrt(2/(pi u)) times its lattice weight while gamma <~ u/2, decaying like
     (u/2 / gamma)^{k+3/2} beyond; zeros past the loaded table are covered by
-    the counting density ~ log(gamma/2pi)/(2pi).
+    the counting density ~ log(gamma/2pi)/(2pi), integrated against the decay.
+
+Sums over points, zeros and probe terms are exactly rounded (math.fsum).
 
 evaluate() assembles the report; threshold_probe runs the threshold diagnostic
 for the k > d - 1/2 convergence boundary; scaling_study fits the growth of
@@ -49,11 +51,10 @@ import numpy as np
 from mpmath import mp
 
 from . import arithmetic
-from .arithmetic import CesaroParams
+from .arithmetic import CesaroParams, fsum_complex
 from .errors import DomainError, PrecisionError
 from .quadrature import adaptive_gauss_kronrod
 from .specfun import bessel_j, gamma_ratio, log_gamma
-from .summation import CompensatedSum
 from .zeros import _RATIO_SLACK, _SAFETY, ZeroSet, paired_zero_sum, zero_tail_bound
 
 __all__ = [
@@ -230,7 +231,9 @@ def _zero_tail_over_table(zs: ZeroSet, Z: int, N: float, u_ref: float, k: float)
     plateau_span = max(0.0, edge - gamma_T)
     g_star = max(gamma_T, edge)
     total += q0 * dens * plateau_span  # plateau zeros past the table
-    total += q0 * dens * g_star / (k + 0.5)  # decaying part
+    # decaying part, int_{g*}^inf (g*/gamma)^{k+3/2} log(gamma/2pi)/(2pi) dgamma
+    x = g_star / (2.0 * math.pi)
+    total += q0 * x * (math.log(x) / (k + 0.5) + (k + 0.5) ** -2)
     return total
 
 
@@ -339,14 +342,10 @@ def _cut_tail(rows, tail, cutoff: int, N: float, k: float, paired_tails=()) -> f
 
 def _bessel_sum(nu: complex, points, sqrtN: float) -> complex:
     """sum over points of mult * J_nu(2 pi root sqrt N) / root^nu."""
-    re = CompensatedSum()
-    im = CompensatedSum()
-    for root, log_root, mult in points:
-        j = bessel_j(nu, 2.0 * math.pi * root * sqrtN)
-        w = j * cmath.exp(-nu * log_root) * mult
-        re.add(w.real)
-        im.add(w.imag)
-    return complex(re.value, im.value)
+    return fsum_complex(
+        bessel_j(nu, 2.0 * math.pi * root * sqrtN) * cmath.exp(-nu * log_root) * mult
+        for root, log_root, mult in points
+    )
 
 
 def _bessel_term(rows, points, tail, tail_key, cutoff, params, zs, spec) -> TermValue:
@@ -632,8 +631,8 @@ def threshold_probe(
         raise DomainError(
             f"probe integral diverges at v = 0: k + beta = {k + beta_min} <= d - 1"
         )
+    terms = []
     partials = []
-    acc = CompensatedSum()
     for zero in zs.zeros:
         g = zero.gamma
         beta = zero.beta
@@ -659,8 +658,8 @@ def threshold_probe(
         # to at most 2 main_abs
         tol = 1e-12 * main_abs
         integral = main + adaptive_gauss_kronrod(rem, 0.0, hi, abs_tol=tol).real
-        acc.add(g ** (-k - 1.5) * integral)
-        partials.append(acc.value)
+        terms.append(g ** (-k - 1.5) * integral)
+        partials.append(math.fsum(terms))
     return ProbeSeries(d=d, k=k, N=N, partial_sums=tuple(partials))
 
 

@@ -1,4 +1,5 @@
-"""Complex log-gamma, Bessel J of complex order, and Laplace line integrals.
+"""Complex log-gamma (mpmath.loggamma at 80 bits), Bessel J of complex order,
+and Laplace line integrals.
 
 The Bessel evaluator is the numerical core of the analytic main terms: orders
 are k + c + rho with rho a zeta zero (so imaginary parts up to a few hundred)
@@ -44,21 +45,6 @@ __all__ = [
 
 _LOG2E = math.log2(math.e)
 
-# B_{2n} / ((2n-1)(2n)) for the Stirling correction, n = 1..10.
-_STIRLING_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-    43867.0 / 244188.0,
-    -174611.0 / 125400.0,
-)
-_STIRLING_RADIUS = 12.0
-
 
 @dataclass(frozen=True)
 class PrecisionConfig:
@@ -94,37 +80,13 @@ _LG_PREC = 80  # bits; log Gamma can reach ~10^3, so doubles alone would cap
                # exp(log_gamma) accuracy near |lgG| * eps ~ 1e-13 at |s| = 200
 
 
-def _log_gamma_mp(s: complex):
-    """Stirling-with-correction after upward recurrence, in mpmath arithmetic.
-
-    Caller is responsible for mp.workprec; reflection for Re(s) < 0.5 is
-    applied here so the recurrence never walks across the pole axis.
-    """
-    if complex(s).real < 0.5:
-        return (
-            mp.log(mp.pi)
-            - mp.log(mp.sin(mp.pi * mp.mpc(s)))
-            - _log_gamma_mp(1.0 - complex(s))
-        )
-    w = mp.mpc(s)
-    shift = mp.mpc(0)
-    while abs(w) < _STIRLING_RADIUS:
-        shift += mp.log(w)
-        w += 1
-    res = (w - 0.5) * mp.log(w) - w + 0.5 * mp.log(2 * mp.pi)
-    w2 = w * w
-    t = w
-    for c in _STIRLING_COEFFS:
-        res += c / t
-        t *= w2
-    return res - shift
-
-
 def log_gamma(s) -> complex:
-    """Principal-branch log Gamma via upward recurrence and Stirling's series.
+    """log Gamma(s): mpmath.loggamma at 80 bits, rounded to a double.
 
-    Runs internally at 80-bit precision so exp(log_gamma(s)) is accurate to
-    the double-representation floor |log Gamma| * eps (< 1e-13 for |s| <= 200).
+    mpmath's branch: the real log Gamma on (0, inf), continued to the plane cut
+    along (-inf, 0] and taken from above on the cut, so log_gamma(-3.7) has
+    imaginary part -4 pi. exp(log_gamma(s)) is Gamma(s) to the double floor
+    |log Gamma| * eps (< 1e-13 for |s| <= 200).
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -132,7 +94,7 @@ def log_gamma(s) -> complex:
     if s.imag == 0.0 and s.real <= 0.0 and s.real == math.floor(s.real):
         raise PoleError(int(s.real))
     with mp.workprec(_LG_PREC):
-        return complex(_log_gamma_mp(s))
+        return complex(mp.loggamma(s))
 
 
 def gamma_ratio(rho, offset) -> complex:
@@ -148,8 +110,7 @@ def gamma_ratio(rho, offset) -> complex:
         if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
             raise PoleError(int(arg.real))
     with mp.workprec(_LG_PREC):
-        val = mp.exp(_log_gamma_mp(rho) - _log_gamma_mp(rho + off))
-        return complex(val)
+        return complex(mp.exp(mp.loggamma(rho) - mp.loggamma(rho + off)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from named sources with checksum verification.
 
 Weighted sums over zeros always run over conjugate pairs: for weights f with
 f(conj rho) = conj f(rho) the pair sum is 2 Re f(rho), so paired_zero_sum
-returns an exactly real number by construction. It adds the terms in one
-compensated pass in ascending gamma, so its value is reproducible bit for bit.
+returns an exactly real number by construction. Its one math.fsum is exactly
+rounded, so the value is reproducible bit for bit.
 """
 
 import hashlib
@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import DomainError, FetchError, IntegrityError, ZeroTableError
-from .summation import compensated_sum
 
 __all__ = [
     "ZetaZero",
@@ -219,12 +218,11 @@ def paired_zero_sum(
     """2 * sum_{j < Z} Re f(rho_j): the conjugate-paired zero sum.
 
     Requires f(conj rho) = conj f(rho), which holds for every weight in the
-    main terms (N, k, and the Bessel arguments are real). One compensated
-    pass in ascending-gamma order.
+    main terms (N, k, and the Bessel arguments are real). One math.fsum.
     """
     if Z < 0 or Z > zs.count:
         raise DomainError(f"Z = {Z} out of range for table of {zs.count} zeros")
-    return 2.0 * compensated_sum(complex(f(zero.rho)).real for zero in zs.zeros[:Z])
+    return 2.0 * math.fsum(complex(f(zero.rho)).real for zero in zs.zeros[:Z])
 
 
 def zero_tail_bound(k: float, N: float, power: float, Z: int, zs: ZeroSet) -> float:
@@ -245,11 +243,7 @@ def zero_tail_bound(k: float, N: float, power: float, Z: int, zs: ZeroSet) -> fl
 
     total = 0.0
     for zero in zs.zeros[Z:]:
-        total += (
-            _RATIO_SLACK
-            * zero.gamma ** (-power)
-            * n_pow ** (power - 1.0 + zero.beta)
-        )
+        total += _RATIO_SLACK * zero.gamma ** (-power) * n_pow ** (power - 1.0 + zero.beta)
     # density remainder beyond the end of the table
     beta_max = max((z.beta for z in zs.zeros), default=0.5)
     gamma_T = zs.zeros[-1].gamma if zs.count else 14.0

@@ -17,7 +17,6 @@ from linnik.arithmetic import (
     theta3,
 )
 from linnik.errors import DomainError, TableSizeError
-from linnik.summation import CompensatedSum
 
 
 def brute_prime_powers(limit):
@@ -117,13 +116,20 @@ def pair_loop_rq(lam, N):
 
 
 def compensated_lhs(rq, N, k):
-    """The Cesaro sum as one compensated add per nonzero term, descending n."""
-    acc = CompensatedSum()
+    """The Cesaro sum as one Neumaier-compensated add per nonzero term,
+    descending n."""
+    total = comp = 0.0
     for n in range(N, 0, -1):
         r = rq.values[n]
         if r != 0.0:
-            acc.add(r * float(N - n) ** k)
-    return acc.value / math.gamma(k + 1)
+            x = r * float(N - n) ** k
+            t = total + x
+            if abs(total) >= abs(x):
+                comp += (total - t) + x
+            else:
+                comp += (x - t) + total
+            total = t
+    return (total + comp) / math.gamma(k + 1)
 
 
 class TestLinnikCounts:

@@ -71,6 +71,12 @@ class TestScanCommand:
     def test_single_N_is_usage_error(self, tmp_path):
         assert run(["scan", "--N-list", "500", "--out", str(tmp_path / "s.csv")]) == 1
 
+    def test_malformed_N_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["scan", "--N-list", "500,abc,2000", "--out", str(out)]) == 1
+        assert "usage error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synthetic_selftest(self):
         assert run(["scan", "--synthetic-selftest"]) == 0
 

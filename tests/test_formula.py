@@ -16,6 +16,9 @@ from linnik.formula import (
     m2_term,
     m3_term,
     m4_term,
+    _plateau_decay,
+    _zero_amp,
+    _zero_tail_over_table,
 )
 from linnik.specfun import gamma_ratio
 from linnik.zeros import ZeroSet
@@ -141,6 +144,29 @@ def _inverse_laplace(coef, s, c, N):
 def _invert_power(coef, s, N):
     """(1/2 pi i) int e^{Nz} coef z^{-s} dz = coef N^{s-1} / Gamma(s)."""
     return coef * mpmath.mpf(N) ** (s - 1) / mpmath.gamma(s)
+
+
+class TestZeroTailModel:
+    @pytest.mark.parametrize("N", [300, 500, 1000, 2000, 4000])
+    def test_past_table_part_covers_its_model(self, zeros100, N):
+        # The zeros past the table: the model's own per-zero bound times the
+        # density log(gamma/2pi)/(2pi), integrated from the last table zero.
+        # Z = count leaves only that part of _zero_tail_over_table.
+        gamma_T = zeros100.zeros[-1].gamma
+        for cutoff in (3, 4, 6):
+            u_ref = 2.0 * math.pi * cutoff * math.sqrt(N)
+            edge = 0.5 * u_ref
+            for k in (1.7, 2.0, 2.5):
+
+                def per_zero(g):
+                    g = float(g)
+                    dens = math.log(g / (2.0 * math.pi)) / (2.0 * math.pi)
+                    return 2.0 * _zero_amp(0.5, g, N) * _plateau_decay(g, u_ref, k) * dens
+
+                pts = [gamma_T, edge, mpmath.inf] if edge > gamma_T else [gamma_T, mpmath.inf]
+                model = float(mpmath.quad(per_zero, pts))
+                past = _zero_tail_over_table(zeros100, zeros100.count, N, u_ref, k)
+                assert past >= model, (N, cutoff, k, past / model)
 
 
 class TestBlockOracle:

@@ -1,0 +1,47 @@
+"""Bit-identity gate: M1-M4, every component and every tail bound against the
+float.hex values in frozen_values.py.
+
+A refactor that claims to keep the main terms bit-identical must pass this
+unchanged; a change that moves a value updates the entry it moves and
+records old -> new in CHANGES.md.
+"""
+
+import pytest
+
+from linnik.arithmetic import CesaroParams
+from linnik.formula import TruncationSpec, m1_term, m2_term, m3_term, m4_term
+
+from conftest import ACCEPTANCE_GRID, ACCEPTANCE_K
+from frozen_values import FROZEN_CUTOFF_TERMS, FROZEN_GRID_TERMS
+
+
+def term_hex(params, zs, spec) -> dict:
+    """{"m1", "<term>", "<term>.<component>", "<term>.tail.<key>"} -> float.hex."""
+    out = {"m1": m1_term(params).hex()}
+    for name, term in (("m2", m2_term), ("m3", m3_term), ("m4", m4_term)):
+        t = term(params, zs, spec)
+        out[name] = t.value.hex()
+        out.update((f"{name}.{c}", v.hex()) for c, v in t.components.items())
+        out.update((f"{name}.tail.{c}", v.hex()) for c, v in t.tail_bounds.items())
+    return out
+
+
+@pytest.mark.parametrize("N", ACCEPTANCE_GRID)
+def test_grid_terms(grid_runs, zeros100, N):
+    # the Bessel values are memoized by the grid_runs evaluation, so the
+    # terms are recomputed here at little cost
+    spec, report = grid_runs[N]
+    got = term_hex(CesaroParams(N=N, k=ACCEPTANCE_K), zeros100, spec)
+    assert [getattr(report, m).hex() for m in ("m1", "m2", "m3", "m4")] == [
+        got[m] for m in ("m1", "m2", "m3", "m4")
+    ]
+    got["lhs"] = report.lhs.hex()
+    got["spec"] = (spec.Z, spec.L, spec.M, spec.tol.hex())
+    assert got == FROZEN_GRID_TERMS[N]
+
+
+@pytest.mark.parametrize("cutoffs", sorted(FROZEN_CUTOFF_TERMS))
+def test_cutoff_terms(zeros100, cutoffs):
+    N, Z, L, M, k = cutoffs
+    spec = TruncationSpec(Z=Z, L=L, M=M, tol=1.0)
+    assert term_hex(CesaroParams(N=N, k=k), zeros100, spec) == FROZEN_CUTOFF_TERMS[cutoffs]

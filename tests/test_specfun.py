@@ -52,6 +52,20 @@ class TestLogGamma:
         model = math.sqrt(2 * math.pi) * math.exp(-math.pi * t / 2.0)
         assert abs(got / model - 1.0) < 0.05
 
+    @pytest.mark.parametrize(
+        "s, imag",
+        [(-2.5 + 3j, -5.726104271910387), (-3.7, -4.0 * math.pi), (-0.5, -math.pi)],
+    )
+    def test_branch_for_negative_real_part(self, s, imag):
+        # exp(log_gamma) is Gamma(s) on any branch; the imaginary part pins
+        # mpmath's (a reflection formula gives 6.840 at -2.5+3i, 0 at -3.7)
+        got = log_gamma(s)
+        with mp.workprec(80):
+            assert got == complex(mpmath.loggamma(s))
+            gamma = complex(mpmath.gamma(s))
+        assert abs(cmath.exp(got) / gamma - 1.0) <= 1e-13
+        assert got.imag == pytest.approx(imag, rel=1e-15)
+
     def test_poles(self):
         for s in (0.0, -1.0, -7.0):
             with pytest.raises(PoleError) as exc:
