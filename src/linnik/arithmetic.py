@@ -271,11 +271,11 @@ def s_tilde(
         float(lam.values[m]) * cmath.exp(-m * z) for m in map(int, lam.pp_n[:hi])
     )
 
-    # sum_{m > C} m e^{-ma} = e^{-a(C+1)} * ((C+1)/(1-q) + q/(1-q)^2), q = e^{-a}
+    # sum_{m > C} m e^{-ma} = e^{-a(C+1)} * ((C+1)/(1-q) + q/(1-q)^2), q = e^{-a};
+    # 1 - q as -expm1(-a), which stays positive where q rounds to 1 (a < 1.1e-16)
     q = math.exp(-a)
-    if q >= 1.0:  # pragma: no cover - a > 0 guarantees q < 1
-        raise DomainError("nonpositive a")
-    tail = math.exp(-a * (cutoff + 1)) * ((cutoff + 1) / (1 - q) + q / (1 - q) ** 2)
+    one_minus_q = -math.expm1(-a)
+    tail = math.exp(-a * (cutoff + 1)) * (cutoff + 1 + q / one_minus_q) / one_minus_q
     return TruncatedValue(head, tail)
 
 

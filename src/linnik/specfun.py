@@ -6,9 +6,10 @@ are k + c + rho with rho a zeta zero (so imaginary parts up to a few hundred)
 and arguments u = 2 pi sqrt(lattice) sqrt(N) run into the thousands. Three
 strategies are implemented behind one contract:
 
-* power series in fixed-point integer arithmetic at a working precision of
-  53 + ceil(1.5 u log2 e) bits, which defeats the e^u-scale cancellation of
-  the alternating series at any argument this package needs;
+* the power series (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed by
+  mpmath.hyper in fixed-point integers at 80 bits plus guard bits: the
+  e^u-sized terms are held exactly, so the alternating series loses only
+  the bits by which its sum falls below its first term;
 * the large-argument (Hankel) asymptotic expansion, used automatically only
   when u >= 4 |nu|^2 and its own error estimate certifies the target; where
   it refuses a real order (close to a zero of J), mpmath.besselj at 53 bits
@@ -114,116 +115,56 @@ def gamma_ratio(rho, offset) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Bessel J: fixed-point power series
+# Bessel J: power series
 # ---------------------------------------------------------------------------
 
-_DIV_SHIFT = 64  # scale bits for the exact dyadic divisor m (nu + m)
-
-
-def _dyadic_scaled(x: float, shift: int) -> int:
-    """Exact integer x * 2^shift; requires the float's denominator to divide it."""
-    p, q = float(x).as_integer_ratio()
-    scale = 1 << shift
-    if scale % q:
-        raise PrecisionError(
-            f"order component {x!r} too small-scaled for exact dyadic arithmetic",
-            strategy="series",
-        )
-    return p * (scale // q)
-
-
-def series_bits(u: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> int:
-    """Working precision for the power series at argument u.
-
-    The alternating series loses about u * log2(e) bits to cancellation
-    (largest term ~ e^u against a result of order 1); 1.5x that plus the
-    target-accuracy bits gives uniform headroom.
-    """
-    target_bits = max(53, int(-math.log2(cfg.target_rel_tol)) + 16)
-    cancel = math.ceil(1.5 * u * _LOG2E) if u > 0 else 0
-    return target_bits + cancel
+# mpmath adds guard bits until it has accounted for the cancellation, so a
+# result of its rounded to a double is claimed to a couple of ulps relative.
+_MPMATH_REL_ERR = 4.0 * 2.0**-53
 
 
 def _bessel_series(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
-    """J_nu(u) = (u/2)^nu * sum_m (-1)^m (u^2/4)^m / (m! (nu+1)_m) / Gamma(nu+1).
+    """J_nu(u) = (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed by mpmath.
 
-    The Pochhammer series runs in fixed-point integers scaled by 2^prec with
-    an exact dyadic divisor each step, so the only rounding is one floor
-    division per component per term. The prefactor does not participate in
-    the cancellation and is applied at 80-bit precision at the end.
+    mp.hyper sums the series in fixed-point integers at 80 bits plus guard
+    bits. The terms grow to ~e^u before they decay, but the integers hold
+    them exactly and each step rounds at 2^-wp absolute, so the guard bits pay
+    only for the sum's smallness against its first term, -log2 |0F1| (one
+    130-bit pass at nearly every argument the formula makes). maxprec caps
+    them at 2 u log2 e + 144 bits, a bound that grows with u where mpmath's
+    default (3310 bits at 80) does not. -u^2/4 is formed exactly.
     """
-    bits = series_bits(u, cfg)
-    prec = bits + 64
-    mant, exp2 = math.frexp(u)
-    mant_i = int(mant * (1 << 53))
-    exp2 -= 53
-    q_int = mant_i * mant_i  # u^2 = q_int * 2^(2 exp2); q = u^2/4
-    shift_q = 2 * exp2 - 2 + _DIV_SHIFT
-    nr_s = _dyadic_scaled(nu.real, _DIV_SHIFT)
-    ni_s = _dyadic_scaled(nu.imag, _DIV_SHIFT)
-    one = 1 << _DIV_SHIFT
-
-    tr, ti = 1 << prec, 0
-    sr, si = tr, ti
-    max_bl = tr.bit_length()
-    stop_bl = prec - bits
-    m = 0
-    m_min = u / 2.0 + 4.0
-    while True:
-        m += 1
-        dr = m * (nr_s + m * one)  # exact m (Re nu + m) * 2^shift
-        di = m * ni_s
-        d2 = dr * dr + di * di
-        if d2 == 0:
-            raise DomainError(f"series breakdown: nu + {m} = 0 for nu = {nu}")
-        trq = tr * q_int
-        tiq = ti * q_int
-        ntr = -(trq * dr + tiq * di)
-        nti = -(tiq * dr - trq * di)
-        if shift_q >= 0:
-            tr = (ntr << shift_q) // d2
-            ti = (nti << shift_q) // d2
-        else:
-            d2s = d2 << (-shift_q)
-            tr = ntr // d2s
-            ti = nti // d2s
-        sr += tr
-        si += ti
-        bl = max(tr.bit_length(), ti.bit_length())
-        if bl > max_bl:
-            max_bl = bl
-        if bl < stop_bl and m > m_min:
-            break
-        if m > 8 * (u + 100):  # pragma: no cover - defensive
+    if cfg.target_rel_tol < _MPMATH_REL_ERR:
+        raise PrecisionError(
+            "series is certified to 4 ulps only",
+            strategy="series",
+            achieved=_MPMATH_REL_ERR,
+            requested=cfg.target_rel_tol,
+        )
+    maxprec = _LG_PREC + 64 + math.ceil(2.0 * u * _LOG2E)
+    with mp.workprec(_LG_PREC):
+        nu_m = mp.mpc(nu)
+        b = nu_m + 1
+        q = mp.ldexp(mp.fmul(-u, u, exact=True), -2)
+        try:
+            series_val = mp.hyper([], [b], q, force_series=True, maxprec=maxprec)
+        except (NoConvergence, ValueError) as exc:  # ValueError: past maxprec
             raise PrecisionError(
-                "series failed to terminate", strategy="series", requested=cfg.target_rel_tol
-            )
-
-    with mp.workprec(80):
-        series_val = mp.mpc(mp.mpf(sr), mp.mpf(si)) / mp.mpf(1 << prec)
-        prefac = (mp.mpf(u) / 2) ** mp.mpc(nu) / mp.gamma(mp.mpc(nu) + 1)
+                f"series did not converge: {exc}",
+                strategy="series",
+                requested=cfg.target_rel_tol,
+            ) from exc
+        prefac = (mp.mpf(u) / 2) ** nu_m / mp.gamma(b)
         value = complex(prefac * series_val)
-        series_mag = float(abs(series_val))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise PrecisionError(
             f"J_nu(u) magnitude exceeds double range for nu = {nu}, u = {u}",
             strategy="series",
             requested=cfg.target_rel_tol,
         )
-
-    # per-term rounding ~8 ulp at 2^-prec, amplified at most by the largest
-    # term against the cancelled sum
-    noise = 8.0 * m * 2.0 ** float(max_bl - prec - prec)
-    if series_mag == 0.0 or noise > cfg.target_rel_tol * series_mag:
-        raise PrecisionError(
-            "series could not certify target tolerance",
-            strategy="series",
-            achieved=noise / series_mag if series_mag else math.inf,
-            requested=cfg.target_rel_tol,
-        )
     if nu.imag == 0.0:
         value = complex(value.real, 0.0)
-    return BesselEval(value, "series", bits, m, noise / series_mag)
+    return BesselEval(value, "series", _LG_PREC, 0, _MPMATH_REL_ERR)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +228,6 @@ def _bessel_asymptotic(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEva
     if nu.imag == 0.0:
         value = complex(value.real, 0.0)
     return BesselEval(value, "asymptotic", 53, terms, err_rel)
-
-
-# mpmath adds guard bits until it has accounted for the cancellation, so its
-# 53-bit result is claimed to a couple of ulps relative.
-_MPMATH_REL_ERR = 4.0 * 2.0**-53
 
 
 def _bessel_mpmath(nu: float, u: float, cfg: PrecisionConfig) -> BesselEval:

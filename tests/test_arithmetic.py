@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +248,18 @@ class TestGeneratingFunctions:
     def test_s_tilde_decays_for_large_a(self, lam500):
         got = s_tilde(complex(50.0, 0.0), 10, lam500)
         assert abs(got.value) < 1e-21
+
+    def test_s_tilde_tail_for_tiny_a(self, lam500):
+        # e^{-a} rounds to 1.0 here; the tail is the closed form
+        # e^{-a(C+1)} ((C+1)/(1-q) + q/(1-q)^2), q = e^{-a}, at 50 digits
+        a, C = 1e-17, 10
+        got = s_tilde(complex(a, 0.0), C, lam500)
+        with mpmath.workdps(50):
+            q = mpmath.exp(-mpmath.mpf(a))
+            ref = float(q ** (C + 1) * ((C + 1) / (1 - q) + q / (1 - q) ** 2))
+        assert math.isfinite(got.tail_bound)
+        assert got.tail_bound == pytest.approx(ref, rel=1e-14)
+        assert got.value.real == pytest.approx(math.fsum(lam500.values[1:C + 1]), rel=1e-14)
 
     def test_pnt_form(self):
         a = 1e-3

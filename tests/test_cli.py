@@ -185,5 +185,13 @@ class TestBesselCommand:
         out = capsys.readouterr().out
         assert "strategy=series" in out
 
+    def test_series_strategy(self, capsys):
+        assert run([
+            "bessel", "--nu-re", "3", "--nu-im", "49.77", "--u", "1192.4",
+            "--strategy", "series",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "strategy=series bits=80 terms=0" in out
+
     def test_usage_error_exit_code(self):
         assert run(["bessel", "--u", "10"]) == 1

@@ -1,5 +1,6 @@
-"""Bit-identity gate: M1-M4, every component and every tail bound against the
-float.hex values in frozen_values.py.
+"""Bit-identity gate: M1-M4, every component and every tail bound, and the
+series-strategy Bessel values, against the float.hex values in
+frozen_values.py.
 
 A refactor that claims to keep the main terms bit-identical must pass this
 unchanged; a change that moves a value updates the entry it moves and
@@ -10,9 +11,10 @@ import pytest
 
 from linnik.arithmetic import CesaroParams
 from linnik.formula import TruncationSpec, m1_term, m2_term, m3_term, m4_term
+from linnik.specfun import PrecisionConfig, bessel_j_detailed
 
 from conftest import ACCEPTANCE_GRID, ACCEPTANCE_K
-from frozen_values import FROZEN_CUTOFF_TERMS, FROZEN_GRID_TERMS
+from frozen_values import FROZEN_CUTOFF_TERMS, FROZEN_GRID_TERMS, FROZEN_SERIES
 
 
 def term_hex(params, zs, spec) -> dict:
@@ -45,3 +47,10 @@ def test_cutoff_terms(zeros100, cutoffs):
     N, Z, L, M, k = cutoffs
     spec = TruncationSpec(Z=Z, L=L, M=M, tol=1.0)
     assert term_hex(CesaroParams(N=N, k=k), zeros100, spec) == FROZEN_CUTOFF_TERMS[cutoffs]
+
+
+@pytest.mark.parametrize("nu, u, re, im", FROZEN_SERIES)
+def test_series_points(nu, u, re, im):
+    d = bessel_j_detailed(nu, u, PrecisionConfig(strategy_override="series"))
+    assert d.strategy == "series"
+    assert (d.value.real.hex(), d.value.imag.hex()) == (re, im)

@@ -4,6 +4,7 @@ import math
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import NoConvergence
 
 from linnik.errors import DomainError, PoleError, PrecisionError
 from linnik.specfun import (
@@ -165,6 +166,26 @@ class TestBesselJ:
         s = bessel_j_detailed(4.0, u, PrecisionConfig(strategy_override="series"))
         assert abs(d.value - s.value) <= 1e-12 * abs(s.value)
         assert d.value.imag == 0.0
+
+    @pytest.mark.parametrize("failure", [NoConvergence, ValueError])
+    def test_series_failure_is_precision_error(self, monkeypatch, failure):
+        # mpmath raises NoConvergence past maxterms and ValueError past maxprec
+        def refuse(*args, **kwargs):
+            raise failure("refused")
+
+        monkeypatch.setattr(mp, "hyper", refuse)
+        cfg = PrecisionConfig(strategy_override="series")
+        with pytest.raises(PrecisionError) as exc:
+            bessel_j_detailed(3.5 + 14.1347j, 100.0, cfg)
+        assert exc.value.strategy == "series"
+
+    def test_series_refuses_tolerance_below_its_floor(self):
+        cfg = PrecisionConfig(target_rel_tol=1e-20, strategy_override="series")
+        with pytest.raises(PrecisionError) as exc:
+            bessel_j_detailed(3.5 + 14.1347j, 100.0, cfg)
+        assert exc.value.strategy == "series"
+        d = bessel_j_detailed(3.5 + 14.1347j, 100.0, PrecisionConfig(strategy_override="series"))
+        assert (d.strategy, d.bits, d.terms, d.err_estimate) == ("series", 80, 0, 4.0 * 2.0**-53)
 
     def test_negative_u_rejected(self):
         with pytest.raises(DomainError):
