@@ -44,8 +44,6 @@ __all__ = [
     "laplace_line_integral",
 ]
 
-_LOG2E = math.log2(math.e)
-
 
 @dataclass(frozen=True)
 class PrecisionConfig:
@@ -130,9 +128,9 @@ def _bessel_series(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
     bits. The terms grow to ~e^u before they decay, but the integers hold
     them exactly and each step rounds at 2^-wp absolute, so the guard bits pay
     only for the sum's smallness against its first term, -log2 |0F1| (one
-    130-bit pass at nearly every argument the formula makes). maxprec caps
-    them at 2 u log2 e + 144 bits, a bound that grows with u where mpmath's
-    default (3310 bits at 80) does not. -u^2/4 is formed exactly.
+    130-bit pass at nearly every argument the formula makes). The sum runs
+    to ~e u / 2 terms, past mpmath's default cap of 100 per working bit once
+    u passes ~9600, so the cap is 8 (u + 100) terms. -u^2/4 is formed exactly.
     """
     if cfg.target_rel_tol < _MPMATH_REL_ERR:
         raise PrecisionError(
@@ -141,13 +139,13 @@ def _bessel_series(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
             achieved=_MPMATH_REL_ERR,
             requested=cfg.target_rel_tol,
         )
-    maxprec = _LG_PREC + 64 + math.ceil(2.0 * u * _LOG2E)
+    maxterms = 8 * math.ceil(u + 100.0)
     with mp.workprec(_LG_PREC):
         nu_m = mp.mpc(nu)
         b = nu_m + 1
         q = mp.ldexp(mp.fmul(-u, u, exact=True), -2)
         try:
-            series_val = mp.hyper([], [b], q, force_series=True, maxprec=maxprec)
+            series_val = mp.hyper([], [b], q, force_series=True, maxterms=maxterms)
         except (NoConvergence, ValueError) as exc:  # ValueError: past maxprec
             raise PrecisionError(
                 f"series did not converge: {exc}",
@@ -316,8 +314,9 @@ def bessel_j_detailed(nu, u: float, cfg: PrecisionConfig = DEFAULT_PRECISION) ->
         value = bessel_j_sonine(nu, u, prec_bits=200)
         return BesselEval(value, "quadrature", 200, 0, 1e-40)
     # auto: asymptotic when clearly in its regime and certifiable, else series;
-    # a real order the asymptotic refuses sits near a zero of J, where mpmath
-    # costs milliseconds and the series ~1.5 u log2(e) bits
+    # a real order the asymptotic refuses sits near a zero of J, where the
+    # series needs repeated higher-precision passes and mpmath.besselj its
+    # own asymptotic form
     if u >= _ASYMP_MIN_U and u >= 4.0 * abs(nu) ** 2:
         try:
             return _bessel_asymptotic(nu, u, cfg)
