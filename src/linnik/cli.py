@@ -368,7 +368,9 @@ def _build_parser() -> _Parser:
     be.add_argument("--tol", type=float, default=1e-10)
     be.add_argument(
         "--strategy", choices=("auto", "series", "asymptotic", "quadrature"), default="auto",
-        help="series is summed by mpmath at 80 bits and reports bits=80 terms=0",
+        help="series is summed by mpmath at 80 bits and reports bits=80 terms=0; "
+        "auto takes mpmath.besselj (strategy=mpmath bits=53 terms=0) once "
+        "u >= max(300, 4|nu|) outside the asymptotic regime",
     )
     be.set_defaults(func=cmd_bessel)
     return p

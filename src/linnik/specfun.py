@@ -3,7 +3,7 @@ and Laplace line integrals.
 
 The Bessel evaluator is the numerical core of the analytic main terms: orders
 are k + c + rho with rho a zeta zero (so imaginary parts up to a few hundred)
-and arguments u = 2 pi sqrt(lattice) sqrt(N) run into the thousands. Three
+and arguments u = 2 pi sqrt(lattice) sqrt(N) run into the thousands. Four
 strategies are implemented behind one contract:
 
 * the power series (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed by
@@ -11,9 +11,11 @@ strategies are implemented behind one contract:
   e^u-sized terms are held exactly, so the alternating series loses only
   the bits by which its sum falls below its first term;
 * the large-argument (Hankel) asymptotic expansion, used automatically only
-  when u >= 4 |nu|^2 and its own error estimate certifies the target; where
-  it refuses a real order (close to a zero of J), mpmath.besselj at 53 bits
-  takes its place instead of a series at thousands of bits;
+  when u >= 4 |nu|^2 and its own error estimate certifies the target;
+* mpmath.besselj at 53 bits, used automatically where the Hankel expansion
+  refuses a real order (close to a zero of J), and for any order the Hankel
+  branch does not take once u >= max(300, 4 |nu|), past the measured point
+  where it beats the series;
 * direct quadrature of the contour-integral representation
   (u/2)^nu / (2 pi i) * int e^s s^{-nu-1} e^{-u^2/(4 s)} ds over a vertical
   line, kept as an independent cross-check oracle (never the default path).
@@ -121,6 +123,15 @@ def gamma_ratio(rho, offset) -> complex:
 _MPMATH_REL_ERR = 4.0 * 2.0**-53
 
 
+def _require_finite(value: complex, nu: complex, u: float, cfg: PrecisionConfig, strategy: str):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise PrecisionError(
+            f"J_nu(u) magnitude exceeds double range for nu = {nu}, u = {u}",
+            strategy=strategy,
+            requested=cfg.target_rel_tol,
+        )
+
+
 def _bessel_series(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
     """J_nu(u) = (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed by mpmath.
 
@@ -154,12 +165,7 @@ def _bessel_series(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
             ) from exc
         prefac = (mp.mpf(u) / 2) ** nu_m / mp.gamma(b)
         value = complex(prefac * series_val)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise PrecisionError(
-            f"J_nu(u) magnitude exceeds double range for nu = {nu}, u = {u}",
-            strategy="series",
-            requested=cfg.target_rel_tol,
-        )
+    _require_finite(value, nu, u, cfg, "series")
     if nu.imag == 0.0:
         value = complex(value.real, 0.0)
     return BesselEval(value, "series", _LG_PREC, 0, _MPMATH_REL_ERR)
@@ -228,18 +234,30 @@ def _bessel_asymptotic(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEva
     return BesselEval(value, "asymptotic", 53, terms, err_rel)
 
 
-def _bessel_mpmath(nu: float, u: float, cfg: PrecisionConfig) -> BesselEval:
-    """J_nu(u) for a real order from mpmath.besselj at 53 bits."""
+# Auto sends a complex order to mpmath.besselj once u >= max(300, 4 |nu|).
+# Measured per call on the series calls of the containment and grid_scan
+# workloads (2-vCPU Xeon VM): below u = 150 the series wins every call (0.6
+# against 1.0 ms); the two are about even at u = 300-350; past u = 1000
+# mpmath wins every call (1.2-1.7 against 12-21 ms). Below u ~ 4 |nu|
+# mpmath's asymptotic form does not converge and besselj falls back to the
+# same series after the failed attempt, so the series stays there.
+_MPMATH_MIN_U = 300.0
+_MPMATH_NU_RATIO = 4.0
+
+
+def _bessel_mpmath(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
+    """J_nu(u) from mpmath.besselj at 53 bits; a real order gives a real value."""
     try:
         with mp.workprec(53):
-            value = float(mp.besselj(nu, u))
+            value = complex(mp.besselj(nu.real if nu.imag == 0.0 else nu, u))
     except NoConvergence as exc:
         raise PrecisionError(
             f"mpmath besselj did not converge: {exc}",
             strategy="mpmath",
             requested=cfg.target_rel_tol,
         ) from exc
-    return BesselEval(complex(value, 0.0), "mpmath", 53, 0, _MPMATH_REL_ERR)
+    _require_finite(value, nu, u, cfg, "mpmath")
+    return BesselEval(value, "mpmath", 53, 0, _MPMATH_REL_ERR)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +331,20 @@ def bessel_j_detailed(nu, u: float, cfg: PrecisionConfig = DEFAULT_PRECISION) ->
     if strategy == "quadrature":
         value = bessel_j_sonine(nu, u, prec_bits=200)
         return BesselEval(value, "quadrature", 200, 0, 1e-40)
-    # auto: asymptotic when clearly in its regime and certifiable, else series;
-    # a real order the asymptotic refuses sits near a zero of J, where the
-    # series needs repeated higher-precision passes and mpmath.besselj its
-    # own asymptotic form
+    # auto: asymptotic when clearly in its regime and certifiable; a real order
+    # the asymptotic refuses sits near a zero of J, where the series needs
+    # repeated higher-precision passes and mpmath.besselj its own asymptotic
+    # form. Past the series crossover (u >= max(300, 4 |nu|)) mpmath.besselj
+    # takes any order; below it the series is the cheaper path.
+    mpmath_ok = cfg.target_rel_tol >= _MPMATH_REL_ERR
     if u >= _ASYMP_MIN_U and u >= 4.0 * abs(nu) ** 2:
         try:
             return _bessel_asymptotic(nu, u, cfg)
         except PrecisionError:
-            if nu.imag == 0.0 and cfg.target_rel_tol >= _MPMATH_REL_ERR:
-                return _bessel_mpmath(nu.real, u, cfg)
+            if nu.imag == 0.0 and mpmath_ok:
+                return _bessel_mpmath(nu, u, cfg)
+    if mpmath_ok and u >= max(_MPMATH_MIN_U, _MPMATH_NU_RATIO * abs(nu)):
+        return _bessel_mpmath(nu, u, cfg)
     return _bessel_series(nu, u, cfg)
 
 

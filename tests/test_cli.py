@@ -193,5 +193,10 @@ class TestBesselCommand:
         out = capsys.readouterr().out
         assert "strategy=series bits=80 terms=0" in out
 
+    def test_auto_past_the_series_crossover(self, capsys):
+        assert run(["bessel", "--nu-re", "3", "--nu-im", "49.77", "--u", "1192.4"]) == 0
+        out = capsys.readouterr().out
+        assert "strategy=mpmath bits=53 terms=0" in out
+
     def test_usage_error_exit_code(self):
         assert run(["bessel", "--u", "10"]) == 1

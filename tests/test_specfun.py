@@ -156,6 +156,35 @@ class TestBesselJ:
         assert d.strategy == "asymptotic"
         d2 = bessel_j_detailed(3.5 + 14.1347j, 100.0)
         assert d2.strategy == "series"
+        # past the series crossover, u >= max(300, 4 |nu|), mpmath.besselj
+        d3 = bessel_j_detailed(3.5 + 49.77j, 1000.0)
+        assert (d3.strategy, d3.bits) == ("mpmath", 53)
+        # u < 4 |nu|: mpmath's asymptotic form would fail and fall back to
+        # the series, so the series is taken directly
+        assert bessel_j_detailed(3.5 + 236.52j, 512.8).strategy == "series"
+
+    def test_mpmath_failure_is_precision_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise NoConvergence("refused")
+
+        monkeypatch.setattr(mp, "besselj", refuse)
+        with pytest.raises(PrecisionError) as exc:
+            bessel_j_detailed(3.5 + 49.77j, 1000.0)
+        assert exc.value.strategy == "mpmath"
+
+    def test_mpmath_overflow_is_precision_error(self):
+        # |J| ~ e^{pi gamma / 2} passes the double range at gamma = 460
+        with pytest.raises(PrecisionError) as exc:
+            bessel_j_detailed(2.5 + 460.0j, 5000.0)
+        assert exc.value.strategy == "mpmath"
+
+    def test_tolerance_below_the_mpmath_floor_is_refused(self):
+        # mpmath.besselj is certified to 4 ulps only; a tighter target must
+        # raise rather than return its value
+        cfg = PrecisionConfig(target_rel_tol=1e-20)
+        with pytest.raises(PrecisionError) as exc:
+            bessel_j_detailed(3.5 + 49.77j, 1000.0, cfg)
+        assert exc.value.strategy != "mpmath"
 
     def test_real_order_near_a_zero_goes_to_mpmath(self):
         # J_4 is -7.5e-7 here, close to a zero: the asymptotic refuses (its
