@@ -37,7 +37,6 @@ from .formula import (
     scaling_study,
 )
 from .specfun import (
-    PrecisionConfig,
     bessel_j,
     bessel_j_sonine,
     gamma_ratio,

@@ -95,18 +95,15 @@ def _load_zero_set(spec_str: str):
     return zeros_mod.load_zeros(spec_str)
 
 
-def _truncation(args, params, zs):
-    spec = formula.default_truncation(params, zs, tol=args.tol)
-    Z = args.Z if args.Z is not None else spec.Z
-    L = args.L if args.L is not None else spec.L
-    M = args.M if args.M is not None else spec.M
-    return formula.TruncationSpec(Z=Z, L=L, M=M, tol=spec.tol)
+def _overrides(args) -> dict:
+    """The --Z, --L, --M and --tol given, for formula.override_truncation."""
+    return {n: getattr(args, n) for n in ("Z", "L", "M", "tol") if getattr(args, n) is not None}
 
 
 def cmd_evaluate(args) -> int:
     zs = _load_zero_set(args.zeros)
     params = CesaroParams(N=args.N, k=args.k)
-    spec = _truncation(args, params, zs)
+    spec = formula.override_truncation(params, zs, _overrides(args))
     rep = formula.evaluate(params, zs, spec, allow_subcritical=args.allow_subcritical)
     _write_rows(args.out, [_report_row(rep)], args.format)
     print(
@@ -131,17 +128,11 @@ def cmd_scan(args) -> int:
     if len(n_list) < 3:
         raise _UsageError("--N-list needs at least 3 ascending values")
     zs = _load_zero_set(args.zeros)
-    overrides = {}
-    for name in ("Z", "L", "M"):
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
-    if args.tol is not None:
-        overrides["tol"] = args.tol
     study = formula.scaling_study(
         n_list,
         args.k,
         zs,
-        spec_overrides=overrides or None,
+        spec_overrides=_overrides(args),
         allow_subcritical=args.allow_subcritical,
     )
     rows = [_report_row(rep, slope=study.slope) for rep in study.rows]
@@ -290,11 +281,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_bessel(args) -> int:
-    cfg = specfun.PrecisionConfig(
-        target_rel_tol=args.tol,
-        strategy_override=None if args.strategy == "auto" else args.strategy,
-    )
-    d = specfun.bessel_j_detailed(complex(args.nu_re, args.nu_im), args.u, cfg)
+    d = specfun.bessel_j_detailed(complex(args.nu_re, args.nu_im), args.u)
     print(
         f"J({_fmt(args.nu_re)}{'+' if args.nu_im >= 0 else '-'}{_fmt(abs(args.nu_im))}i, "
         f"{_fmt(args.u)}) = {_fmt(d.value.real)} + {_fmt(d.value.imag)}i"
@@ -361,17 +348,15 @@ def _build_parser() -> _Parser:
     st.add_argument("--json", action="store_true")
     st.set_defaults(func=cmd_selftest)
 
-    be = sub.add_parser("bessel", help="single Bessel evaluation (debugging)")
+    be = sub.add_parser(
+        "bessel", help="single Bessel evaluation (debugging)",
+        description="Evaluate J_nu(u) on the path the package takes, chosen from u "
+        "and |nu| alone (see linnik.specfun), and print the value with that "
+        "path's strategy, bits, terms and error estimate.",
+    )
     be.add_argument("--nu-re", dest="nu_re", type=float, required=True)
     be.add_argument("--nu-im", dest="nu_im", type=float, default=0.0)
     be.add_argument("--u", type=float, required=True)
-    be.add_argument("--tol", type=float, default=1e-10)
-    be.add_argument(
-        "--strategy", choices=("auto", "series", "asymptotic", "quadrature"), default="auto",
-        help="series is summed by mpmath at 80 bits and reports bits=80 terms=0; "
-        "auto takes mpmath.besselj (strategy=mpmath bits=53 terms=0) once "
-        "u >= max(300, 4|nu|) outside the asymptotic regime",
-    )
     be.set_defaults(func=cmd_bessel)
     return p
 

@@ -32,7 +32,8 @@ class PrecisionError(LinnikError, ArithmeticError):
     Attributes:
         strategy: evaluation strategy that was attempted
         achieved: error estimate that the strategy could certify
-        requested: tolerance that was asked for
+        requested: tolerance the strategy had to meet: the quadrature's
+            abs_tol, or specfun's fixed relative target 1e-10 on a Bessel path
     """
 
     def __init__(self, message, strategy=None, achieved=None, requested=None):

@@ -44,7 +44,7 @@ import cmath
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -63,6 +63,7 @@ __all__ = [
     "FormulaReport",
     "ProbeSeries",
     "default_truncation",
+    "override_truncation",
     "lattice_points",
     "m1_term",
     "m2_term",
@@ -446,6 +447,17 @@ def default_truncation(
     return TruncationSpec(Z=Z, L=L, M=M, tol=tol)
 
 
+def override_truncation(
+    params: CesaroParams, zs: ZeroSet, overrides: Optional[dict] = None
+) -> TruncationSpec:
+    """default_truncation at overrides["tol"] when given, so that L and M are
+    sized for that tol, then with any Z, L or M that overrides gives in place
+    of the chosen one."""
+    overrides = dict(overrides or {})
+    spec = default_truncation(params, zs, tol=overrides.pop("tol", None))
+    return replace(spec, **overrides)
+
+
 # ---------------------------------------------------------------------------
 # Full evaluation
 # ---------------------------------------------------------------------------
@@ -706,14 +718,7 @@ def scaling_study(
     rows = []
     for N in N_list:
         params = CesaroParams(N=N, k=k)
-        spec = default_truncation(params, zs)
-        if spec_overrides:
-            spec = TruncationSpec(
-                Z=spec_overrides.get("Z", spec.Z),
-                L=spec_overrides.get("L", spec.L),
-                M=spec_overrides.get("M", spec.M),
-                tol=spec_overrides.get("tol", spec.tol),
-            )
+        spec = override_truncation(params, zs, spec_overrides)
         rows.append(evaluate(params, zs, spec, allow_subcritical=allow_subcritical))
     slope, excluded = fit_loglog_slope(N_list, [r.residual for r in rows])
     return ScalingStudy(rows=tuple(rows), slope=slope, excluded=excluded)

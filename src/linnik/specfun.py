@@ -3,22 +3,23 @@ and Laplace line integrals.
 
 The Bessel evaluator is the numerical core of the analytic main terms: orders
 are k + c + rho with rho a zeta zero (so imaginary parts up to a few hundred)
-and arguments u = 2 pi sqrt(lattice) sqrt(N) run into the thousands. Four
-strategies are implemented behind one contract:
+and arguments u = 2 pi sqrt(lattice) sqrt(N) run into the thousands. Each
+call takes one of three paths, chosen from (u, |nu|) alone:
 
-* the power series (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed by
-  mpmath.hyper in fixed-point integers at 80 bits plus guard bits: the
-  e^u-sized terms are held exactly, so the alternating series loses only
-  the bits by which its sum falls below its first term;
-* the large-argument (Hankel) asymptotic expansion, used automatically only
-  when u >= 4 |nu|^2 and its own error estimate certifies the target;
-* mpmath.besselj at 53 bits, used automatically where the Hankel expansion
-  refuses a real order (close to a zero of J), and for any order the Hankel
-  branch does not take once u >= max(300, 4 |nu|), past the measured point
-  where it beats the series;
-* direct quadrature of the contour-integral representation
-  (u/2)^nu / (2 pi i) * int e^s s^{-nu-1} e^{-u^2/(4 s)} ds over a vertical
-  line, kept as an independent cross-check oracle (never the default path).
+* the large-argument (Hankel) asymptotic expansion, when u >= 4 |nu|^2 and
+  its own error estimate certifies a relative error of 1e-10;
+* mpmath.besselj at 53 bits, for a real order the Hankel expansion refuses
+  (close to a zero of J), and for any order the Hankel branch does not take
+  once u >= max(300, 4 |nu|), past the measured point where it beats the
+  series;
+* otherwise the power series (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4),
+  summed by mpmath.hyper in fixed-point integers at 80 bits plus guard
+  bits: the e^u-sized terms are held exactly, so the alternating series
+  loses only the bits by which its sum falls below its first term.
+
+Direct quadrature of the contour-integral representation
+(u/2)^nu / (2 pi i) * int e^s s^{-nu-1} e^{-u^2/(4 s)} ds over a vertical
+line, bessel_j_sonine, is kept as an independent cross-check oracle.
 
 Every path returns an error estimate and raises PrecisionError instead of
 silently returning a value it cannot certify.
@@ -36,7 +37,6 @@ from .errors import DomainError, PoleError, PrecisionError
 from .quadrature import adaptive_gauss_kronrod
 
 __all__ = [
-    "PrecisionConfig",
     "BesselEval",
     "log_gamma",
     "gamma_ratio",
@@ -47,25 +47,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Evaluation policy for the special-function layer.
-
-    target_rel_tol is the relative error the caller wants certified;
-    strategy_override forces 'series', 'asymptotic' or 'quadrature'.
-    """
-
-    target_rel_tol: float = 1e-10
-    strategy_override: Optional[str] = None
-
-    def __post_init__(self):
-        if not (0.0 < self.target_rel_tol < 1.0):
-            raise DomainError("target_rel_tol must be in (0, 1)")
-        if self.strategy_override not in (None, "auto", "series", "asymptotic", "quadrature"):
-            raise DomainError(f"unknown strategy {self.strategy_override!r}")
-
-
-DEFAULT_PRECISION = PrecisionConfig()
+# The relative error the Hankel expansion must certify, and the relative
+# accuracy the Laplace line integral asks of its quadrature.
+_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -123,16 +107,16 @@ def gamma_ratio(rho, offset) -> complex:
 _MPMATH_REL_ERR = 4.0 * 2.0**-53
 
 
-def _require_finite(value: complex, nu: complex, u: float, cfg: PrecisionConfig, strategy: str):
+def _require_finite(value: complex, nu: complex, u: float, strategy: str):
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise PrecisionError(
             f"J_nu(u) magnitude exceeds double range for nu = {nu}, u = {u}",
             strategy=strategy,
-            requested=cfg.target_rel_tol,
+            requested=_REL_TOL,
         )
 
 
-def _bessel_series(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
+def _bessel_series(nu: complex, u: float) -> BesselEval:
     """J_nu(u) = (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed by mpmath.
 
     mp.hyper sums the series in fixed-point integers at 80 bits plus guard
@@ -143,13 +127,6 @@ def _bessel_series(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
     to ~e u / 2 terms, past mpmath's default cap of 100 per working bit once
     u passes ~9600, so the cap is 8 (u + 100) terms. -u^2/4 is formed exactly.
     """
-    if cfg.target_rel_tol < _MPMATH_REL_ERR:
-        raise PrecisionError(
-            "series is certified to 4 ulps only",
-            strategy="series",
-            achieved=_MPMATH_REL_ERR,
-            requested=cfg.target_rel_tol,
-        )
     maxterms = 8 * math.ceil(u + 100.0)
     with mp.workprec(_LG_PREC):
         nu_m = mp.mpc(nu)
@@ -161,11 +138,11 @@ def _bessel_series(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
             raise PrecisionError(
                 f"series did not converge: {exc}",
                 strategy="series",
-                requested=cfg.target_rel_tol,
+                requested=_REL_TOL,
             ) from exc
         prefac = (mp.mpf(u) / 2) ** nu_m / mp.gamma(b)
         value = complex(prefac * series_val)
-    _require_finite(value, nu, u, cfg, "series")
+    _require_finite(value, nu, u, "series")
     if nu.imag == 0.0:
         value = complex(value.real, 0.0)
     return BesselEval(value, "series", _LG_PREC, 0, _MPMATH_REL_ERR)
@@ -178,13 +155,13 @@ def _bessel_series(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
 _ASYMP_MIN_U = 25.0
 
 
-def _bessel_asymptotic(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
+def _bessel_asymptotic(nu: complex, u: float) -> BesselEval:
     """Large-argument expansion sqrt(2/(pi u)) (P cos chi - Q sin chi)."""
     if math.pi * abs(nu.imag) / 2.0 > 700.0:
         raise PrecisionError(
             "cos/sin of chi would overflow double range",
             strategy="asymptotic",
-            requested=cfg.target_rel_tol,
+            requested=_REL_TOL,
         )
     nu2 = 4.0 * nu * nu
     c = 1.0 + 0.0j
@@ -222,12 +199,12 @@ def _bessel_asymptotic(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEva
         + (abs(chi.real) + 2.0) * 2.2e-16
     )
     err_rel = err_abs / mag_ref if mag_ref > 0 else math.inf
-    if err_rel > cfg.target_rel_tol:
+    if err_rel > _REL_TOL:
         raise PrecisionError(
             "asymptotic expansion could not certify target tolerance",
             strategy="asymptotic",
             achieved=err_rel,
-            requested=cfg.target_rel_tol,
+            requested=_REL_TOL,
         )
     if nu.imag == 0.0:
         value = complex(value.real, 0.0)
@@ -245,7 +222,7 @@ _MPMATH_MIN_U = 300.0
 _MPMATH_NU_RATIO = 4.0
 
 
-def _bessel_mpmath(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
+def _bessel_mpmath(nu: complex, u: float) -> BesselEval:
     """J_nu(u) from mpmath.besselj at 53 bits; a real order gives a real value."""
     try:
         with mp.workprec(53):
@@ -254,9 +231,9 @@ def _bessel_mpmath(nu: complex, u: float, cfg: PrecisionConfig) -> BesselEval:
         raise PrecisionError(
             f"mpmath besselj did not converge: {exc}",
             strategy="mpmath",
-            requested=cfg.target_rel_tol,
+            requested=_REL_TOL,
         ) from exc
-    _require_finite(value, nu, u, cfg, "mpmath")
+    _require_finite(value, nu, u, "mpmath")
     return BesselEval(value, "mpmath", 53, 0, _MPMATH_REL_ERR)
 
 
@@ -307,7 +284,7 @@ _BESSEL_CACHE: dict = {}
 _BESSEL_CACHE_MAX = 200000
 
 
-def bessel_j_detailed(nu, u: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> BesselEval:
+def bessel_j_detailed(nu, u: float) -> BesselEval:
     nu = complex(nu)
     u = float(u)
     if not (math.isfinite(nu.real) and math.isfinite(nu.imag) and math.isfinite(u)):
@@ -323,42 +300,33 @@ def bessel_j_detailed(nu, u: float, cfg: PrecisionConfig = DEFAULT_PRECISION) ->
             return BesselEval(0.0 + 0.0j, "exact", 53, 0, 0.0)
         raise DomainError(f"J_nu(0) undefined for Re(nu) <= 0 (nu = {nu})")
 
-    strategy = cfg.strategy_override or "auto"
-    if strategy == "series":
-        return _bessel_series(nu, u, cfg)
-    if strategy == "asymptotic":
-        return _bessel_asymptotic(nu, u, cfg)
-    if strategy == "quadrature":
-        value = bessel_j_sonine(nu, u, prec_bits=200)
-        return BesselEval(value, "quadrature", 200, 0, 1e-40)
-    # auto: asymptotic when clearly in its regime and certifiable; a real order
-    # the asymptotic refuses sits near a zero of J, where the series needs
+    # asymptotic when clearly in its regime and certified; a real order the
+    # asymptotic refuses sits near a zero of J, where the series needs
     # repeated higher-precision passes and mpmath.besselj its own asymptotic
     # form. Past the series crossover (u >= max(300, 4 |nu|)) mpmath.besselj
     # takes any order; below it the series is the cheaper path.
-    mpmath_ok = cfg.target_rel_tol >= _MPMATH_REL_ERR
     if u >= _ASYMP_MIN_U and u >= 4.0 * abs(nu) ** 2:
         try:
-            return _bessel_asymptotic(nu, u, cfg)
+            return _bessel_asymptotic(nu, u)
         except PrecisionError:
-            if nu.imag == 0.0 and mpmath_ok:
-                return _bessel_mpmath(nu, u, cfg)
-    if mpmath_ok and u >= max(_MPMATH_MIN_U, _MPMATH_NU_RATIO * abs(nu)):
-        return _bessel_mpmath(nu, u, cfg)
-    return _bessel_series(nu, u, cfg)
+            if nu.imag == 0.0:
+                return _bessel_mpmath(nu, u)
+    if u >= max(_MPMATH_MIN_U, _MPMATH_NU_RATIO * abs(nu)):
+        return _bessel_mpmath(nu, u)
+    return _bessel_series(nu, u)
 
 
-def bessel_j(nu, u: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> complex:
+def bessel_j(nu, u: float) -> complex:
     """J_nu(u) for complex order nu and real argument u >= 0.
 
     Results are memoized (evaluations are pure); identical inputs always
     return the identical float, which the determinism contract relies on.
     """
-    key = (complex(nu), float(u), cfg.target_rel_tol, cfg.strategy_override)
+    key = (complex(nu), float(u))
     hit = _BESSEL_CACHE.get(key)
     if hit is not None:
         return hit
-    value = bessel_j_detailed(nu, u, cfg).value
+    value = bessel_j_detailed(nu, u).value
     if len(_BESSEL_CACHE) < _BESSEL_CACHE_MAX:
         _BESSEL_CACHE[key] = value
     return value
@@ -369,12 +337,7 @@ def bessel_j(nu, u: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def laplace_line_integral(
-    s,
-    N: float,
-    a: Optional[float] = None,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-) -> complex:
+def laplace_line_integral(s, N: float, a: Optional[float] = None) -> complex:
     """(1/2 pi i) * int over Re z = a of e^{N z} z^{-s} dz, for Re(s) > 0.
 
     Equal to N^{s-1} / Gamma(s). The infinite vertical line is deformed to a
@@ -402,7 +365,7 @@ def laplace_line_integral(
 
     # scale of the closed-form answer, for absolute quadrature tolerance
     scale = abs(cmath.exp((s - 1) * math.log(N) - log_gamma(s)))
-    abs_tol = max(scale, 1e-290) * cfg.target_rel_tol * 0.25
+    abs_tol = max(scale, 1e-290) * _REL_TOL * 0.25
 
     T = max(4.0 / N, 1.5 * a)
 

@@ -77,6 +77,17 @@ class TestScanCommand:
         assert "usage error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tol_sizes_the_cutoffs_as_evaluate_does(self, tmp_path):
+        # both commands pick L and M for the given tol (here L = 32, M = 9),
+        # not for the default tol with tol replaced afterwards
+        scan_out, eval_out = tmp_path / "scan.csv", tmp_path / "eval.csv"
+        opts = ["--k", "2", "--Z", "2", "--tol", "1.0"]
+        assert run(["scan", "--N-list", "300,400,500", *opts, "--out", str(scan_out)]) == 0
+        assert run(["evaluate", "--N", "500", *opts, "--out", str(eval_out)]) == 0
+        scan_row = scan_out.read_text().splitlines()[3].split(",")
+        eval_row = eval_out.read_text().splitlines()[1].split(",")
+        assert scan_row[:-1] == eval_row[:-1]
+
     def test_synthetic_selftest(self):
         assert run(["scan", "--synthetic-selftest"]) == 0
 
@@ -183,14 +194,6 @@ class TestBesselCommand:
             "bessel", "--nu-re", "3.5", "--nu-im", "14.1347", "--u", "10",
         ]) == 0
         out = capsys.readouterr().out
-        assert "strategy=series" in out
-
-    def test_series_strategy(self, capsys):
-        assert run([
-            "bessel", "--nu-re", "3", "--nu-im", "49.77", "--u", "1192.4",
-            "--strategy", "series",
-        ]) == 0
-        out = capsys.readouterr().out
         assert "strategy=series bits=80 terms=0" in out
 
     def test_auto_past_the_series_crossover(self, capsys):
@@ -200,3 +203,7 @@ class TestBesselCommand:
 
     def test_usage_error_exit_code(self):
         assert run(["bessel", "--u", "10"]) == 1
+        # the path is chosen from (u, |nu|) alone; there is no override
+        base = ["bessel", "--nu-re", "3", "--nu-im", "49.77", "--u", "1192.4"]
+        assert run(base + ["--strategy", "series"]) == 1
+        assert run(base + ["--tol", "1e-20"]) == 1

@@ -13,7 +13,7 @@ import pytest
 
 from linnik.arithmetic import CesaroParams
 from linnik.formula import TruncationSpec, m1_term, m2_term, m3_term, m4_term
-from linnik.specfun import PrecisionConfig, bessel_j_detailed
+from linnik.specfun import _bessel_series, bessel_j_detailed
 
 from conftest import ACCEPTANCE_GRID, ACCEPTANCE_K
 from frozen_values import FROZEN_CUTOFF_TERMS, FROZEN_GRID_TERMS, FROZEN_SERIES
@@ -53,7 +53,7 @@ def test_cutoff_terms(zeros100, cutoffs):
 
 @pytest.mark.parametrize("nu, u, re, im", FROZEN_SERIES)
 def test_series_points(nu, u, re, im):
-    d = bessel_j_detailed(nu, u, PrecisionConfig(strategy_override="series"))
+    d = _bessel_series(complex(nu), u)
     assert d.strategy == "series"
     assert (d.value.real.hex(), d.value.imag.hex()) == (re, im)
     # the auto path gives the same bits through either of its exact paths

@@ -8,7 +8,8 @@ from mpmath.libmp import NoConvergence
 
 from linnik.errors import DomainError, PoleError, PrecisionError
 from linnik.specfun import (
-    PrecisionConfig,
+    _bessel_asymptotic,
+    _bessel_series,
     bessel_j,
     bessel_j_detailed,
     bessel_j_sonine,
@@ -137,25 +138,24 @@ class TestBesselJ:
     def test_strategy_consistency_in_overlap(self):
         # where the asymptotic expansion certifies 1e-10, it must agree with
         # the extended-precision series
-        series_cfg = PrecisionConfig(strategy_override="series")
-        asymp_cfg = PrecisionConfig(strategy_override="asymptotic")
         for nu in (0.0, 1.0, 2.5, 2.0 + 1.0j):
             for u in (25.0, 40.0, 60.0):
-                s = bessel_j_detailed(nu, u, series_cfg)
-                a = bessel_j_detailed(nu, u, asymp_cfg)
+                s = _bessel_series(complex(nu), u)
+                a = _bessel_asymptotic(complex(nu), u)
                 assert abs(s.value - a.value) <= 1e-10 * max(abs(s.value), 1e-300)
 
     def test_asymptotic_refuses_outside_regime(self):
-        cfg = PrecisionConfig(strategy_override="asymptotic")
         with pytest.raises(PrecisionError) as exc:
-            bessel_j_detailed(20.0, 60.0, cfg)
+            _bessel_asymptotic(20.0 + 0.0j, 60.0)
         assert exc.value.strategy == "asymptotic"
 
     def test_auto_prefers_asymptotic_when_cheap(self):
         d = bessel_j_detailed(2.0, 100.0)
         assert d.strategy == "asymptotic"
         d2 = bessel_j_detailed(3.5 + 14.1347j, 100.0)
-        assert d2.strategy == "series"
+        assert (d2.strategy, d2.bits, d2.terms, d2.err_estimate) == (
+            "series", 80, 0, 4.0 * 2.0**-53
+        )
         # past the series crossover, u >= max(300, 4 |nu|), mpmath.besselj
         d3 = bessel_j_detailed(3.5 + 49.77j, 1000.0)
         assert (d3.strategy, d3.bits) == ("mpmath", 53)
@@ -178,21 +178,13 @@ class TestBesselJ:
             bessel_j_detailed(2.5 + 460.0j, 5000.0)
         assert exc.value.strategy == "mpmath"
 
-    def test_tolerance_below_the_mpmath_floor_is_refused(self):
-        # mpmath.besselj is certified to 4 ulps only; a tighter target must
-        # raise rather than return its value
-        cfg = PrecisionConfig(target_rel_tol=1e-20)
-        with pytest.raises(PrecisionError) as exc:
-            bessel_j_detailed(3.5 + 49.77j, 1000.0, cfg)
-        assert exc.value.strategy != "mpmath"
-
     def test_real_order_near_a_zero_goes_to_mpmath(self):
         # J_4 is -7.5e-7 here, close to a zero: the asymptotic refuses (its
         # relative estimate is 1.3e-8) and the series would need 6844 bits
         u = 3137.6632053307817
         d = bessel_j_detailed(4.0, u)
         assert (d.strategy, d.bits) == ("mpmath", 53)
-        s = bessel_j_detailed(4.0, u, PrecisionConfig(strategy_override="series"))
+        s = _bessel_series(4.0 + 0.0j, u)
         assert abs(d.value - s.value) <= 1e-12 * abs(s.value)
         assert d.value.imag == 0.0
 
@@ -203,28 +195,13 @@ class TestBesselJ:
             raise failure("refused")
 
         monkeypatch.setattr(mp, "hyper", refuse)
-        cfg = PrecisionConfig(strategy_override="series")
         with pytest.raises(PrecisionError) as exc:
-            bessel_j_detailed(3.5 + 14.1347j, 100.0, cfg)
+            bessel_j_detailed(3.5 + 14.1347j, 100.0)
         assert exc.value.strategy == "series"
-
-    def test_series_refuses_tolerance_below_its_floor(self):
-        cfg = PrecisionConfig(target_rel_tol=1e-20, strategy_override="series")
-        with pytest.raises(PrecisionError) as exc:
-            bessel_j_detailed(3.5 + 14.1347j, 100.0, cfg)
-        assert exc.value.strategy == "series"
-        d = bessel_j_detailed(3.5 + 14.1347j, 100.0, PrecisionConfig(strategy_override="series"))
-        assert (d.strategy, d.bits, d.terms, d.err_estimate) == ("series", 80, 0, 4.0 * 2.0**-53)
 
     def test_negative_u_rejected(self):
         with pytest.raises(DomainError):
             bessel_j(1.0, -2.0)
-
-    def test_quadrature_override_matches_series(self):
-        cfg = PrecisionConfig(strategy_override="quadrature")
-        v = bessel_j_detailed(2.0 + 3.0j, 7.0, cfg)
-        w = bessel_j(2.0 + 3.0j, 7.0)
-        assert abs(v.value - w) <= 1e-12 * abs(w)
 
 
 class TestSonineOracle:
@@ -240,10 +217,11 @@ class TestSonineOracle:
 
     def test_matches_independent_series_implementation(self):
         mp.dps = 60
-        for nu, u in ((0.0, 1.0), (3.5 + 14.1347j, 10.0)):
+        for nu, u in ((0.0, 1.0), (3.5 + 14.1347j, 10.0), (2.0 + 3.0j, 7.0)):
             ref = complex(mpmath.besselj(mp.mpc(nu), mp.mpf(u)))
             live = bessel_j_sonine(nu, u, prec_bits=200)
             assert abs(live - ref) <= 1e-14 * abs(ref)
+            assert abs(live - bessel_j(nu, u)) <= 1e-12 * abs(live)
 
 
 class TestLaplaceLineIntegral:
@@ -272,11 +250,3 @@ class TestLaplaceLineIntegral:
             laplace_line_integral(0.0 + 2.0j, 10.0)
         with pytest.raises(DomainError):
             laplace_line_integral(2.0, 10.0, a=100.0)
-
-
-class TestPrecisionConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            PrecisionConfig(target_rel_tol=2.0)
-        with pytest.raises(DomainError):
-            PrecisionConfig(strategy_override="magic")
