@@ -4,30 +4,36 @@ and Laplace line integrals.
 The Bessel evaluator is the numerical core of the analytic main terms: orders
 are k + c + rho with rho a zeta zero (so imaginary parts up to a few hundred)
 and arguments u = 2 pi sqrt(lattice) sqrt(N) run into the thousands. Each
-call takes one of three paths, chosen from (u, |nu|) alone:
+call takes one of four paths, chosen from (u, nu) alone:
 
-* the large-argument (Hankel) asymptotic expansion, when u >= 4 |nu|^2 and
-  its own error estimate certifies a relative error of 1e-10;
-* mpmath.besselj at 53 bits, for a real order the Hankel expansion refuses
-  (close to a zero of J), and for any order the Hankel branch does not take
-  once u >= max(300, 4 |nu|), past the measured point where it beats the
-  series;
-* otherwise the power series (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4),
-  summed by mpmath.hyper in fixed-point integers at 80 bits plus guard
-  bits: the e^u-sized terms are held exactly, so the alternating series
-  loses only the bits by which its sum falls below its first term.
+* the large-argument (Hankel) asymptotic expansion in doubles, when
+  u >= 4 |nu|^2 and its own error estimate certifies a relative error of
+  1e-10;
+* mpmath.besselj at 53 bits, for a real order that expansion refuses (close
+  to a zero of J);
+* for a complex order with u >= max(300, 1.5 |nu|), the same expansion in
+  fixed-point integers: the coefficients a_k(nu) / R^k depend on the order
+  alone and are kept for the last order, so the points of one Bessel block
+  share them. A value is returned only when it is certified to 2^-60 and
+  each part rounds to one double;
+* otherwise, and for whatever the fixed-point kernel cannot certify, the
+  power series (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed by
+  mpmath.hyper in fixed-point integers at 80 bits plus guard bits: the
+  e^u-sized terms are held exactly, so the alternating series loses only
+  the bits by which its sum falls below its first term.
 
 Direct quadrature of the contour-integral representation
 (u/2)^nu / (2 pi i) * int e^s s^{-nu-1} e^{-u^2/(4 s)} ds over a vertical
 line, bessel_j_sonine, is kept as an independent cross-check oracle.
 
-Every path returns an error estimate and raises PrecisionError instead of
-silently returning a value it cannot certify.
+Every path returns an error estimate and never returns a value it cannot
+certify: the fixed-point kernel hands such a call to the series, and the
+other paths raise PrecisionError.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from mpmath import mp
@@ -211,22 +217,173 @@ def _bessel_asymptotic(nu: complex, u: float) -> BesselEval:
     return BesselEval(value, "asymptotic", 53, terms, err_rel)
 
 
-# Auto sends a complex order to mpmath.besselj once u >= max(300, 4 |nu|).
-# Measured per call on the series calls of the containment and grid_scan
-# workloads (2-vCPU Xeon VM): below u = 150 the series wins every call (0.6
-# against 1.0 ms); the two are about even at u = 300-350; past u = 1000
-# mpmath wins every call (1.2-1.7 against 12-21 ms). Below u ~ 4 |nu|
-# mpmath's asymptotic form does not converge and besselj falls back to the
-# same series after the failed attempt, so the series stays there.
-_MPMATH_MIN_U = 300.0
-_MPMATH_NU_RATIO = 4.0
+# ---------------------------------------------------------------------------
+# Bessel J: Hankel expansion in fixed point (complex orders)
+# ---------------------------------------------------------------------------
+
+# Auto sends a complex order to _bessel_hankel once u >= max(300, 1.5 |nu|).
+# Measured on the complex-order calls of the containment and grid_scan
+# workloads (2-vCPU Xeon VM): every call there with u >= 1.5 |nu| is
+# certified (at gamma ~ 236 the smallest term at u = 1.5 |nu| is just under
+# the certificate; at 1.45 |nu| it is not), in a median 0.2-1.0 ms a call
+# against 1.2-3.3 ms for mpmath.besselj and 2.4-18 ms for the series. The
+# floor stays at 300 because the series calls at u = 281 below it are the
+# ones perfbench/test_repeat.py counts.
+_HANKEL_MIN_U = 300.0
+_HANKEL_NU_RATIO = 1.5
+# A value is certified to 2^-60 relative; the sum runs on until a term falls
+# below 2^-80 of it, so that each part of J rounds to one double (a part can
+# be much smaller than |J|). Fixed-point terms carry 60 + log2(largest term
+# at R) + 30 fraction bits, and the halves are combined at 100 bits.
+_HANKEL_CERT_BITS = 60
+_HANKEL_STOP_BITS = 80
+_HANKEL_GUARD_BITS = 30
+_HANKEL_FINAL_PREC = 100
+
+
+class _HankelTable:
+    """The Hankel coefficients of one order nu with Im nu >= 0, in fixed point.
+
+    re[k] + i im[k] = i^k a_k(nu) / R^k at wp fraction bits, with
+    a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k) and R = max(300, 1.5 |nu|),
+    the smallest u the kernel takes, so the terms at any u >= R are these
+    times (R/u)^k. wp = 60 + log2(largest term at R) + 30. The list is
+    extended as far as a call needs it and ends where the terms at R start
+    to grow again or vanish at wp bits. f = e^{-pi Im nu} and
+    g = e^{pi Im nu / 2} / sqrt(2 pi) are mpf. Every entry is a function of
+    nu alone.
+    """
+
+    def __init__(self, nu: complex):
+        self.nu = nu
+        self.R = R = max(_HANKEL_MIN_U, _HANKEL_NU_RATIO * abs(nu))
+        self.R_ratio = R.as_integer_ratio()
+        self.nu4 = 4.0 * nu * nu
+        # the terms at R grow while their ratio is >= 1; the largest sets wp
+        lg = 0.0
+        k = 1
+        while (r := abs(self.nu4 - (2 * k - 1) ** 2) / (8.0 * k * R)) >= 1.0:
+            lg += math.log2(r)
+            k += 1
+        self.falls_from = k
+        self.top = 1 << math.ceil(lg)  # bounds every |coefficient| (>= 1)
+        self.wp = wp = _HANKEL_CERT_BITS + math.ceil(lg) + _HANKEL_GUARD_BITS
+        # 4 nu^2 = 4 (a^2 - b^2) + 8 a b i, formed exactly from the doubles
+        (an, ad), (bn, bd) = nu.real.as_integer_ratio(), nu.imag.as_integer_ratio()
+        den = ad * ad * bd * bd
+        self.c4 = (
+            (4 * (an * an * bd * bd - bn * bn * ad * ad) << wp) // den,
+            (8 * an * bn * ad * bd << wp) // den,
+        )
+        self.re, self.im = [1 << wp], [0]
+        self.ended = False
+        with mp.workprec(_HANKEL_FINAL_PREC):
+            self.f = mp.exp(-mp.pi * nu.imag)
+            self.g = mp.exp(mp.pi * nu.imag / 2) / mp.sqrt(2 * mp.pi)
+
+    def extend(self) -> bool:
+        """Append the next coefficient; False once the list has ended."""
+        k = len(self.re)
+        if self.ended or (
+            k > self.falls_from
+            and abs(self.nu4 - (2 * k - 1) ** 2) >= 8.0 * k * self.R
+        ):
+            self.ended = True
+            return False
+        # d_k = d_{k-1} * i (4 nu^2 - (2k-1)^2) / (8 k R)
+        wp = self.wp
+        dr, di = self.re[-1], self.im[-1]
+        wr, wi = self.c4[0] - ((2 * k - 1) ** 2 << wp), self.c4[1]
+        rn, rd = self.R_ratio
+        q = 8 * k * rn
+        x, y = dr * wr - di * wi, dr * wi + di * wr
+        dr, di = ((-y * rd) >> wp) // q, ((x * rd) >> wp) // q
+        if dr == di == 0:
+            self.ended = True
+            return False
+        self.re.append(dr)
+        self.im.append(di)
+        return True
+
+
+# the table of the last order; its entries depend on nu alone, so sharing it
+# between callers cannot change a value
+_HANKEL_TABLE: list = [None]
+
+
+def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
+    """J_nu(u) from the Hankel expansion (DLMF 10.17.3) in fixed point.
+
+    J_nu(u) = 1/2 sqrt(2/(pi u)) (e^{i w} H+ + e^{-i w} H-) with
+    w = u - (nu/2 + 1/4) pi and H+- = sum (+-i)^k a_k u^{-k}; the even and odd
+    terms are summed once and give both halves. For u >= R. Returns None when
+    the value cannot be certified: no term falls below 2^-60 of the sum before
+    the terms grow again, the halves cancel, or a part of J is too close to
+    half-way between two doubles; the caller then takes the series.
+    """
+    if nu.imag < 0.0:  # J of the conjugate order is the conjugate
+        d = _bessel_hankel(nu.conjugate(), u)
+        if d is None:
+            return None
+        return replace(d, value=d.value.conjugate())
+    table = _HANKEL_TABLE[0]
+    if table is None or table.nu != nu:
+        table = _HANKEL_TABLE[0] = _HankelTable(nu)
+    wp, re, im, f, g = table.wp, table.re, table.im, table.f, table.g
+    rn, rd = table.R_ratio
+    un, ud = u.as_integer_ratio()
+    t = ((rn * ud) << wp) // (rd * un)  # R/u <= 1
+    p = 1 << wp
+    er, ei, odr, odi = p, 0, 0, 0
+    m = k = 0
+    while k + 1 < len(re) or table.extend():
+        k += 1
+        p = (p * t) >> wp
+        tr = (re[k] * p) >> wp
+        ti = (im[k] * p) >> wp
+        if k & 1:
+            odr += tr
+            odi += ti
+        else:
+            er += tr
+            ei += ti
+        m = max(abs(tr), abs(ti))
+        if m << _HANKEL_STOP_BITS <= max(abs(er + odr), abs(ei + odi)):
+            break
+    # theta = Re w to about 2^-100 absolute, whatever the size of u
+    with mp.workprec(_HANKEL_FINAL_PREC + max(0, math.frexp(u)[1])):
+        theta = u - (mp.mpf(nu.real) / 2 + mp.mpf(0.25)) * mp.pi
+    with mp.workprec(_HANKEL_FINAL_PREC):
+        c, s = mp.cos_sin(theta)
+        h_plus = mp.mpc(mp.mpf((er + odr, -wp)), mp.mpf((ei + odi, -wp)))
+        h_minus = mp.mpc(mp.mpf((er - odr, -wp)), mp.mpf((ei - odi, -wp)))
+        # e^{i w} / e^{pi Im nu / 2} = c + i s, and e^{-i w} is f times c - i s
+        x = mp.mpc(c, s) * h_plus + f * mp.mpc(c, -s) * h_minus
+        # the last term bounds the tail. Rounding, in ulps: coefficient k
+        # carries < 3k top (3 per step, scaled by at most top since the
+        # smallest earlier one) and t^k < 2k, so the k terms carry < 5 k^2
+        # top; one more ulp covers terms past the table's resolution
+        err = mp.mpf((m + 5 * k * k * table.top + 1, -wp)) * (1 + f)
+        size = abs(x)
+        if mp.ldexp(err, _HANKEL_CERT_BITS) > size:
+            return None
+        scale = g / mp.sqrt(u)
+        value = x * scale
+        bound = (err + mp.ldexp(size, 10 - _HANKEL_FINAL_PREC)) * scale
+        for part in (value.real, value.imag):
+            if float(part - bound) != float(part + bound):
+                return None
+        err_rel = float(bound / (size * scale)) + 2.0**-53
+        value = complex(value)
+    _require_finite(value, nu, u, "hankel")
+    return BesselEval(value, "hankel", wp, k, err_rel)
 
 
 def _bessel_mpmath(nu: complex, u: float) -> BesselEval:
-    """J_nu(u) from mpmath.besselj at 53 bits; a real order gives a real value."""
+    """J_nu(u) from mpmath.besselj at 53 bits, for a real order."""
     try:
         with mp.workprec(53):
-            value = complex(mp.besselj(nu.real if nu.imag == 0.0 else nu, u))
+            value = complex(mp.besselj(nu.real, u))
     except NoConvergence as exc:
         raise PrecisionError(
             f"mpmath besselj did not converge: {exc}",
@@ -300,19 +457,22 @@ def bessel_j_detailed(nu, u: float) -> BesselEval:
             return BesselEval(0.0 + 0.0j, "exact", 53, 0, 0.0)
         raise DomainError(f"J_nu(0) undefined for Re(nu) <= 0 (nu = {nu})")
 
-    # asymptotic when clearly in its regime and certified; a real order the
-    # asymptotic refuses sits near a zero of J, where the series needs
-    # repeated higher-precision passes and mpmath.besselj its own asymptotic
-    # form. Past the series crossover (u >= max(300, 4 |nu|)) mpmath.besselj
-    # takes any order; below it the series is the cheaper path.
+    # the double-precision Hankel expansion when clearly in its regime and
+    # certified; a real order it refuses sits near a zero of J, where the
+    # series needs repeated higher-precision passes and mpmath.besselj its
+    # own asymptotic form. A complex order with u >= max(300, 1.5 |nu|) goes
+    # to the fixed-point Hankel kernel; what it cannot certify, and
+    # everything below that line, goes to the series.
     if u >= _ASYMP_MIN_U and u >= 4.0 * abs(nu) ** 2:
         try:
             return _bessel_asymptotic(nu, u)
         except PrecisionError:
             if nu.imag == 0.0:
                 return _bessel_mpmath(nu, u)
-    if u >= max(_MPMATH_MIN_U, _MPMATH_NU_RATIO * abs(nu)):
-        return _bessel_mpmath(nu, u)
+    if nu.imag != 0.0 and u >= max(_HANKEL_MIN_U, _HANKEL_NU_RATIO * abs(nu)):
+        d = _bessel_hankel(nu, u)
+        if d is not None:
+            return d
     return _bessel_series(nu, u)
 
 

@@ -199,7 +199,7 @@ class TestBesselCommand:
     def test_auto_past_the_series_crossover(self, capsys):
         assert run(["bessel", "--nu-re", "3", "--nu-im", "49.77", "--u", "1192.4"]) == 0
         out = capsys.readouterr().out
-        assert "strategy=mpmath bits=53 terms=0" in out
+        assert "strategy=hankel bits=94 terms=26" in out
 
     def test_usage_error_exit_code(self):
         assert run(["bessel", "--u", "10"]) == 1

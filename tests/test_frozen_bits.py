@@ -1,6 +1,7 @@
 """Bit-identity gate: M1-M4, every component and every tail bound, and the
 Bessel values of the series strategy and of the auto path where it takes the
-series or mpmath.besselj, against the float.hex values in frozen_values.py.
+series or the fixed-point Hankel kernel, against the float.hex values in
+frozen_values.py.
 
 A refactor that claims to keep the main terms bit-identical must pass this
 unchanged; a change that moves a value updates the entry it moves and
@@ -58,15 +59,16 @@ def test_series_points(nu, u, re, im):
     assert (d.value.real.hex(), d.value.imag.hex()) == (re, im)
     # the auto path gives the same bits through either of its exact paths
     a = bessel_j_detailed(nu, u)
-    if a.strategy in ("series", "mpmath"):
+    if a.strategy in ("series", "hankel"):
         assert (a.value.real.hex(), a.value.imag.hex()) == (re, im)
 
 
-def test_auto_sends_points_past_the_crossover_to_mpmath():
-    # 17 points have u >= max(300, 4 |nu|) and are not taken by the Hankel
-    # expansion, which takes two (u >= 4 |nu|^2); six stay on the series
+def test_auto_sends_points_past_the_crossover_to_the_hankel_kernel():
+    # 18 points have u >= max(300, 1.5 |nu|) and are not taken by the double
+    # Hankel expansion, which takes two (u >= 4 |nu|^2); five stay on the
+    # series
     routed = [(u, bessel_j_detailed(nu, u).strategy) for nu, u, _, _ in FROZEN_SERIES]
     assert Counter(strategy for _, strategy in routed) == {
-        "mpmath": 17, "series": 6, "asymptotic": 2,
+        "hankel": 18, "series": 5, "asymptotic": 2,
     }
-    assert (12000.0, "mpmath") in routed
+    assert (12000.0, "hankel") in routed

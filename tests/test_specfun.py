@@ -7,8 +7,10 @@ from mpmath import mp
 from mpmath.libmp import NoConvergence
 
 from linnik.errors import DomainError, PoleError, PrecisionError
+from linnik import specfun
 from linnik.specfun import (
     _bessel_asymptotic,
+    _bessel_hankel,
     _bessel_series,
     bessel_j,
     bessel_j_detailed,
@@ -156,27 +158,31 @@ class TestBesselJ:
         assert (d2.strategy, d2.bits, d2.terms, d2.err_estimate) == (
             "series", 80, 0, 4.0 * 2.0**-53
         )
-        # past the series crossover, u >= max(300, 4 |nu|), mpmath.besselj
+        # a complex order with u >= max(300, 1.5 |nu|): the fixed-point
+        # Hankel kernel, which reports its working bits and terms summed
         d3 = bessel_j_detailed(3.5 + 49.77j, 1000.0)
-        assert (d3.strategy, d3.bits) == ("mpmath", 53)
-        # u < 4 |nu|: mpmath's asymptotic form would fail and fall back to
-        # the series, so the series is taken directly
-        assert bessel_j_detailed(3.5 + 236.52j, 512.8).strategy == "series"
+        assert (d3.strategy, d3.bits, d3.terms) == ("hankel", 94, 27)
+        # u = 2.17 |nu|: too close for the double expansion (u < 4 |nu|^2),
+        # inside the kernel's range
+        d4 = bessel_j_detailed(3.5 + 236.52j, 512.8)
+        assert (d4.strategy, d4.bits, d4.terms) == ("hankel", 205, 244)
 
     def test_mpmath_failure_is_precision_error(self, monkeypatch):
+        # mpmath.besselj takes only the real orders the double expansion
+        # refuses
         def refuse(*args, **kwargs):
             raise NoConvergence("refused")
 
         monkeypatch.setattr(mp, "besselj", refuse)
         with pytest.raises(PrecisionError) as exc:
-            bessel_j_detailed(3.5 + 49.77j, 1000.0)
+            bessel_j_detailed(4.0, 3137.6632053307817)
         assert exc.value.strategy == "mpmath"
 
-    def test_mpmath_overflow_is_precision_error(self):
+    def test_hankel_overflow_is_precision_error(self):
         # |J| ~ e^{pi gamma / 2} passes the double range at gamma = 460
         with pytest.raises(PrecisionError) as exc:
             bessel_j_detailed(2.5 + 460.0j, 5000.0)
-        assert exc.value.strategy == "mpmath"
+        assert exc.value.strategy == "hankel"
 
     def test_real_order_near_a_zero_goes_to_mpmath(self):
         # J_4 is -7.5e-7 here, close to a zero: the asymptotic refuses (its
@@ -202,6 +208,63 @@ class TestBesselJ:
     def test_negative_u_rejected(self):
         with pytest.raises(DomainError):
             bessel_j(1.0, -2.0)
+
+
+def _hex(z: complex) -> tuple:
+    return (z.real.hex(), z.imag.hex())
+
+
+class TestHankelKernel:
+    def test_matches_the_series_bit_for_bit(self, zeros100):
+        # the orders of M3 and M4, k + c + rho, and their conjugates, at
+        # u / |nu| from 1.5 to 10 with u >= 300
+        gammas = zeros100.gammas()
+        points = set()
+        for n in (1, 10, 25, 50, 75, 100):
+            for k in (1.7, 2.0, 2.5):
+                for c in (0.5, 1.0):
+                    for sign in (1.0, -1.0):
+                        nu = complex(k + c + 0.5, sign * gammas[n - 1])
+                        for ratio in (1.5, 2.0, 4.0, 10.0):
+                            points.add((nu, max(300.0, ratio * abs(nu))))
+        assert len(points) == 170
+        for nu, u in sorted(points, key=lambda p: (p[0].imag, p[0].real, p[1])):
+            d = _bessel_hankel(nu, u)
+            assert d is not None, (nu, u)
+            assert _hex(d.value) == _hex(_bessel_series(nu, u).value), (nu, u)
+
+    def test_refuses_below_the_certificate(self, monkeypatch):
+        # at u = 1.45 |nu|, gamma = 236.5, no term falls below 2^-60 of the
+        # sum before the terms grow again; at 1.5 |nu| one does
+        nu = 3.5 + 236.5242296658162j
+        assert _bessel_hankel(nu, 1.5 * abs(nu)) is not None
+        monkeypatch.setattr(specfun, "_HANKEL_NU_RATIO", 1.45)
+        monkeypatch.setattr(specfun, "_HANKEL_TABLE", [None])
+        u = 1.45 * abs(nu)
+        assert _bessel_hankel(nu, u) is None
+        d = bessel_j_detailed(nu, u)
+        assert d.strategy == "series"
+        assert _hex(d.value) == _hex(_bessel_series(nu, u).value)
+
+    def test_refusal_falls_back_to_the_series(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_bessel_hankel", lambda nu, u: None)
+        d = bessel_j_detailed(3.5 + 49.77j, 1000.0)
+        assert d.strategy == "series"
+        assert _hex(d.value) == _hex(_bessel_series(3.5 + 49.77j, 1000.0).value)
+
+    def test_values_do_not_depend_on_call_order(self, monkeypatch):
+        # the table holds one order; switching orders rebuilds it
+        calls = [
+            (3.5 + 49.7738324776723j, 400.0),
+            (3.0 + 143.11184580762063j, 300.0),
+            (3.5 + 49.7738324776723j, 1200.0),
+            (3.0 + 143.11184580762063j, 900.0),
+        ]
+        runs = []
+        for order in (calls, calls[::-1], sorted(calls, key=lambda c: c[1])):
+            monkeypatch.setattr(specfun, "_HANKEL_TABLE", [None])
+            runs.append({c: _hex(_bessel_hankel(*c).value) for c in order})
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestSonineOracle:
