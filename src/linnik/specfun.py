@@ -1,5 +1,5 @@
-"""Complex log-gamma (mpmath.loggamma at 80 bits), Bessel J of complex order,
-and Laplace line integrals.
+"""Complex log-gamma (mpmath.loggamma at 80 bits, memoized per argument),
+Bessel J of complex order, and Laplace line integrals.
 
 The Bessel evaluator is the numerical core of the analytic main terms: orders
 are k + c + rho with rho a zeta zero (so imaginary parts up to a few hundred)
@@ -14,8 +14,15 @@ call takes one of four paths, chosen from (u, nu) alone:
 * for a complex order with u >= max(300, 1.5 |nu|), the same expansion in
   fixed-point integers: the coefficients a_k(nu) / R^k depend on the order
   alone and are kept for the last order, so the points of one Bessel block
-  share them. A value is returned only when it is certified to 2^-60 and
-  each part rounds to one double;
+  share them, together with the order's phase and scale constants (cos and
+  sin of (Re nu / 2 + 1/4) pi, e^{-pi Im nu}, e^{pi Im nu / 2} / sqrt(2 pi));
+  cos u, sin u and u^-1/2 are kept per u. All of them carry 128 fraction
+  bits (u^-1/2: 128 significant bits), so after its sum a call does only
+  integer products. The error bound covers the tail, the table's rounding
+  and the rounding of every constant and product; a value is returned only
+  when it is certified to 2^-60 and each part of J lies, with its bound,
+  inside the rounding interval of one double, which is then the correctly
+  rounded double of J;
 * otherwise, and for whatever the fixed-point kernel cannot certify, the
   power series (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed by
   mpmath.hyper in fixed-point integers at 80 bits plus guard bits: the
@@ -71,6 +78,23 @@ _LG_PREC = 80  # bits; log Gamma can reach ~10^3, so doubles alone would cap
                # exp(log_gamma) accuracy near |lgG| * eps ~ 1e-13 at |s| = 200
 
 
+# mp.loggamma at 80 bits per argument: m2 takes log Gamma(rho) in every
+# gamma_ratio and each paired Bessel row again, at the same zeros on every
+# evaluate. The memo hands back the same mpc, so no value changes.
+_LG_CACHE: dict = {}
+_LG_CACHE_MAX = 20000
+
+
+def _loggamma_mp(s: complex):
+    hit = _LG_CACHE.get(s)
+    if hit is None:
+        with mp.workprec(_LG_PREC):
+            hit = mp.loggamma(s)
+        if len(_LG_CACHE) < _LG_CACHE_MAX:
+            _LG_CACHE[s] = hit
+    return hit
+
+
 def log_gamma(s) -> complex:
     """log Gamma(s): mpmath.loggamma at 80 bits, rounded to a double.
 
@@ -84,8 +108,7 @@ def log_gamma(s) -> complex:
         raise DomainError("log_gamma argument must be finite")
     if s.imag == 0.0 and s.real <= 0.0 and s.real == math.floor(s.real):
         raise PoleError(int(s.real))
-    with mp.workprec(_LG_PREC):
-        return complex(mp.loggamma(s))
+    return complex(_loggamma_mp(s))
 
 
 def gamma_ratio(rho, offset) -> complex:
@@ -101,7 +124,7 @@ def gamma_ratio(rho, offset) -> complex:
         if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
             raise PoleError(int(arg.real))
     with mp.workprec(_LG_PREC):
-        return complex(mp.exp(mp.loggamma(rho) - mp.loggamma(rho + off)))
+        return complex(mp.exp(_loggamma_mp(rho) - _loggamma_mp(rho + off)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +136,17 @@ def gamma_ratio(rho, offset) -> complex:
 _MPMATH_REL_ERR = 4.0 * 2.0**-53
 
 
+def _range_error(nu: complex, u: float, strategy: str) -> PrecisionError:
+    return PrecisionError(
+        f"J_nu(u) magnitude exceeds double range for nu = {nu}, u = {u}",
+        strategy=strategy,
+        requested=_REL_TOL,
+    )
+
+
 def _require_finite(value: complex, nu: complex, u: float, strategy: str):
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise PrecisionError(
-            f"J_nu(u) magnitude exceeds double range for nu = {nu}, u = {u}",
-            strategy=strategy,
-            requested=_REL_TOL,
-        )
+        raise _range_error(nu, u, strategy)
 
 
 def _bessel_series(nu: complex, u: float) -> BesselEval:
@@ -234,11 +261,19 @@ _HANKEL_NU_RATIO = 1.5
 # A value is certified to 2^-60 relative; the sum runs on until a term falls
 # below 2^-80 of it, so that each part of J rounds to one double (a part can
 # be much smaller than |J|). Fixed-point terms carry 60 + log2(largest term
-# at R) + 30 fraction bits, and the halves are combined at 100 bits.
+# at R) + 30 fraction bits. The constants of the phase and the scale carry
+# 128 fraction bits (u^-1/2: 128 significant bits), each computed by mpmath
+# with 20 guard bits and truncated, so each is within one unit of its last
+# place, and g (up to e^{pi Im nu / 2}) within 2^-126 relative.
 _HANKEL_CERT_BITS = 60
 _HANKEL_STOP_BITS = 80
 _HANKEL_GUARD_BITS = 30
-_HANKEL_FINAL_PREC = 100
+_HANKEL_FIX_BITS = 128
+_HANKEL_MP_GUARD = 20
+
+
+def _to_fixed(x, bits: int) -> int:
+    return int(mp.ldexp(x, bits))
 
 
 class _HankelTable:
@@ -249,9 +284,10 @@ class _HankelTable:
     the smallest u the kernel takes, so the terms at any u >= R are these
     times (R/u)^k. wp = 60 + log2(largest term at R) + 30. The list is
     extended as far as a call needs it and ends where the terms at R start
-    to grow again or vanish at wp bits. f = e^{-pi Im nu} and
-    g = e^{pi Im nu / 2} / sqrt(2 pi) are mpf. Every entry is a function of
-    nu alone.
+    to grow again or vanish at wp bits. cos phi, sin phi
+    (phi = (Re nu / 2 + 1/4) pi), f = e^{-pi Im nu} and
+    g = e^{pi Im nu / 2} / sqrt(2 pi) are integers at 128 fraction bits.
+    Every entry is a function of nu alone.
     """
 
     def __init__(self, nu: complex):
@@ -277,9 +313,12 @@ class _HankelTable:
         )
         self.re, self.im = [1 << wp], [0]
         self.ended = False
-        with mp.workprec(_HANKEL_FINAL_PREC):
-            self.f = mp.exp(-mp.pi * nu.imag)
-            self.g = mp.exp(mp.pi * nu.imag / 2) / mp.sqrt(2 * mp.pi)
+        fb = _HANKEL_FIX_BITS
+        with mp.workprec(fb + _HANKEL_MP_GUARD + max(0, math.frexp(nu.real)[1])):
+            cos_phi, sin_phi = mp.cos_sin((mp.mpf(nu.real) / 2 + mp.mpf(0.25)) * mp.pi)
+            self.cos_phi, self.sin_phi = _to_fixed(cos_phi, fb), _to_fixed(sin_phi, fb)
+            self.f = _to_fixed(mp.exp(-mp.pi * nu.imag), fb)
+            self.g = _to_fixed(mp.exp(mp.pi * nu.imag / 2) / mp.sqrt(2 * mp.pi), fb)
 
     def extend(self) -> bool:
         """Append the next coefficient; False once the list has ended."""
@@ -310,16 +349,43 @@ class _HankelTable:
 # between callers cannot change a value
 _HANKEL_TABLE: list = [None]
 
+# per argument u: (cos u, sin u) at 128 fraction bits and u^-1/2 with its
+# fraction bits, 128 + e/2 + 1 for u in [2^(e-1), 2^e); the points of one
+# Bessel block share their u across orders
+_HANKEL_U_CACHE: dict = {}
+_HANKEL_U_CACHE_MAX = 20000
+
+
+def _hankel_u_constants(u: float) -> tuple:
+    hit = _HANKEL_U_CACHE.get(u)
+    if hit is not None:
+        return hit
+    fb = _HANKEL_FIX_BITS
+    e = math.frexp(u)[1]
+    r_bits = fb + e // 2 + 1
+    with mp.workprec(fb + _HANKEL_MP_GUARD + max(0, e)):
+        c, s = mp.cos_sin(mp.mpf(u))
+        entry = (_to_fixed(c, fb), _to_fixed(s, fb),
+                 _to_fixed(1 / mp.sqrt(mp.mpf(u)), r_bits), r_bits)
+    if len(_HANKEL_U_CACHE) < _HANKEL_U_CACHE_MAX:
+        _HANKEL_U_CACHE[u] = entry
+    return entry
+
 
 def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
     """J_nu(u) from the Hankel expansion (DLMF 10.17.3) in fixed point.
 
     J_nu(u) = 1/2 sqrt(2/(pi u)) (e^{i w} H+ + e^{-i w} H-) with
     w = u - (nu/2 + 1/4) pi and H+- = sum (+-i)^k a_k u^{-k}; the even and odd
-    terms are summed once and give both halves. For u >= R. Returns None when
-    the value cannot be certified: no term falls below 2^-60 of the sum before
-    the terms grow again, the halves cancel, or a part of J is too close to
-    half-way between two doubles; the caller then takes the series.
+    terms are summed once and give both halves. For u >= R. The rest is
+    integer products: e^{i Re w} = e^{iu} e^{-i phi} from the cached cos and
+    sin of u and phi, x = e^{i Re w} H+ + f e^{-i Re w} H-, and
+    J = x g u^-1/2. The error bound adds the rounding of every fixed-point
+    constant and product to the tail and the table's rounding, so each part
+    of a returned value is the correctly rounded double of J. Returns None
+    when the value cannot be certified: no term falls below 2^-60 of the sum
+    before the terms grow again, the halves cancel, or a part of J is too
+    close to half-way between two doubles; the caller then takes the series.
     """
     if nu.imag < 0.0:  # J of the conjugate order is the conjugate
         d = _bessel_hankel(nu.conjugate(), u)
@@ -329,12 +395,15 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
     table = _HANKEL_TABLE[0]
     if table is None or table.nu != nu:
         table = _HANKEL_TABLE[0] = _HankelTable(nu)
-    wp, re, im, f, g = table.wp, table.re, table.im, table.f, table.g
+    wp, re, im = table.wp, table.re, table.im
     rn, rd = table.R_ratio
     un, ud = u.as_integer_ratio()
     t = ((rn * ud) << wp) // (rd * un)  # R/u <= 1
     p = 1 << wp
     er, ei, odr, odi = p, 0, 0, 0
+    # ub >= max(|er + odr|, |ei + odi|): its last exact value plus every term
+    # since, so the exact stop test runs only where it can pass
+    ub = p
     m = k = 0
     while k + 1 < len(re) or table.extend():
         k += 1
@@ -347,36 +416,56 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
         else:
             er += tr
             ei += ti
-        m = max(abs(tr), abs(ti))
-        if m << _HANKEL_STOP_BITS <= max(abs(er + odr), abs(ei + odi)):
-            break
-    # theta = Re w to about 2^-100 absolute, whatever the size of u
-    with mp.workprec(_HANKEL_FINAL_PREC + max(0, math.frexp(u)[1])):
-        theta = u - (mp.mpf(nu.real) / 2 + mp.mpf(0.25)) * mp.pi
-    with mp.workprec(_HANKEL_FINAL_PREC):
-        c, s = mp.cos_sin(theta)
-        h_plus = mp.mpc(mp.mpf((er + odr, -wp)), mp.mpf((ei + odi, -wp)))
-        h_minus = mp.mpc(mp.mpf((er - odr, -wp)), mp.mpf((ei - odi, -wp)))
-        # e^{i w} / e^{pi Im nu / 2} = c + i s, and e^{-i w} is f times c - i s
-        x = mp.mpc(c, s) * h_plus + f * mp.mpc(c, -s) * h_minus
-        # the last term bounds the tail. Rounding, in ulps: coefficient k
-        # carries < 3k top (3 per step, scaled by at most top since the
-        # smallest earlier one) and t^k < 2k, so the k terms carry < 5 k^2
-        # top; one more ulp covers terms past the table's resolution
-        err = mp.mpf((m + 5 * k * k * table.top + 1, -wp)) * (1 + f)
-        size = abs(x)
-        if mp.ldexp(err, _HANKEL_CERT_BITS) > size:
-            return None
-        scale = g / mp.sqrt(u)
-        value = x * scale
-        bound = (err + mp.ldexp(size, 10 - _HANKEL_FINAL_PREC)) * scale
-        for part in (value.real, value.imag):
-            if float(part - bound) != float(part + bound):
-                return None
-        err_rel = float(bound / (size * scale)) + 2.0**-53
-        value = complex(value)
-    _require_finite(value, nu, u, "hankel")
-    return BesselEval(value, "hankel", wp, k, err_rel)
+        ar, ai = abs(tr), abs(ti)
+        m = ar if ar > ai else ai
+        ub += m
+        if m << _HANKEL_STOP_BITS <= ub:
+            ub = max(abs(er + odr), abs(ei + odi))
+            if m << _HANKEL_STOP_BITS <= ub:
+                break
+    fb = _HANKEL_FIX_BITS
+    cu, su, r, r_bits = _hankel_u_constants(u)
+    cp, sp, f = table.cos_phi, table.sin_phi, table.f
+    # e^{i Re w} = (cos u + i sin u)(cos phi - i sin phi), and f e^{-i Re w}
+    c = (cu * cp + su * sp) >> fb
+    s = (su * cp - cu * sp) >> fb
+    fc, fs = (f * c) >> fb, (f * s) >> fb
+    hpr, hpi, hmr, hmi = er + odr, ei + odi, er - odr, ei - odi
+    xr = c * hpr - s * hpi + fc * hmr + fs * hmi  # fb + wp fraction bits
+    xi = c * hpi + s * hpr + fc * hmi - fs * hmr
+    # Error of x in units of 2^-(fb + wp). The last term bounds the tail.
+    # Coefficient k carries < 3k top ulps (3 per step, scaled by at most top
+    # since the smallest earlier one) and t^k < 2k, so the k terms carry
+    # < 5 k^2 top; one more ulp covers terms past the table's resolution.
+    # That error of H+- reaches x times 1 + f. Each constant is within one
+    # unit, so c and s are within 6 units and f c, f s within 9: in modulus
+    # c + i s is within 9 and f (c - i s) within 13, which adds 9 |H+| +
+    # 13 |H-| (|H| <= |re| + |im|).
+    err = (m + 5 * k * k * table.top + 1) * ((1 << fb) + f + 1) + 13 * (
+        abs(hpr) + abs(hpi) + abs(hmr) + abs(hmi)
+    )
+    if (err << _HANKEL_CERT_BITS) ** 2 > xr * xr + xi * xi:
+        return None
+    # g u^-1/2 is within 2^-(fb - 3) relative, so the error of
+    # J = x g u^-1/2 is within scale times err + (err + |x|) 2^-(fb - 4)
+    scale = table.g * r  # 2 fb + wp + r_bits fraction bits with x
+    size = abs(xr) + abs(xi)  # >= |x|
+    err += ((err + size) >> (fb - 4)) + 1
+    bound = err * scale
+    den = 1 << (2 * fb + wp + r_bits)
+    vr, vi = xr * scale, xi * scale
+    try:
+        # int / int rounds correctly, so each part of J is certified when
+        # both ends of its interval round to the same double
+        lo_r, hi_r = (vr - bound) / den, (vr + bound) / den
+        lo_i, hi_i = (vi - bound) / den, (vi + bound) / den
+    except OverflowError:
+        raise _range_error(nu, u, "hankel") from None
+    if lo_r != hi_r or lo_i != hi_i:
+        return None
+    # |x| >= size / sqrt 2
+    err_rel = 3 * err / (2 * size) + 2.0**-53
+    return BesselEval(complex(lo_r, lo_i), "hankel", wp, k, err_rel)
 
 
 def _bessel_mpmath(nu: complex, u: float) -> BesselEval:
@@ -424,10 +513,13 @@ def bessel_j_sonine(nu, u: float, prec_bits: int = 200, abscissa: float = 1.0) -
         T = u_m / 2 + 30
         n_panels = int(2 * T / (math.pi / 2)) + 1
         pts = mp.linspace(-T, T, n_panels + 1)
-        vertical = mp.quad(lambda t: f(a_m + 1j * t) * 1j, pts)
+        # Gauss-Legendre gives the same doubles as mpmath's default
+        # tanh-sinh at every oracle point of the test suite, in about a
+        # third of the time
+        vertical = mp.quad(lambda t: f(a_m + 1j * t) * 1j, pts, method="gauss-legendre")
         ray = [-mp.inf, a_m - 200, a_m - 80, a_m - 20, a_m - 5, a_m]
-        top = mp.quad(lambda x: f(x + 1j * T), ray)
-        bottom = mp.quad(lambda x: f(x - 1j * T), ray)
+        top = mp.quad(lambda x: f(x + 1j * T), ray, method="gauss-legendre")
+        bottom = mp.quad(lambda x: f(x - 1j * T), ray, method="gauss-legendre")
         total = bottom + vertical - top
         value = (u_m / 2) ** nu_m * total / (2j * mp.pi)
         return complex(value)

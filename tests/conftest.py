@@ -1,8 +1,22 @@
 import pytest
+from mpmath import mp
 
 from linnik import bundled_zeros_path, load_zeros
 from linnik.arithmetic import CesaroParams, compute_rq, sieve_von_mangoldt
 from linnik.formula import default_truncation, evaluate
+
+
+@pytest.fixture(autouse=True)
+def mp_precision_unchanged():
+    """Fail a test that leaves mpmath's global precision changed: every later
+    test would run at it, and a package path that forgot its workprec could
+    then pass or fail by test order."""
+    prec = mp.prec
+    yield
+    leaked = mp.prec
+    mp.prec = prec
+    if leaked != prec:
+        pytest.fail(f"test left mp.prec at {leaked} (was {prec})")
 
 
 @pytest.fixture(scope="session")

@@ -37,17 +37,17 @@ class TestLogGamma:
             assert got == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
     def test_exp_accuracy_over_disk(self):
-        mp.dps = 40
         import random
 
         rng = random.Random(123)
-        for _ in range(120):
-            s = complex(rng.uniform(0.3, 199.0), rng.uniform(-150.0, 150.0))
-            if abs(s) > 200.0:
-                continue
-            ref = mpmath.loggamma(mp.mpc(s))
-            rel = abs(complex(mp.exp(mp.mpc(log_gamma(s)) - ref))) - 1.0
-            assert abs(rel) <= 1e-13
+        with mp.workdps(40):
+            for _ in range(120):
+                s = complex(rng.uniform(0.3, 199.0), rng.uniform(-150.0, 150.0))
+                if abs(s) > 200.0:
+                    continue
+                ref = mpmath.loggamma(mp.mpc(s))
+                rel = abs(complex(mp.exp(mp.mpc(log_gamma(s)) - ref))) - 1.0
+                assert abs(rel) <= 1e-13
 
     def test_stirling_magnitude_model(self):
         # |Gamma(1/2 + i t)| ~ sqrt(2 pi) e^{-pi t / 2} t^0 within 5% at t ~ 14
@@ -266,6 +266,85 @@ class TestHankelKernel:
             runs.append({c: _hex(_bessel_hankel(*c).value) for c in order})
         assert runs[0] == runs[1] == runs[2]
 
+    @staticmethod
+    def _reset(monkeypatch, warm_u=False):
+        monkeypatch.setattr(specfun, "_HANKEL_TABLE", [None])
+        if not warm_u:
+            monkeypatch.setattr(specfun, "_HANKEL_U_CACHE", {})
+
+    def test_values_do_not_depend_on_the_block_order(self, zeros100, monkeypatch):
+        # the passes of one evaluate at N = 2000, k = 2: m3 "zeros" takes
+        # k + 1 + rho over lattice roots, then m4 block3 the same orders over
+        # m, then block4 k + 1/2 + rho over m; each order and each u recurs
+        # across passes, so the one-slot table is rebuilt and the per-u
+        # constants are reused
+        sqrt_n = math.sqrt(2000.0)
+        lattice = [math.sqrt(lam) for lam in (2, 5, 8, 10, 13)]
+        rhos = [z.rho for z in (zeros100.zeros[0], zeros100.zeros[19], zeros100.zeros[49])]
+        passes = (
+            [(2.0 + 1.0 + rho, root) for rho in rhos for root in lattice],
+            [(2.0 + 1.0 + rho, float(m)) for rho in rhos for m in (2, 3, 4)],
+            [(2.0 + 0.5 + rho, float(m)) for rho in rhos for m in (2, 3, 4)],
+        )
+        calls = [(nu, 2.0 * math.pi * root * sqrt_n) for block in passes for nu, root in block]
+        calls += [(nu.conjugate(), u) for nu, u in calls[:6]]
+        assert all(u >= max(300.0, 1.5 * abs(nu)) for nu, u in calls)
+        alone = {}
+        for c in calls:  # each call on a cold table and a cold per-u cache
+            self._reset(monkeypatch)
+            d = _bessel_hankel(*c)
+            assert d is not None, c
+            alone[c] = _hex(d.value)
+        self._reset(monkeypatch)
+        with mp.workprec(24):  # the kernel sets every precision it uses
+            cold = {c: _hex(_bessel_hankel(*c).value) for c in calls}
+        self._reset(monkeypatch, warm_u=True)
+        warm = {c: _hex(_bessel_hankel(*c).value) for c in calls[::-1]}
+        assert cold == warm == alone
+
+    def test_huge_argument_is_refused_or_correctly_rounded(self):
+        # past u = 2^64 the phase must still be right to 2^-128 absolute: a
+        # phase u - (Re nu / 2 + 1/4) pi formed at a fixed 164 bits gives
+        # wrong doubles at the last three points
+        for nu, u in (
+            (3.5 + 14.134725141734695j, 1.3 * 2.0**64),
+            (3.0 + 49.7738324776723j, 1e45),
+            (3.0 - 21.022039638771556j, 3.0e80),
+            (2.5 + 236.5242296658162j, 7.0e120),
+        ):
+            d = _bessel_hankel(nu, u)
+            if d is not None:
+                assert d.value == _besselj_300(nu, u), (nu, u)
+
+    def test_certified_values_are_correctly_rounded(self, zeros100):
+        # workload-like points: orders k + c + rho and their conjugates at
+        # u = 2 pi sqrt(lam N), N from 500 to 8000, and at the kernel's edge
+        # u = max(300, 1.5 |nu|); the oracle is mpmath.besselj at 300 bits,
+        # rounded per part
+        points = []
+        for i, n in enumerate((1, 4, 9, 17, 26, 38, 50, 63, 77, 88, 95, 100)):
+            rho = zeros100.zeros[n - 1].rho
+            k = (1.7, 2.0, 2.5)[i % 3]
+            N = (500.0, 1000.0, 2000.0, 4000.0, 8000.0)[i % 5]
+            for c, lam in ((1.0, 2), (0.5, 13)):
+                nu = complex(k + c, 0.0) + rho
+                u = 2.0 * math.pi * math.sqrt(lam * N)
+                if u >= max(300.0, 1.5 * abs(nu)):
+                    points.append((nu if i % 2 else nu.conjugate(), u))
+            nu = complex(k + 1.0, 0.0) + rho
+            points.append((nu, max(300.0, 1.5 * abs(nu))))
+        assert len(points) >= 30
+        for nu, u in points:
+            d = _bessel_hankel(nu, u)
+            assert d is not None, (nu, u)
+            assert d.value == _besselj_300(nu, u), (nu, u)
+
+
+def _besselj_300(nu: complex, u: float) -> complex:
+    with mp.workprec(300):
+        ref = mpmath.besselj(mp.mpc(nu), mp.mpf(u))
+        return complex(float(ref.real), float(ref.imag))
+
 
 class TestSonineOracle:
     def test_live_rederivation_of_frozen_points(self):
@@ -279,12 +358,12 @@ class TestSonineOracle:
         assert abs(a1 - a2) <= 1e-30 * abs(a1)
 
     def test_matches_independent_series_implementation(self):
-        mp.dps = 60
         for nu, u in ((0.0, 1.0), (3.5 + 14.1347j, 10.0), (2.0 + 3.0j, 7.0)):
-            ref = complex(mpmath.besselj(mp.mpc(nu), mp.mpf(u)))
-            live = bessel_j_sonine(nu, u, prec_bits=200)
-            assert abs(live - ref) <= 1e-14 * abs(ref)
-            assert abs(live - bessel_j(nu, u)) <= 1e-12 * abs(live)
+            with mp.workdps(60):
+                ref = complex(mpmath.besselj(mp.mpc(nu), mp.mpf(u)))
+                live = bessel_j_sonine(nu, u, prec_bits=200)
+                assert abs(live - ref) <= 1e-14 * abs(ref)
+                assert abs(live - bessel_j(nu, u)) <= 1e-12 * abs(live)
 
 
 class TestLaplaceLineIntegral:
