@@ -351,8 +351,11 @@ def _build_parser() -> _Parser:
     be = sub.add_parser(
         "bessel", help="single Bessel evaluation (debugging)",
         description="Evaluate J_nu(u) on the path the package takes, chosen from u "
-        "and nu alone (see linnik.specfun), and print the value with that "
-        "path's strategy, working bits, terms summed and error estimate.",
+        "and nu alone (see linnik.specfun): the fixed-point Hankel kernel "
+        "(strategy=hankel) when u >= max(300, 1.5 |nu|) and it certifies the "
+        "value, the power series (strategy=series) otherwise. Print the value "
+        "with that path's strategy, working bits, terms summed and error "
+        "estimate.",
     )
     be.add_argument("--nu-re", dest="nu_re", type=float, required=True)
     be.add_argument("--nu-im", dest="nu_im", type=float, default=0.0)

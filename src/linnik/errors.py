@@ -32,8 +32,10 @@ class PrecisionError(LinnikError, ArithmeticError):
     Attributes:
         strategy: evaluation strategy that was attempted
         achieved: error estimate that the strategy could certify
-        requested: tolerance the strategy had to meet: the quadrature's
-            abs_tol, or specfun's fixed relative target 1e-10 on a Bessel path
+        requested: tolerance asked of the strategy: the quadrature's abs_tol,
+            or on a Bessel path ("hankel" or "series") specfun's relative
+            target 1e-10, which a value either path returns meets with a
+            wide margin
     """
 
     def __init__(self, message, strategy=None, achieved=None, requested=None):

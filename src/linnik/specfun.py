@@ -1,28 +1,26 @@
 """Complex log-gamma (mpmath.loggamma at 80 bits, memoized per argument),
-Bessel J of complex order, and Laplace line integrals.
+Bessel J of real or complex order, and Laplace line integrals.
 
 The Bessel evaluator is the numerical core of the analytic main terms: orders
-are k + c + rho with rho a zeta zero (so imaginary parts up to a few hundred)
-and arguments u = 2 pi sqrt(lattice) sqrt(N) run into the thousands. Each
-call takes one of four paths, chosen from (u, nu) alone:
+are k + c + rho with rho a zeta zero (so imaginary parts up to a few hundred),
+or the real k + 3/2 and k + 2 of the unpaired rows, and arguments
+u = 2 pi sqrt(lattice) sqrt(N) run into the thousands. Each call takes one of
+two paths, chosen from (u, nu) alone:
 
-* the large-argument (Hankel) asymptotic expansion in doubles, when
-  u >= 4 |nu|^2 and its own error estimate certifies a relative error of
-  1e-10;
-* mpmath.besselj at 53 bits, for a real order that expansion refuses (close
-  to a zero of J);
-* for a complex order with u >= max(300, 1.5 |nu|), the same expansion in
-  fixed-point integers: the coefficients a_k(nu) / R^k depend on the order
-  alone and are kept for the last order, so the points of one Bessel block
-  share them, together with the order's phase and scale constants (cos and
-  sin of (Re nu / 2 + 1/4) pi, e^{-pi Im nu}, e^{pi Im nu / 2} / sqrt(2 pi));
-  cos u, sin u and u^-1/2 are kept per u. All of them carry 128 fraction
-  bits (u^-1/2: 128 significant bits), so after its sum a call does only
-  integer products. The error bound covers the tail, the table's rounding
-  and the rounding of every constant and product; a value is returned only
-  when it is certified to 2^-60 and each part of J lies, with its bound,
-  inside the rounding interval of one double, which is then the correctly
-  rounded double of J;
+* for u >= max(300, 1.5 |nu|), the large-argument (Hankel) expansion
+  (DLMF 10.17.3) in fixed-point integers: the coefficients a_k(nu) / R^k
+  depend on the order alone and are kept for the last order, so the points
+  of one Bessel block share them, together with the order's phase and scale
+  constants (cos and sin of (Re nu / 2 + 1/4) pi, e^{-pi Im nu},
+  e^{pi Im nu / 2} / sqrt(2 pi)); cos u, sin u and u^-1/2 are kept per u.
+  All of them carry 128 fraction bits (u^-1/2: 128 significant bits), so
+  after its sum a call does only integer products. The error bound covers
+  the tail (none where the expansion terminates, at a half-integer order),
+  the table's rounding and the rounding of every constant and product; a
+  value is returned only when it is certified to 2^-60 and each part of J
+  lies, with its bound, inside the rounding interval of one double, which is
+  then the correctly rounded double of J (a real order's imaginary part is
+  exactly 0);
 * otherwise, and for whatever the fixed-point kernel cannot certify, the
   power series (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed by
   mpmath.hyper in fixed-point integers at 80 bits plus guard bits: the
@@ -35,7 +33,7 @@ line, bessel_j_sonine, is kept as an independent cross-check oracle.
 
 Every path returns an error estimate and never returns a value it cannot
 certify: the fixed-point kernel hands such a call to the series, and the
-other paths raise PrecisionError.
+series raises PrecisionError.
 """
 
 import cmath
@@ -60,8 +58,8 @@ __all__ = [
 ]
 
 
-# The relative error the Hankel expansion must certify, and the relative
-# accuracy the Laplace line integral asks of its quadrature.
+# The relative accuracy the Laplace line integral asks of its quadrature, and
+# the one a Bessel path reports as requested when it raises PrecisionError.
 _REL_TOL = 1e-10
 
 
@@ -132,8 +130,8 @@ def gamma_ratio(rho, offset) -> complex:
 # ---------------------------------------------------------------------------
 
 # mpmath adds guard bits until it has accounted for the cancellation, so a
-# result of its rounded to a double is claimed to a couple of ulps relative.
-_MPMATH_REL_ERR = 4.0 * 2.0**-53
+# series value rounded to a double is claimed to a couple of ulps relative.
+_SERIES_REL_ERR = 4.0 * 2.0**-53
 
 
 def _range_error(nu: complex, u: float, strategy: str) -> PrecisionError:
@@ -178,84 +176,23 @@ def _bessel_series(nu: complex, u: float) -> BesselEval:
     _require_finite(value, nu, u, "series")
     if nu.imag == 0.0:
         value = complex(value.real, 0.0)
-    return BesselEval(value, "series", _LG_PREC, 0, _MPMATH_REL_ERR)
+    return BesselEval(value, "series", _LG_PREC, 0, _SERIES_REL_ERR)
 
 
 # ---------------------------------------------------------------------------
-# Bessel J: Hankel asymptotic expansion
+# Bessel J: Hankel expansion in fixed point
 # ---------------------------------------------------------------------------
 
-_ASYMP_MIN_U = 25.0
-
-
-def _bessel_asymptotic(nu: complex, u: float) -> BesselEval:
-    """Large-argument expansion sqrt(2/(pi u)) (P cos chi - Q sin chi)."""
-    if math.pi * abs(nu.imag) / 2.0 > 700.0:
-        raise PrecisionError(
-            "cos/sin of chi would overflow double range",
-            strategy="asymptotic",
-            requested=_REL_TOL,
-        )
-    nu2 = 4.0 * nu * nu
-    c = 1.0 + 0.0j
-    p_sum = 1.0 + 0.0j
-    q_sum = 0.0 + 0.0j
-    min_mag = math.inf
-    prev_mag = math.inf
-    terms = 0
-    for m in range(1, 60):
-        c = c * (nu2 - (2 * m - 1) ** 2) / (8.0 * u * m)
-        mag = abs(c)
-        if mag >= prev_mag and m > 2:
-            break  # divergence onset; truncate at the smallest term
-        sign = -1.0 if (m // 2) % 2 else 1.0
-        if m % 2:
-            q_sum += sign * c
-        else:
-            p_sum += sign * c
-        terms = m
-        min_mag = min(min_mag, mag)
-        prev_mag = mag
-        if mag < 1e-20:
-            break
-    chi = u - (0.5 * nu + 0.25) * math.pi
-    cos_chi = cmath.cos(chi)
-    sin_chi = cmath.sin(chi)
-    scale = math.sqrt(2.0 / (math.pi * u))
-    value = scale * (p_sum * cos_chi - q_sum * sin_chi)
-    mag_ref = abs(value)
-    trig_mag = max(abs(cos_chi), abs(sin_chi))
-    # last factor: trig argument reduction costs ~|Re chi| ulps near a zero
-    err_abs = scale * trig_mag * (
-        min_mag
-        + 30.0 * 2.2e-16 * (abs(p_sum) + abs(q_sum))
-        + (abs(chi.real) + 2.0) * 2.2e-16
-    )
-    err_rel = err_abs / mag_ref if mag_ref > 0 else math.inf
-    if err_rel > _REL_TOL:
-        raise PrecisionError(
-            "asymptotic expansion could not certify target tolerance",
-            strategy="asymptotic",
-            achieved=err_rel,
-            requested=_REL_TOL,
-        )
-    if nu.imag == 0.0:
-        value = complex(value.real, 0.0)
-    return BesselEval(value, "asymptotic", 53, terms, err_rel)
-
-
-# ---------------------------------------------------------------------------
-# Bessel J: Hankel expansion in fixed point (complex orders)
-# ---------------------------------------------------------------------------
-
-# Auto sends a complex order to _bessel_hankel once u >= max(300, 1.5 |nu|).
-# Measured on the complex-order calls of the containment and grid_scan
-# workloads (2-vCPU Xeon VM): every call there with u >= 1.5 |nu| is
-# certified (at gamma ~ 236 the smallest term at u = 1.5 |nu| is just under
-# the certificate; at 1.45 |nu| it is not), in a median 0.2-1.0 ms a call
-# against 1.2-3.3 ms for mpmath.besselj and 2.4-18 ms for the series. The
-# floor stays at 300 because the series calls at u = 281 below it are the
-# ones perfbench/test_repeat.py counts.
+# Auto sends an order, real or complex, to _bessel_hankel once
+# u >= max(300, 1.5 |nu|). Measured on the calls of the containment and
+# grid_scan workloads (2-vCPU Xeon VM): every complex-order call there with
+# u >= 1.5 |nu| is certified (at gamma ~ 236 the smallest term at
+# u = 1.5 |nu| is just under the certificate; at 1.45 |nu| it is not), in a
+# median 0.2-1.0 ms a call against 1.2-3.3 ms for mpmath.besselj and
+# 2.4-18 ms for the series; so is every real-order call of those and of
+# large_n (u from 300 to 16860), in about 0.2 ms on a cold table. The floor
+# stays at 300 because the series calls at u = 281 below it are the ones
+# perfbench/test_repeat.py counts.
 _HANKEL_MIN_U = 300.0
 _HANKEL_NU_RATIO = 1.5
 # A value is certified to 2^-60 relative; the sum runs on until a term falls
@@ -277,14 +214,17 @@ def _to_fixed(x, bits: int) -> int:
 
 
 class _HankelTable:
-    """The Hankel coefficients of one order nu with Im nu >= 0, in fixed point.
+    """The Hankel coefficients of one real or complex order nu with
+    Im nu >= 0, in fixed point.
 
     re[k] + i im[k] = i^k a_k(nu) / R^k at wp fraction bits, with
     a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k) and R = max(300, 1.5 |nu|),
     the smallest u the kernel takes, so the terms at any u >= R are these
     times (R/u)^k. wp = 60 + log2(largest term at R) + 30. The list is
     extended as far as a call needs it and ends where the terms at R start
-    to grow again or vanish at wp bits. cos phi, sin phi
+    to grow again or vanish at wp bits, or where a factor 4 nu^2 - (2k-1)^2
+    is exactly 0 (a half-integer order): then the expansion terminates and
+    `terminates` is set, since every later coefficient is 0. cos phi, sin phi
     (phi = (Re nu / 2 + 1/4) pi), f = e^{-pi Im nu} and
     g = e^{pi Im nu / 2} / sqrt(2 pi) are integers at 128 fraction bits.
     Every entry is a function of nu alone.
@@ -312,7 +252,7 @@ class _HankelTable:
             (8 * an * bn * ad * bd << wp) // den,
         )
         self.re, self.im = [1 << wp], [0]
-        self.ended = False
+        self.ended = self.terminates = False
         fb = _HANKEL_FIX_BITS
         with mp.workprec(fb + _HANKEL_MP_GUARD + max(0, math.frexp(nu.real)[1])):
             cos_phi, sin_phi = mp.cos_sin((mp.mpf(nu.real) / 2 + mp.mpf(0.25)) * mp.pi)
@@ -333,6 +273,11 @@ class _HankelTable:
         wp = self.wp
         dr, di = self.re[-1], self.im[-1]
         wr, wi = self.c4[0] - ((2 * k - 1) ** 2 << wp), self.c4[1]
+        # 0 only at a half-integer order: 4 nu^2 of any other double is not
+        # within 2^-wp of an odd square
+        if wr == wi == 0:
+            self.ended = self.terminates = True
+            return False
         rn, rd = self.R_ratio
         q = 8 * k * rn
         x, y = dr * wr - di * wi, dr * wi + di * wr
@@ -381,11 +326,13 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
     integer products: e^{i Re w} = e^{iu} e^{-i phi} from the cached cos and
     sin of u and phi, x = e^{i Re w} H+ + f e^{-i Re w} H-, and
     J = x g u^-1/2. The error bound adds the rounding of every fixed-point
-    constant and product to the tail and the table's rounding, so each part
-    of a returned value is the correctly rounded double of J. Returns None
-    when the value cannot be certified: no term falls below 2^-60 of the sum
-    before the terms grow again, the halves cancel, or a part of J is too
-    close to half-way between two doubles; the caller then takes the series.
+    constant and product to the tail (none once a terminating expansion is
+    summed in full) and the table's rounding, so each part of a returned
+    value is the correctly rounded double of J; for a real order J is real,
+    and its imaginary part is exactly 0. Returns None when the value cannot
+    be certified: no term falls below 2^-60 of the sum before the terms grow
+    again, the halves cancel, or a part of J is too close to half-way between
+    two doubles; the caller then takes the series.
     """
     if nu.imag < 0.0:  # J of the conjugate order is the conjugate
         d = _bessel_hankel(nu.conjugate(), u)
@@ -433,7 +380,8 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
     hpr, hpi, hmr, hmi = er + odr, ei + odi, er - odr, ei - odi
     xr = c * hpr - s * hpi + fc * hmr + fs * hmi  # fb + wp fraction bits
     xi = c * hpi + s * hpr + fc * hmi - fs * hmr
-    # Error of x in units of 2^-(fb + wp). The last term bounds the tail.
+    # Error of x in units of 2^-(fb + wp). The last term bounds the tail,
+    # which is 0 when the table terminates and every entry was summed.
     # Coefficient k carries < 3k top ulps (3 per step, scaled by at most top
     # since the smallest earlier one) and t^k < 2k, so the k terms carry
     # < 5 k^2 top; one more ulp covers terms past the table's resolution.
@@ -441,7 +389,8 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
     # unit, so c and s are within 6 units and f c, f s within 9: in modulus
     # c + i s is within 9 and f (c - i s) within 13, which adds 9 |H+| +
     # 13 |H-| (|H| <= |re| + |im|).
-    err = (m + 5 * k * k * table.top + 1) * ((1 << fb) + f + 1) + 13 * (
+    tail = 0 if table.terminates and k + 1 == len(re) else m
+    err = (tail + 5 * k * k * table.top + 1) * ((1 << fb) + f + 1) + 13 * (
         abs(hpr) + abs(hpi) + abs(hmr) + abs(hmi)
     )
     if (err << _HANKEL_CERT_BITS) ** 2 > xr * xr + xi * xi:
@@ -458,7 +407,10 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
         # int / int rounds correctly, so each part of J is certified when
         # both ends of its interval round to the same double
         lo_r, hi_r = (vr - bound) / den, (vr + bound) / den
-        lo_i, hi_i = (vi - bound) / den, (vi + bound) / den
+        if nu.imag == 0.0:  # J is real
+            lo_i = hi_i = 0.0
+        else:
+            lo_i, hi_i = (vi - bound) / den, (vi + bound) / den
     except OverflowError:
         raise _range_error(nu, u, "hankel") from None
     if lo_r != hi_r or lo_i != hi_i:
@@ -466,21 +418,6 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
     # |x| >= size / sqrt 2
     err_rel = 3 * err / (2 * size) + 2.0**-53
     return BesselEval(complex(lo_r, lo_i), "hankel", wp, k, err_rel)
-
-
-def _bessel_mpmath(nu: complex, u: float) -> BesselEval:
-    """J_nu(u) from mpmath.besselj at 53 bits, for a real order."""
-    try:
-        with mp.workprec(53):
-            value = complex(mp.besselj(nu.real, u))
-    except NoConvergence as exc:
-        raise PrecisionError(
-            f"mpmath besselj did not converge: {exc}",
-            strategy="mpmath",
-            requested=_REL_TOL,
-        ) from exc
-    _require_finite(value, nu, u, "mpmath")
-    return BesselEval(value, "mpmath", 53, 0, _MPMATH_REL_ERR)
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +486,9 @@ def bessel_j_detailed(nu, u: float) -> BesselEval:
             return BesselEval(0.0 + 0.0j, "exact", 53, 0, 0.0)
         raise DomainError(f"J_nu(0) undefined for Re(nu) <= 0 (nu = {nu})")
 
-    # the double-precision Hankel expansion when clearly in its regime and
-    # certified; a real order it refuses sits near a zero of J, where the
-    # series needs repeated higher-precision passes and mpmath.besselj its
-    # own asymptotic form. A complex order with u >= max(300, 1.5 |nu|) goes
-    # to the fixed-point Hankel kernel; what it cannot certify, and
-    # everything below that line, goes to the series.
-    if u >= _ASYMP_MIN_U and u >= 4.0 * abs(nu) ** 2:
-        try:
-            return _bessel_asymptotic(nu, u)
-        except PrecisionError:
-            if nu.imag == 0.0:
-                return _bessel_mpmath(nu, u)
-    if nu.imag != 0.0 and u >= max(_HANKEL_MIN_U, _HANKEL_NU_RATIO * abs(nu)):
+    # the fixed-point Hankel kernel past its line, and the series for the
+    # rest and for whatever the kernel cannot certify
+    if u >= max(_HANKEL_MIN_U, _HANKEL_NU_RATIO * abs(nu)):
         d = _bessel_hankel(nu, u)
         if d is not None:
             return d

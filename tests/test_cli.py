@@ -201,6 +201,12 @@ class TestBesselCommand:
         out = capsys.readouterr().out
         assert "strategy=hankel bits=94 terms=26" in out
 
+    def test_real_order_past_the_kernel_line(self, capsys):
+        assert run(["bessel", "--nu-re", "4", "--u", "1405"]) == 0
+        out = capsys.readouterr().out
+        assert "J(4+0i, 1405) = -0.021231720412482707 + 0i" in out
+        assert "strategy=hankel bits=90 terms=9" in out
+
     def test_usage_error_exit_code(self):
         assert run(["bessel", "--u", "10"]) == 1
         # the path is chosen from (u, |nu|) alone; there is no override

@@ -1,7 +1,6 @@
 """Bit-identity gate: M1-M4, every component and every tail bound, and the
-Bessel values of the series strategy and of the auto path where it takes the
-series or the fixed-point Hankel kernel, against the float.hex values in
-frozen_values.py.
+Bessel values of the series strategy and of the auto path (the series or the
+fixed-point Hankel kernel), against the float.hex values in frozen_values.py.
 
 A refactor that claims to keep the main terms bit-identical must pass this
 unchanged; a change that moves a value updates the entry it moves and
@@ -57,18 +56,13 @@ def test_series_points(nu, u, re, im):
     d = _bessel_series(complex(nu), u)
     assert d.strategy == "series"
     assert (d.value.real.hex(), d.value.imag.hex()) == (re, im)
-    # the auto path gives the same bits through either of its exact paths
+    # the auto path gives the same bits through either of its paths
     a = bessel_j_detailed(nu, u)
-    if a.strategy in ("series", "hankel"):
-        assert (a.value.real.hex(), a.value.imag.hex()) == (re, im)
+    assert (a.value.real.hex(), a.value.imag.hex()) == (re, im)
 
 
 def test_auto_sends_points_past_the_crossover_to_the_hankel_kernel():
-    # 18 points have u >= max(300, 1.5 |nu|) and are not taken by the double
-    # Hankel expansion, which takes two (u >= 4 |nu|^2); five stay on the
-    # series
+    # 20 points have u >= max(300, 1.5 |nu|); five stay on the series
     routed = [(u, bessel_j_detailed(nu, u).strategy) for nu, u, _, _ in FROZEN_SERIES]
-    assert Counter(strategy for _, strategy in routed) == {
-        "hankel": 18, "series": 5, "asymptotic": 2,
-    }
+    assert Counter(strategy for _, strategy in routed) == {"hankel": 20, "series": 5}
     assert (12000.0, "hankel") in routed

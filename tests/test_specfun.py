@@ -9,7 +9,6 @@ from mpmath.libmp import NoConvergence
 from linnik.errors import DomainError, PoleError, PrecisionError
 from linnik import specfun
 from linnik.specfun import (
-    _bessel_asymptotic,
     _bessel_hankel,
     _bessel_series,
     bessel_j,
@@ -127,7 +126,8 @@ class TestBesselJ:
                 assert abs(a + b - (2.0 * nu / u) * c) <= 1e-9 * scale
 
     def test_real_order_gives_exactly_real_values(self):
-        for u in (0.3, 7.0, 40.0):
+        # the series below the kernel's line and the kernel past it
+        for u in (0.3, 7.0, 40.0, 1000.0):
             assert bessel_j(1.75, u).imag == 0.0
 
     def test_conjugate_symmetry(self):
@@ -137,62 +137,30 @@ class TestBesselJ:
                 b = bessel_j(nu.conjugate(), u)
                 assert abs(b - a.conjugate()) <= 1e-12 * abs(a)
 
-    def test_strategy_consistency_in_overlap(self):
-        # where the asymptotic expansion certifies 1e-10, it must agree with
-        # the extended-precision series
-        for nu in (0.0, 1.0, 2.5, 2.0 + 1.0j):
-            for u in (25.0, 40.0, 60.0):
-                s = _bessel_series(complex(nu), u)
-                a = _bessel_asymptotic(complex(nu), u)
-                assert abs(s.value - a.value) <= 1e-10 * max(abs(s.value), 1e-300)
-
-    def test_asymptotic_refuses_outside_regime(self):
-        with pytest.raises(PrecisionError) as exc:
-            _bessel_asymptotic(20.0 + 0.0j, 60.0)
-        assert exc.value.strategy == "asymptotic"
-
-    def test_auto_prefers_asymptotic_when_cheap(self):
-        d = bessel_j_detailed(2.0, 100.0)
-        assert d.strategy == "asymptotic"
+    def test_auto_takes_the_kernel_past_its_line(self):
+        # real orders: the series below u = 300, the fixed-point Hankel
+        # kernel past it, which reports its working bits and terms summed;
+        # at the half-integer order 3.5 the expansion terminates after 3 terms
+        real = [bessel_j_detailed(nu, u) for nu, u in ((2.0, 100.0), (2.0, 1000.0), (3.5, 300.0))]
+        assert [(d.strategy, d.bits, d.terms) for d in real] == [
+            ("series", 80, 0), ("hankel", 90, 9), ("hankel", 90, 3),
+        ]
         d2 = bessel_j_detailed(3.5 + 14.1347j, 100.0)
         assert (d2.strategy, d2.bits, d2.terms, d2.err_estimate) == (
             "series", 80, 0, 4.0 * 2.0**-53
         )
-        # a complex order with u >= max(300, 1.5 |nu|): the fixed-point
-        # Hankel kernel, which reports its working bits and terms summed
+        # complex orders with u >= max(300, 1.5 |nu|), the second at
+        # u = 2.17 |nu|, near the kernel's line
         d3 = bessel_j_detailed(3.5 + 49.77j, 1000.0)
         assert (d3.strategy, d3.bits, d3.terms) == ("hankel", 94, 27)
-        # u = 2.17 |nu|: too close for the double expansion (u < 4 |nu|^2),
-        # inside the kernel's range
         d4 = bessel_j_detailed(3.5 + 236.52j, 512.8)
         assert (d4.strategy, d4.bits, d4.terms) == ("hankel", 205, 244)
-
-    def test_mpmath_failure_is_precision_error(self, monkeypatch):
-        # mpmath.besselj takes only the real orders the double expansion
-        # refuses
-        def refuse(*args, **kwargs):
-            raise NoConvergence("refused")
-
-        monkeypatch.setattr(mp, "besselj", refuse)
-        with pytest.raises(PrecisionError) as exc:
-            bessel_j_detailed(4.0, 3137.6632053307817)
-        assert exc.value.strategy == "mpmath"
 
     def test_hankel_overflow_is_precision_error(self):
         # |J| ~ e^{pi gamma / 2} passes the double range at gamma = 460
         with pytest.raises(PrecisionError) as exc:
             bessel_j_detailed(2.5 + 460.0j, 5000.0)
         assert exc.value.strategy == "hankel"
-
-    def test_real_order_near_a_zero_goes_to_mpmath(self):
-        # J_4 is -7.5e-7 here, close to a zero: the asymptotic refuses (its
-        # relative estimate is 1.3e-8) and the series would need 6844 bits
-        u = 3137.6632053307817
-        d = bessel_j_detailed(4.0, u)
-        assert (d.strategy, d.bits) == ("mpmath", 53)
-        s = _bessel_series(4.0 + 0.0j, u)
-        assert abs(d.value - s.value) <= 1e-12 * abs(s.value)
-        assert d.value.imag == 0.0
 
     @pytest.mark.parametrize("failure", [NoConvergence, ValueError])
     def test_series_failure_is_precision_error(self, monkeypatch, failure):
@@ -248,9 +216,10 @@ class TestHankelKernel:
 
     def test_refusal_falls_back_to_the_series(self, monkeypatch):
         monkeypatch.setattr(specfun, "_bessel_hankel", lambda nu, u: None)
-        d = bessel_j_detailed(3.5 + 49.77j, 1000.0)
-        assert d.strategy == "series"
-        assert _hex(d.value) == _hex(_bessel_series(3.5 + 49.77j, 1000.0).value)
+        for nu, u in ((3.5 + 49.77j, 1000.0), (4.0 + 0.0j, 1405.0)):
+            d = bessel_j_detailed(nu, u)
+            assert d.strategy == "series"
+            assert _hex(d.value) == _hex(_bessel_series(nu, u).value)
 
     def test_values_do_not_depend_on_call_order(self, monkeypatch):
         # the table holds one order; switching orders rebuilds it
@@ -319,9 +288,13 @@ class TestHankelKernel:
     def test_certified_values_are_correctly_rounded(self, zeros100):
         # workload-like points: orders k + c + rho and their conjugates at
         # u = 2 pi sqrt(lam N), N from 500 to 8000, and at the kernel's edge
-        # u = max(300, 1.5 |nu|); the oracle is mpmath.besselj at 300 bits,
-        # rounded per part
-        points = []
+        # u = max(300, 1.5 |nu|); the real orders k + 2 and k + 3/2 (3.5 and
+        # 4.5 terminate) at u from 300 to about 17000, and J_4 near a zero
+        # (-7.5e-7); the oracle is mpmath.besselj at 300 bits, rounded per part
+        points = [(4.0 + 0.0j, 3137.6632053307817)]
+        for nu in (4.0, 3.5, 4.5, 0.5, 3.7):
+            for lam, N in ((2, 2000.0), (3, 50000.0), (36, 200000.0)):
+                points.append((complex(nu), 2.0 * math.pi * math.sqrt(lam * N)))
         for i, n in enumerate((1, 4, 9, 17, 26, 38, 50, 63, 77, 88, 95, 100)):
             rho = zeros100.zeros[n - 1].rho
             k = (1.7, 2.0, 2.5)[i % 3]
@@ -333,7 +306,7 @@ class TestHankelKernel:
                     points.append((nu if i % 2 else nu.conjugate(), u))
             nu = complex(k + 1.0, 0.0) + rho
             points.append((nu, max(300.0, 1.5 * abs(nu))))
-        assert len(points) >= 30
+        assert len(points) >= 45
         for nu, u in points:
             d = _bessel_hankel(nu, u)
             assert d is not None, (nu, u)
