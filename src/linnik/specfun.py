@@ -9,10 +9,11 @@ two paths, chosen from (u, nu) alone:
 
 * for u >= max(300, 1.5 |nu|), the large-argument (Hankel) expansion
   (DLMF 10.17.3) in fixed-point integers: the coefficients a_k(nu) / R^k
-  depend on the order alone and are kept for the last order, so the points
-  of one Bessel block share them, together with the order's phase and scale
-  constants (cos and sin of (Re nu / 2 + 1/4) pi, e^{-pi Im nu},
-  e^{pi Im nu / 2} / sqrt(2 pi)); cos u, sin u and u^-1/2 are kept per u.
+  depend on the order alone and are kept per order for the whole run (up to
+  a cap), so the points of every block and evaluate that take an order
+  share them, together with the order's phase and scale constants (cos
+  and sin of (Re nu / 2 + 1/4) pi, e^{-pi Im nu}, e^{pi Im nu / 2} /
+  sqrt(2 pi)); cos u, sin u and u^-1/2 are kept per u.
   All of them carry 128 fraction bits (u^-1/2: 128 significant bits), so
   after its sum a call does only integer products. The error bound covers
   the tail (none where the expansion terminates, at a half-integer order),
@@ -81,6 +82,9 @@ _LG_PREC = 80  # bits; log Gamma can reach ~10^3, so doubles alone would cap
 # evaluate. The memo hands back the same mpc, so no value changes.
 _LG_CACHE: dict = {}
 _LG_CACHE_MAX = 20000
+# gamma_ratio per (rho, offset): m2 asks for the same ratios at every N of a
+# scan and in every doubled evaluate (600 calls for 150 ratios on grid_scan)
+_GR_CACHE: dict = {}
 
 
 def _loggamma_mp(s: complex):
@@ -114,15 +118,23 @@ def gamma_ratio(rho, offset) -> complex:
 
     The subtraction of the two log-gamma values and the exponential run at
     extended precision, so the ratio keeps full double accuracy even when the
-    separate gamma values would over- or underflow.
+    separate gamma values would over- or underflow. Memoized per
+    (rho, offset); a pole raises before the memo is written.
     """
     rho = complex(rho)
     off = complex(offset)
+    key = (rho, off)
+    hit = _GR_CACHE.get(key)
+    if hit is not None:
+        return hit
     for arg in (rho, rho + off):
         if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
             raise PoleError(int(arg.real))
     with mp.workprec(_LG_PREC):
-        return complex(mp.exp(_loggamma_mp(rho) - _loggamma_mp(rho + off)))
+        hit = complex(mp.exp(_loggamma_mp(rho) - _loggamma_mp(rho + off)))
+    if len(_GR_CACHE) < _LG_CACHE_MAX:
+        _GR_CACHE[key] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +302,20 @@ class _HankelTable:
         return True
 
 
-# the table of the last order; its entries depend on nu alone, so sharing it
-# between callers cannot change a value
-_HANKEL_TABLE: list = [None]
+# The tables, one per order (Im nu >= 0). A table's entries depend on nu
+# alone, so keeping it for the whole run cannot change a value. M3's "zeros"
+# row and M4's block3 take the same orders k + 1 + rho, and every N of a scan
+# and every doubled cutoff takes them again; a single slot would rebuild a
+# table at each change of order (612 builds for the 102 orders of grid_scan,
+# 456 for the 202 of containment). Extended as far as the workloads need,
+# a table holds 1-52 KiB, 8-13 KiB at the median: all 202 of containment's
+# hold 3.3 MiB, which raised its peak RSS by 9 %, so the dict stops at
+# _HANKEL_TABLES_MAX orders (1.3 MiB there). When it is full, popitem()
+# drops the table added last (LIFO): the first orders, the 2 Z + 2 of one k
+# that every evaluate reuses, stay, while an order past the cap is rebuilt
+# on each switch, as with a single slot.
+_HANKEL_TABLES: dict = {}
+_HANKEL_TABLES_MAX = 128
 
 # per argument u: (cos u, sin u) at 128 fraction bits and u^-1/2 with its
 # fraction bits, 128 + e/2 + 1 for u in [2^(e-1), 2^e); the points of one
@@ -339,9 +362,11 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
         if d is None:
             return None
         return replace(d, value=d.value.conjugate())
-    table = _HANKEL_TABLE[0]
-    if table is None or table.nu != nu:
-        table = _HANKEL_TABLE[0] = _HankelTable(nu)
+    table = _HANKEL_TABLES.get(nu)
+    if table is None:
+        if len(_HANKEL_TABLES) >= _HANKEL_TABLES_MAX:
+            _HANKEL_TABLES.popitem()
+        table = _HANKEL_TABLES[nu] = _HankelTable(nu)
     wp, re, im = table.wp, table.re, table.im
     rn, rd = table.R_ratio
     un, ud = u.as_integer_ratio()

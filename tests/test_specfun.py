@@ -8,6 +8,8 @@ from mpmath.libmp import NoConvergence
 
 from linnik.errors import DomainError, PoleError, PrecisionError
 from linnik import specfun
+from linnik.arithmetic import CesaroParams
+from linnik.formula import TruncationSpec, evaluate
 from linnik.specfun import (
     _bessel_hankel,
     _bessel_series,
@@ -83,7 +85,11 @@ class TestGammaRatio:
     def test_frozen_high_precision_quotient(self):
         rho = 0.5 + 14.134725141734695j
         ref = 2.0176946126705693e-05 + 1.2618431027766718e-05j
-        assert gamma_ratio(rho, 4.0) == pytest.approx(ref, rel=5e-13)
+        first = gamma_ratio(rho, 4.0)
+        assert first == pytest.approx(ref, rel=5e-13)
+        # memoized per (rho, offset): a repeated call gives the same double
+        assert gamma_ratio(rho, 4.0) == first
+        assert gamma_ratio(complex(rho), 4.0 + 0j) == first
 
     def test_bounded_by_one_on_zero_grid(self, zeros100):
         for zero in zeros100.zeros[:20]:
@@ -91,8 +97,14 @@ class TestGammaRatio:
                 assert abs(gamma_ratio(zero.rho, off)) <= 1.0
 
     def test_pole_error(self):
-        with pytest.raises(PoleError):
-            gamma_ratio(-2.0, 1.0)
+        # after a memo hit, and on a repeat: a pole raises before the memo is
+        # written, so it is never stored
+        assert gamma_ratio(1.0, 2.0) == gamma_ratio(1.0, 2.0)
+        for _ in range(2):
+            with pytest.raises(PoleError):
+                gamma_ratio(-2.0, 1.0)
+            with pytest.raises(PoleError):
+                gamma_ratio(0.5, -2.5)
 
 
 class TestBesselJ:
@@ -207,7 +219,8 @@ class TestHankelKernel:
         nu = 3.5 + 236.5242296658162j
         assert _bessel_hankel(nu, 1.5 * abs(nu)) is not None
         monkeypatch.setattr(specfun, "_HANKEL_NU_RATIO", 1.45)
-        monkeypatch.setattr(specfun, "_HANKEL_TABLE", [None])
+        # a table built under the patched ratio must not reach later tests
+        monkeypatch.setattr(specfun, "_HANKEL_TABLES", {})
         u = 1.45 * abs(nu)
         assert _bessel_hankel(nu, u) is None
         d = bessel_j_detailed(nu, u)
@@ -222,7 +235,8 @@ class TestHankelKernel:
             assert _hex(d.value) == _hex(_bessel_series(nu, u).value)
 
     def test_values_do_not_depend_on_call_order(self, monkeypatch):
-        # the table holds one order; switching orders rebuilds it
+        # two orders interleaved: each table is built on its order's first
+        # call and extended by the later ones
         calls = [
             (3.5 + 49.7738324776723j, 400.0),
             (3.0 + 143.11184580762063j, 300.0),
@@ -231,13 +245,13 @@ class TestHankelKernel:
         ]
         runs = []
         for order in (calls, calls[::-1], sorted(calls, key=lambda c: c[1])):
-            monkeypatch.setattr(specfun, "_HANKEL_TABLE", [None])
+            monkeypatch.setattr(specfun, "_HANKEL_TABLES", {})
             runs.append({c: _hex(_bessel_hankel(*c).value) for c in order})
         assert runs[0] == runs[1] == runs[2]
 
     @staticmethod
     def _reset(monkeypatch, warm_u=False):
-        monkeypatch.setattr(specfun, "_HANKEL_TABLE", [None])
+        monkeypatch.setattr(specfun, "_HANKEL_TABLES", {})
         if not warm_u:
             monkeypatch.setattr(specfun, "_HANKEL_U_CACHE", {})
 
@@ -245,8 +259,8 @@ class TestHankelKernel:
         # the passes of one evaluate at N = 2000, k = 2: m3 "zeros" takes
         # k + 1 + rho over lattice roots, then m4 block3 the same orders over
         # m, then block4 k + 1/2 + rho over m; each order and each u recurs
-        # across passes, so the one-slot table is rebuilt and the per-u
-        # constants are reused
+        # across passes, so the tables and the per-u constants are reused,
+        # and with the cap at one order a table is rebuilt on each switch
         sqrt_n = math.sqrt(2000.0)
         lattice = [math.sqrt(lam) for lam in (2, 5, 8, 10, 13)]
         rhos = [z.rho for z in (zeros100.zeros[0], zeros100.zeros[19], zeros100.zeros[49])]
@@ -269,7 +283,50 @@ class TestHankelKernel:
             cold = {c: _hex(_bessel_hankel(*c).value) for c in calls}
         self._reset(monkeypatch, warm_u=True)
         warm = {c: _hex(_bessel_hankel(*c).value) for c in calls[::-1]}
-        assert cold == warm == alone
+        self._reset(monkeypatch, warm_u=True)
+        monkeypatch.setattr(specfun, "_HANKEL_TABLES_MAX", 1)
+        one_slot = {c: _hex(_bessel_hankel(*c).value) for c in calls}
+        assert len(specfun._HANKEL_TABLES) == 1
+        assert cold == warm == one_slot == alone
+
+    @staticmethod
+    def _doubled_run(monkeypatch, zeros100):
+        """evaluate at N = 2000, k = 2, then with each cutoff doubled, on cold
+        Bessel caches; returns the orders whose table was built, in order,
+        the number of tables kept at the end (the dict never shrinks), and
+        m3, m4 of every evaluate."""
+        monkeypatch.setattr(specfun, "_HANKEL_TABLES", {})
+        monkeypatch.setattr(specfun, "_HANKEL_U_CACHE", {})
+        monkeypatch.setattr(specfun, "_BESSEL_CACHE", {})
+        built = []
+        table_class = specfun._HankelTable
+
+        def counting(nu):
+            built.append(nu)
+            return table_class(nu)
+
+        monkeypatch.setattr(specfun, "_HankelTable", counting)
+        params = CesaroParams(N=2000, k=2.0)
+        spec = TruncationSpec(Z=2, L=3, M=3, tol=1.0)
+        values = []
+        for s in (spec, spec.doubled("Z"), spec.doubled("L"), spec.doubled("M")):
+            report = evaluate(params, zeros100, s)
+            values.append((report.m3.hex(), report.m4.hex()))
+        monkeypatch.setattr(specfun, "_HankelTable", table_class)
+        return built, len(specfun._HANKEL_TABLES), values
+
+    def test_each_order_is_built_once(self, zeros100, monkeypatch):
+        # m3 "zeros" and m4 block3 share the orders k + 1 + rho, and each
+        # doubled cutoff takes them again: one table per order serves them all
+        built, _, values = self._doubled_run(monkeypatch, zeros100)
+        assert len(built) >= 8
+        assert len(built) == len(set(built))
+        # past the cap, tables are dropped and rebuilt; no value moves
+        monkeypatch.setattr(specfun, "_HANKEL_TABLES_MAX", 3)
+        rebuilt, kept, capped = self._doubled_run(monkeypatch, zeros100)
+        assert kept <= 3
+        assert len(rebuilt) > len(built)
+        assert capped == values
 
     def test_huge_argument_is_refused_or_correctly_rounded(self):
         # past u = 2^64 the phase must still be right to 2^-128 absolute: a
