@@ -23,10 +23,13 @@ two paths, chosen from (u, nu) alone:
   then the correctly rounded double of J (a real order's imaginary part is
   exactly 0);
 * otherwise, and for whatever the fixed-point kernel cannot certify, the
-  power series (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed by
-  mpmath.hyper in fixed-point integers at 80 bits plus guard bits: the
-  e^u-sized terms are held exactly, so the alternating series loses only
-  the bits by which its sum falls below its first term.
+  power series (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed in one
+  integer loop at 80 bits plus guard bits: u and nu are the exact ratios of
+  their doubles, so each step multiplies by an exact rational with small
+  numerator and denominator, and the e^u-sized terms are held exactly, so
+  the alternating series loses only the bits by which its sum falls below
+  its first term. The prefactor is exp(nu log(u/2) - log Gamma(nu+1)),
+  with log Gamma from the same memo as gamma_ratio.
 
 Direct quadrature of the contour-integral representation
 (u/2)^nu / (2 pi i) * int e^s s^{-nu-1} e^{-u^2/(4 s)} ds over a vertical
@@ -43,7 +46,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from mpmath import mp
-from mpmath.libmp import NoConvergence
 
 from .errors import DomainError, PoleError, PrecisionError
 from .quadrature import adaptive_gauss_kronrod
@@ -79,7 +81,9 @@ _LG_PREC = 80  # bits; log Gamma can reach ~10^3, so doubles alone would cap
 
 # mp.loggamma at 80 bits per argument: m2 takes log Gamma(rho) in every
 # gamma_ratio and each paired Bessel row again, at the same zeros on every
-# evaluate. The memo hands back the same mpc, so no value changes.
+# evaluate, and the series prefactor takes log Gamma(nu + 1) at the
+# arguments of m2's ratios. The memo hands back the same mpc, so no value
+# changes.
 _LG_CACHE: dict = {}
 _LG_CACHE_MAX = 20000
 # gamma_ratio per (rho, offset): m2 asks for the same ratios at every N of a
@@ -141,9 +145,17 @@ def gamma_ratio(rho, offset) -> complex:
 # Bessel J: power series
 # ---------------------------------------------------------------------------
 
-# mpmath adds guard bits until it has accounted for the cancellation, so a
-# series value rounded to a double is claimed to a couple of ulps relative.
+# The series adds guard bits until it has accounted for the cancellation, so
+# a series value rounded to a double is claimed to a couple of ulps relative.
 _SERIES_REL_ERR = 4.0 * 2.0**-53
+# mpmath's hypsum budget: 50 guard bits on the first pass, a stop at a term
+# below 2^25 units (5 bits lower on each repeat), and at most
+# 1000 p^(1/4) + 4 p guard bits for p = 80 (3310)
+_SERIES_GUARD = 50
+_SERIES_STOP_BITS = 25
+_SERIES_MAX_GUARD = int(1000 * _LG_PREC**0.25 + 4 * _LG_PREC)
+# the sum runs to ~e u / 2 terms; it is cut at 8 (u + 100)
+_SERIES_TERMS_PER_U = 8
 
 
 def _range_error(nu: complex, u: float, strategy: str) -> PrecisionError:
@@ -159,36 +171,90 @@ def _require_finite(value: complex, nu: complex, u: float, strategy: str):
         raise _range_error(nu, u, strategy)
 
 
-def _bessel_series(nu: complex, u: float) -> BesselEval:
-    """J_nu(u) = (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), summed by mpmath.
+def _series_failure(msg: str) -> PrecisionError:
+    return PrecisionError(
+        f"series did not converge: {msg}", strategy="series", requested=_REL_TOL
+    )
 
-    mp.hyper sums the series in fixed-point integers at 80 bits plus guard
-    bits. The terms grow to ~e^u before they decay, but the integers hold
+
+def _bessel_series(nu: complex, u: float) -> BesselEval:
+    """J_nu(u) = (u/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -u^2/4), in integers.
+
+    The sum runs in fixed point at wp = 80 + guard fraction bits. u and nu are
+    the exact ratios of their doubles, so the step factor
+    -(u/2)^2 / (n (nu + n)) is an exact rational with small numerator and
+    denominator, and a term costs small products and one floor division per
+    part. The terms grow to ~e^u before they decay, but the integers hold
     them exactly and each step rounds at 2^-wp absolute, so the guard bits pay
-    only for the sum's smallness against its first term, -log2 |0F1| (one
-    130-bit pass at nearly every argument the formula makes). The sum runs
-    to ~e u / 2 terms, past mpmath's default cap of 100 per working bit once
-    u passes ~9600, so the cap is 8 (u + 100) terms. -u^2/4 is formed exactly.
+    only for the sum's smallness against its first term, -log2 |0F1|: a pass
+    is accepted while that stays 30 bits inside the guard bits (one 130-bit
+    pass at nearly every argument the formula makes), and is otherwise
+    repeated with twice the guard bits plus 5, as mpmath's hypsum does. Where
+    nu + n comes within 2^-b of 0 the step there magnifies the error by 2^b,
+    so b more guard bits start the sum. The sum stops at a term below
+    2^stop units once n > -Re nu and |step factor| <= 1/2, so the rest is
+    below that term. It runs to ~e u / 2 terms, and is cut at 8 (u + 100).
+    The prefactor is exp(nu log(u/2) - log Gamma(nu+1)) at 80 bits.
+    Reports the working bits of the accepted pass and the index of its last
+    term.
     """
-    maxterms = 8 * math.ceil(u + 100.0)
+    maxterms = _SERIES_TERMS_PER_U * math.ceil(u + 100.0)
+    # nu = (A + B i) / D and (u/2)^2 = P / Q exactly; D is a power of 2
+    (an, ad), (bn, bd) = nu.real.as_integer_ratio(), nu.imag.as_integer_ratio()
+    D = max(ad, bd)
+    A, B = an * (D // ad), bn * (D // bd)
+    un, ud = u.as_integer_ratio()
+    P, Q = un * un * D, 4 * ud * ud
+    g = math.gcd(P, Q)
+    P, Q = P // g, Q // g
+    mP, P4, QQ, BB = -P, 4 * P * P, Q * Q, B * B
+    # the jump where nu + n is nearest 0, for n >= 1 (nu is not a negative integer)
+    m = max(1, round(-nu.real))
+    guard = _SERIES_GUARD + max(0, math.ceil(-math.log2(abs(complex(nu.real + m, nu.imag)))))
+    stop = _SERIES_STOP_BITS
+    while True:
+        if guard > _SERIES_MAX_GUARD:
+            raise _series_failure(f"past {_LG_PREC + _SERIES_MAX_GUARD} bits")
+        wp = _LG_PREC + guard
+        high = 1 << stop
+        sre = tre = 1 << wp
+        sim = tim = 0
+        c, Qn, n, tail = A, 0, 0, False
+        while True:
+            n += 1
+            c += D
+            Qn += Q
+            # t_n = t_{n-1} * -P (c - B i) / (Q n (c^2 + B^2))
+            qn = c * c + BB
+            den = Qn * qn
+            tre, tim = (mP * (tre * c + tim * B)) // den, (P * (tre * B - tim * c)) // den
+            sre += tre
+            sim += tim
+            if not tail:
+                # past -Re nu, and the step factor at n no more than 1/2
+                tail = c > 0 and P4 <= QQ * n * n * qn
+            if tail and -high < tre < high and -high < tim < high:
+                break
+            if n > maxterms:
+                raise _series_failure(f"{maxterms} terms")
+        magn = max(abs(sre).bit_length(), abs(sim).bit_length()) - wp
+        if -magn < guard - 30:
+            break
+        guard = 2 * guard + 5
+        stop += 5
     with mp.workprec(_LG_PREC):
-        nu_m = mp.mpc(nu)
-        b = nu_m + 1
-        q = mp.ldexp(mp.fmul(-u, u, exact=True), -2)
-        try:
-            series_val = mp.hyper([], [b], q, force_series=True, maxterms=maxterms)
-        except (NoConvergence, ValueError) as exc:  # ValueError: past maxprec
-            raise PrecisionError(
-                f"series did not converge: {exc}",
-                strategy="series",
-                requested=_REL_TOL,
-            ) from exc
-        prefac = (mp.mpf(u) / 2) ** nu_m / mp.gamma(b)
+        series_val = mp.mpc(mp.ldexp(sre, -wp), mp.ldexp(sim, -wp))
+        b = nu + 1.0
+        if math.fsum((nu.real, 1.0, -b.real)) == 0.0:  # nu + 1 exact
+            lg = _loggamma_mp(b)
+        else:
+            lg = mp.loggamma(mp.mpc(nu) + 1)
+        prefac = mp.exp(mp.mpc(nu) * mp.log(mp.ldexp(u, -1)) - lg)
         value = complex(prefac * series_val)
     _require_finite(value, nu, u, "series")
     if nu.imag == 0.0:
         value = complex(value.real, 0.0)
-    return BesselEval(value, "series", _LG_PREC, 0, _SERIES_REL_ERR)
+    return BesselEval(value, "series", wp, n, _SERIES_REL_ERR)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +266,11 @@ def _bessel_series(nu: complex, u: float) -> BesselEval:
 # grid_scan workloads (2-vCPU Xeon VM): every complex-order call there with
 # u >= 1.5 |nu| is certified (at gamma ~ 236 the smallest term at
 # u = 1.5 |nu| is just under the certificate; at 1.45 |nu| it is not), in a
-# median 0.2-1.0 ms a call against 1.2-3.3 ms for mpmath.besselj and
-# 2.4-18 ms for the series; so is every real-order call of those and of
-# large_n (u from 300 to 16860), in about 0.2 ms on a cold table. The floor
-# stays at 300 because the series calls at u = 281 below it are the ones
+# median 0.2-1.0 ms a call against 1.2-3.3 ms for mpmath.besselj and, for
+# the series, about 0.8 ms at u = 281, 10 ms at u = 1200 and 33 ms at
+# u = 2400; so is every real-order call of those and of large_n (u from
+# 300 to 16860), in about 0.2 ms on a cold table. The floor stays at 300
+# because the series calls at u = 281 below it are the ones
 # perfbench/test_repeat.py counts.
 _HANKEL_MIN_U = 300.0
 _HANKEL_NU_RATIO = 1.5

@@ -194,7 +194,7 @@ class TestBesselCommand:
             "bessel", "--nu-re", "3.5", "--nu-im", "14.1347", "--u", "10",
         ]) == 0
         out = capsys.readouterr().out
-        assert "strategy=series bits=80 terms=0" in out
+        assert "strategy=series bits=130 terms=30" in out
 
     def test_auto_past_the_series_crossover(self, capsys):
         assert run(["bessel", "--nu-re", "3", "--nu-im", "49.77", "--u", "1192.4"]) == 0

@@ -62,7 +62,7 @@ def test_series_points(nu, u, re, im):
 
 
 def test_auto_sends_points_past_the_crossover_to_the_hankel_kernel():
-    # 20 points have u >= max(300, 1.5 |nu|); five stay on the series
+    # 20 points have u >= max(300, 1.5 |nu|); eleven stay on the series
     routed = [(u, bessel_j_detailed(nu, u).strategy) for nu, u, _, _ in FROZEN_SERIES]
-    assert Counter(strategy for _, strategy in routed) == {"hankel": 20, "series": 5}
+    assert Counter(strategy for _, strategy in routed) == {"hankel": 20, "series": 11}
     assert (12000.0, "hankel") in routed

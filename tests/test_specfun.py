@@ -4,7 +4,6 @@ import math
 import mpmath
 import pytest
 from mpmath import mp
-from mpmath.libmp import NoConvergence
 
 from linnik.errors import DomainError, PoleError, PrecisionError
 from linnik import specfun
@@ -151,15 +150,17 @@ class TestBesselJ:
 
     def test_auto_takes_the_kernel_past_its_line(self):
         # real orders: the series below u = 300, the fixed-point Hankel
-        # kernel past it, which reports its working bits and terms summed;
-        # at the half-integer order 3.5 the expansion terminates after 3 terms
+        # kernel past it; each reports its working bits and the index of its
+        # last term. At u = 100 the series makes one 130-bit pass of 162
+        # terms; at the half-integer order 3.5 the expansion terminates
+        # after 3 terms
         real = [bessel_j_detailed(nu, u) for nu, u in ((2.0, 100.0), (2.0, 1000.0), (3.5, 300.0))]
         assert [(d.strategy, d.bits, d.terms) for d in real] == [
-            ("series", 80, 0), ("hankel", 90, 9), ("hankel", 90, 3),
+            ("series", 130, 162), ("hankel", 90, 9), ("hankel", 90, 3),
         ]
         d2 = bessel_j_detailed(3.5 + 14.1347j, 100.0)
         assert (d2.strategy, d2.bits, d2.terms, d2.err_estimate) == (
-            "series", 80, 0, 4.0 * 2.0**-53
+            "series", 130, 154, 4.0 * 2.0**-53
         )
         # complex orders with u >= max(300, 1.5 |nu|), the second at
         # u = 2.17 |nu|, near the kernel's line
@@ -174,16 +175,45 @@ class TestBesselJ:
             bessel_j_detailed(2.5 + 460.0j, 5000.0)
         assert exc.value.strategy == "hankel"
 
-    @pytest.mark.parametrize("failure", [NoConvergence, ValueError])
-    def test_series_failure_is_precision_error(self, monkeypatch, failure):
-        # mpmath raises NoConvergence past maxterms and ValueError past maxprec
-        def refuse(*args, **kwargs):
-            raise failure("refused")
-
-        monkeypatch.setattr(mp, "hyper", refuse)
+    @pytest.mark.parametrize(
+        "limit, value",
+        [("_SERIES_TERMS_PER_U", 0.5), ("_SERIES_MAX_GUARD", 40)],
+        ids=["term_cap", "guard_cap"],
+    )
+    def test_series_failure_is_precision_error(self, monkeypatch, limit, value):
+        # at (3.5 + 14.1347i, 100) the series sums 154 terms in one pass at
+        # 50 guard bits; a cap of 100 terms, or of 40 guard bits, stops it
+        monkeypatch.setattr(specfun, limit, value)
         with pytest.raises(PrecisionError) as exc:
             bessel_j_detailed(3.5 + 14.1347j, 100.0)
         assert exc.value.strategy == "series"
+
+    def test_series_overflow_is_precision_error(self):
+        # |J| ~ (u/2)^nu / |Gamma(nu + 1)| passes the double range
+        for nu, u in ((-200.5, 1.0), (-180.5 + 3.0j, 2.0)):
+            with pytest.raises(PrecisionError) as exc:
+                bessel_j_detailed(nu, u)
+            assert exc.value.strategy == "series"
+
+    def test_evaluate_needs_no_mp_hyper(self, zeros100, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mp.hyper called")
+
+        monkeypatch.setattr(mp, "hyper", refuse)
+        monkeypatch.setattr(specfun, "_BESSEL_CACHE", {})
+        series = []
+        detailed = specfun.bessel_j_detailed
+
+        def counting(nu, u):
+            d = detailed(nu, u)
+            series.append(d.strategy == "series")
+            return d
+
+        monkeypatch.setattr(specfun, "bessel_j_detailed", counting)
+        spec = TruncationSpec(Z=2, L=3, M=3, tol=1.0)
+        report = evaluate(CesaroParams(N=2000, k=2.0), zeros100, spec)
+        assert any(series)
+        assert all(math.isfinite(getattr(report, m)) for m in ("m3", "m4"))
 
     def test_negative_u_rejected(self):
         with pytest.raises(DomainError):
@@ -192,6 +222,39 @@ class TestBesselJ:
 
 def _hex(z: complex) -> tuple:
     return (z.real.hex(), z.imag.hex())
+
+
+class TestBesselSeries:
+    @staticmethod
+    def _within_4_ulps(nu, u):
+        got = _bessel_series(complex(nu), u)
+        with mp.workprec(300):
+            ref = complex(mpmath.besselj(mp.mpc(nu), mp.mpf(u)))
+        assert abs(got.value - ref) <= 4.0 * 2.0**-53 * abs(ref), (nu, u)
+        return got
+
+    def test_matches_mpmath_besselj_at_300_bits(self, zeros100):
+        # real orders, the half-integer 3.5, the orders k + c + rho of M3 and
+        # M4 (k = 2) at zeros 1, 50 and 100 and their conjugates, one whose
+        # nu + 1 is no double (3.1 + 1 rounds), and orders where nu + n comes
+        # near 0
+        gammas = zeros100.gammas()
+        paired = [
+            complex(2.0 + c + 0.5, sign * gammas[n - 1])
+            for n in (1, 50, 100) for c in (0.5, 1.0) for sign in (1.0, -1.0)
+        ]
+        orders = [0.0, 0.5, 1.75, 4.0, 3.5] + paired + [complex(3.1, gammas[99])]
+        orders += [-1.5, -2.5 + 1e-3j, -3.9999999]
+        for nu in orders:
+            for u in (1e-3, 0.3, 7.0, 140.5, 281.0):
+                self._within_4_ulps(nu, u)
+
+    def test_guard_bits_for_a_jump(self):
+        # nu + 4 = 2^-150 i: t_3 ~ 2^-111 of the first term, then the step at
+        # n = 4 multiplies by ~2^112, and the sum starts at 150 more guard
+        # bits (without them its first digits are wrong)
+        d = self._within_4_ulps(complex(-4.0, 2.0**-150), 2.0**-17)
+        assert d.bits == 80 + 50 + 150
 
 
 class TestHankelKernel:
