@@ -54,7 +54,7 @@ from . import arithmetic
 from .arithmetic import CesaroParams, fsum_complex
 from .errors import DomainError, PrecisionError
 from .quadrature import adaptive_gauss_kronrod
-from .specfun import bessel_j, gamma_ratio, log_gamma
+from .specfun import bessel_j, gamma_ratio, log_gamma, memo
 from .zeros import _RATIO_SLACK, _SAFETY, ZeroSet, paired_zero_sum, zero_tail_bound
 
 __all__ = [
@@ -149,16 +149,10 @@ class ProbeSeries:
 # Lattice helpers
 # ---------------------------------------------------------------------------
 
-_LATTICE_CACHE: dict = {}
-
-
 def lattice_points(L: int):
     """Ascending [(lam, multiplicity)] for lam = l1^2 + l2^2 <= L^2, l1, l2 >= 1."""
     if L < 0:
         raise DomainError("lattice radius must be >= 0")
-    cached = _LATTICE_CACHE.get(L)
-    if cached is not None:
-        return cached
     counts: dict = {}
     L2 = L * L
     l1 = 1
@@ -170,9 +164,7 @@ def lattice_points(L: int):
             counts[lam] = counts.get(lam, 0) + 1
             l2 += 1
         l1 += 1
-    pts = tuple(sorted(counts.items()))
-    _LATTICE_CACHE[L] = pts
-    return pts
+    return tuple(sorted(counts.items()))
 
 
 def _lattice_tail(L: int, s: float) -> float:
@@ -462,27 +454,13 @@ def override_truncation(
 # Full evaluation
 # ---------------------------------------------------------------------------
 
-_TABLE_CACHE: dict = {}
-# Bytes of (Lambda, r_Q) tables kept across evaluations; a table at N = 10^6
-# takes about 18 MB. Tables past the budget are built and not kept.
-_TABLE_CACHE_BYTES = 64 * 2**20
-
-
-def _table_bytes(tables) -> int:
-    lam, rq = tables
-    return sum(a.nbytes for a in (lam.values, lam.pp_n, lam.pp_p, lam.pp_j, rq.values))
-
-
+# One slot, the last N: every reuse is the same N back to back (each doubled
+# cutoff of an evaluate, a repeated run), and a table at N = 10^6 takes about
+# 18 MB.
+@memo(1)
 def _tables_for(N: int):
-    hit = _TABLE_CACHE.get(N)
-    if hit is None:
-        lam = arithmetic.sieve_von_mangoldt(N)
-        rq = arithmetic.compute_rq(lam, N)
-        hit = (lam, rq)
-        kept = sum(map(_table_bytes, _TABLE_CACHE.values()))
-        if kept + _table_bytes(hit) <= _TABLE_CACHE_BYTES:
-            _TABLE_CACHE[N] = hit
-    return hit
+    lam = arithmetic.sieve_von_mangoldt(N)
+    return lam, arithmetic.compute_rq(lam, N)
 
 
 @contextmanager

@@ -1,5 +1,8 @@
-"""Complex log-gamma (mpmath.loggamma at 80 bits, memoized per argument),
-Bessel J of real or complex order, and Laplace line integrals.
+"""Complex log-gamma (mpmath.loggamma at 80 bits), Bessel J of real or
+complex order, Laplace line integrals, and memo(cap), the package's one
+cache: log Gamma, gamma_ratio, the Hankel tables and per-u constants, J and
+formula's last (Lambda, r_Q) tables each sit in a memo, with hit and miss
+counts.
 
 The Bessel evaluator is the numerical core of the analytic main terms: orders
 are k + c + rho with rho a zeta zero (so imaginary parts up to a few hundred),
@@ -9,11 +12,11 @@ two paths, chosen from (u, nu) alone:
 
 * for u >= max(300, 1.5 |nu|), the large-argument (Hankel) expansion
   (DLMF 10.17.3) in fixed-point integers: the coefficients a_k(nu) / R^k
-  depend on the order alone and are kept per order for the whole run (up to
-  a cap), so the points of every block and evaluate that take an order
-  share them, together with the order's phase and scale constants (cos
-  and sin of (Re nu / 2 + 1/4) pi, e^{-pi Im nu}, e^{pi Im nu / 2} /
-  sqrt(2 pi)); cos u, sin u and u^-1/2 are kept per u.
+  depend on the order alone and are kept per order (128 orders at most),
+  so the points of every block and evaluate that take an order share them,
+  together with the order's phase and scale constants (cos and sin of
+  (Re nu / 2 + 1/4) pi, e^{-pi Im nu}, e^{pi Im nu / 2} / sqrt(2 pi));
+  cos u, sin u and u^-1/2 are kept per u.
   All of them carry 128 fraction bits (u^-1/2: 128 significant bits), so
   after its sum a call does only integer products. The error bound covers
   the tail (none where the expansion terminates, at a half-integer order),
@@ -41,6 +44,7 @@ series raises PrecisionError.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -58,6 +62,7 @@ __all__ = [
     "bessel_j_detailed",
     "bessel_j_sonine",
     "laplace_line_integral",
+    "memo",
 ]
 
 
@@ -79,26 +84,49 @@ _LG_PREC = 80  # bits; log Gamma can reach ~10^3, so doubles alone would cap
                # exp(log_gamma) accuracy near |lgG| * eps ~ 1e-13 at |s| = 200
 
 
-# mp.loggamma at 80 bits per argument: m2 takes log Gamma(rho) in every
-# gamma_ratio and each paired Bessel row again, at the same zeros on every
-# evaluate, and the series prefactor takes log Gamma(nu + 1) at the
-# arguments of m2's ratios. The memo hands back the same mpc, so no value
-# changes.
-_LG_CACHE: dict = {}
-_LG_CACHE_MAX = 20000
-# gamma_ratio per (rho, offset): m2 asks for the same ratios at every N of a
-# scan and in every doubled evaluate (600 calls for 150 ratios on grid_scan)
-_GR_CACHE: dict = {}
+def memo(cap: int):
+    """Memoize a pure function of its positional arguments, keeping at most
+    cap results. A full memo replaces the result added last, so the first
+    cap - 1 stay: the package's calls cycle over the same keys (the orders of
+    every N and every doubled cutoff), and least recently used would drop
+    each key before its turn came back (304 Hankel table builds on the
+    containment workload against 227). A call that raises stores nothing.
+    The wrapper exposes .cache, .cap (read on each miss), .hits and .misses
+    (one miss per call of the function).
+    """
+
+    def decorate(fn):
+        cache = {}
+
+        @functools.wraps(fn)
+        def wrapper(*args):
+            try:
+                value = cache[args]
+            except KeyError:
+                pass
+            else:
+                wrapper.hits += 1
+                return value
+            wrapper.misses += 1
+            value = fn(*args)
+            if len(cache) >= wrapper.cap:
+                cache.popitem()
+            cache[args] = value
+            return value
+
+        wrapper.cache, wrapper.cap, wrapper.hits, wrapper.misses = cache, cap, 0, 0
+        return wrapper
+
+    return decorate
 
 
+# m2 takes log Gamma(rho) in every gamma_ratio and each paired Bessel row
+# again, at the same zeros on every evaluate, and the series prefactor takes
+# log Gamma(nu + 1) at the arguments of m2's ratios
+@memo(20000)
 def _loggamma_mp(s: complex):
-    hit = _LG_CACHE.get(s)
-    if hit is None:
-        with mp.workprec(_LG_PREC):
-            hit = mp.loggamma(s)
-        if len(_LG_CACHE) < _LG_CACHE_MAX:
-            _LG_CACHE[s] = hit
-    return hit
+    with mp.workprec(_LG_PREC):
+        return mp.loggamma(s)
 
 
 def log_gamma(s) -> complex:
@@ -117,28 +145,24 @@ def log_gamma(s) -> complex:
     return complex(_loggamma_mp(s))
 
 
+# m2 asks for the same ratios at every N of a scan and in every doubled
+# evaluate (600 calls for 150 ratios on grid_scan)
+@memo(20000)
 def gamma_ratio(rho, offset) -> complex:
     """Gamma(rho) / Gamma(rho + offset) through a single exponential.
 
     The subtraction of the two log-gamma values and the exponential run at
     extended precision, so the ratio keeps full double accuracy even when the
     separate gamma values would over- or underflow. Memoized per
-    (rho, offset); a pole raises before the memo is written.
+    (rho, offset); a pole raises and keeps nothing.
     """
     rho = complex(rho)
     off = complex(offset)
-    key = (rho, off)
-    hit = _GR_CACHE.get(key)
-    if hit is not None:
-        return hit
     for arg in (rho, rho + off):
         if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
             raise PoleError(int(arg.real))
     with mp.workprec(_LG_PREC):
-        hit = complex(mp.exp(_loggamma_mp(rho) - _loggamma_mp(rho + off)))
-    if len(_GR_CACHE) < _LG_CACHE_MAX:
-        _GR_CACHE[key] = hit
-    return hit
+        return complex(mp.exp(_loggamma_mp(rho) - _loggamma_mp(rho + off)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,35 +400,27 @@ class _HankelTable:
 # table at each change of order (612 builds for the 102 orders of grid_scan,
 # 456 for the 202 of containment). Extended as far as the workloads need,
 # a table holds 1-52 KiB, 8-13 KiB at the median: all 202 of containment's
-# hold 3.3 MiB, which raised its peak RSS by 9 %, so the dict stops at
-# _HANKEL_TABLES_MAX orders (1.3 MiB there). When it is full, popitem()
-# drops the table added last (LIFO): the first orders, the 2 Z + 2 of one k
-# that every evaluate reuses, stay, while an order past the cap is rebuilt
-# on each switch, as with a single slot.
-_HANKEL_TABLES: dict = {}
-_HANKEL_TABLES_MAX = 128
+# hold 3.3 MiB, which raised its peak RSS by 9 %, so the memo keeps 128
+# orders (1.3 MiB there): the first orders, the 2 Z + 2 of one k that every
+# evaluate reuses, stay, while an order past the cap is rebuilt on each
+# switch, as with a single slot.
+@memo(128)
+def _hankel_table(nu: complex) -> _HankelTable:
+    return _HankelTable(nu)
+
 
 # per argument u: (cos u, sin u) at 128 fraction bits and u^-1/2 with its
 # fraction bits, 128 + e/2 + 1 for u in [2^(e-1), 2^e); the points of one
 # Bessel block share their u across orders
-_HANKEL_U_CACHE: dict = {}
-_HANKEL_U_CACHE_MAX = 20000
-
-
+@memo(20000)
 def _hankel_u_constants(u: float) -> tuple:
-    hit = _HANKEL_U_CACHE.get(u)
-    if hit is not None:
-        return hit
     fb = _HANKEL_FIX_BITS
     e = math.frexp(u)[1]
     r_bits = fb + e // 2 + 1
     with mp.workprec(fb + _HANKEL_MP_GUARD + max(0, e)):
         c, s = mp.cos_sin(mp.mpf(u))
-        entry = (_to_fixed(c, fb), _to_fixed(s, fb),
-                 _to_fixed(1 / mp.sqrt(mp.mpf(u)), r_bits), r_bits)
-    if len(_HANKEL_U_CACHE) < _HANKEL_U_CACHE_MAX:
-        _HANKEL_U_CACHE[u] = entry
-    return entry
+        return (_to_fixed(c, fb), _to_fixed(s, fb),
+                _to_fixed(1 / mp.sqrt(mp.mpf(u)), r_bits), r_bits)
 
 
 def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
@@ -429,11 +445,7 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
         if d is None:
             return None
         return replace(d, value=d.value.conjugate())
-    table = _HANKEL_TABLES.get(nu)
-    if table is None:
-        if len(_HANKEL_TABLES) >= _HANKEL_TABLES_MAX:
-            _HANKEL_TABLES.popitem()
-        table = _HANKEL_TABLES[nu] = _HankelTable(nu)
+    table = _hankel_table(nu)
     wp, re, im = table.wp, table.re, table.im
     rn, rd = table.R_ratio
     un, ud = u.as_integer_ratio()
@@ -558,10 +570,6 @@ def bessel_j_sonine(nu, u: float, prec_bits: int = 200, abscissa: float = 1.0) -
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-_BESSEL_CACHE: dict = {}
-_BESSEL_CACHE_MAX = 200000
-
-
 def bessel_j_detailed(nu, u: float) -> BesselEval:
     nu = complex(nu)
     u = float(u)
@@ -587,20 +595,14 @@ def bessel_j_detailed(nu, u: float) -> BesselEval:
     return _bessel_series(nu, u)
 
 
+@memo(200000)
 def bessel_j(nu, u: float) -> complex:
     """J_nu(u) for complex order nu and real argument u >= 0.
 
     Results are memoized (evaluations are pure); identical inputs always
     return the identical float, which the determinism contract relies on.
     """
-    key = (complex(nu), float(u))
-    hit = _BESSEL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    value = bessel_j_detailed(nu, u).value
-    if len(_BESSEL_CACHE) < _BESSEL_CACHE_MAX:
-        _BESSEL_CACHE[key] = value
-    return value
+    return bessel_j_detailed(nu, u).value
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,24 @@ def mp_precision_unchanged():
         pytest.fail(f"test left mp.prec at {leaked} (was {prec})")
 
 
+@pytest.fixture
+def cold_memos():
+    """cold_memos(memo, ...) empties package memos for one test. After the
+    test each gets back the entries it had, so an entry built under a patched
+    constant stays out of later tests and the session's memos stay warm."""
+    saved = []
+
+    def empty(*memos):
+        for memo in memos:
+            saved.append((memo, dict(memo.cache)))
+            memo.cache.clear()
+
+    yield empty
+    for memo, entries in reversed(saved):
+        memo.cache.clear()
+        memo.cache.update(entries)
+
+
 @pytest.fixture(scope="session")
 def zeros100():
     return load_zeros(bundled_zeros_path(), "bundled")

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from linnik.arithmetic import CesaroParams
@@ -315,16 +316,20 @@ class TestEvaluate:
         rep = evaluate(CesaroParams(N=2000, k=2.0), zeros100, loose)
         assert not any("exceeds tol" in n for n in rep.notes)
 
-    def test_table_cache_bounded_by_bytes(self, monkeypatch):
+    def test_table_memo_keeps_the_last_n(self, cold_memos):
         from linnik import formula
 
-        monkeypatch.setattr(formula, "_TABLE_CACHE", {})
-        small = formula._tables_for(600)
-        monkeypatch.setattr(formula, "_TABLE_CACHE_BYTES", formula._table_bytes(small) + 1)
-        formula._TABLE_CACHE.clear()
-        assert formula._tables_for(600) is formula._tables_for(600)
-        formula._tables_for(700)  # built, but past the budget
-        assert set(formula._TABLE_CACHE) == {600}
+        tables_for = formula._tables_for
+        cold_memos(tables_for)
+        first = tables_for(600)
+        assert tables_for(600) is first
+        other = tables_for(700)  # replaces 600 in the one slot
+        assert list(tables_for.cache) == [(700,)]
+        assert tables_for(700) is other
+        again = tables_for(600)  # rebuilt, with the same bits
+        assert again is not first
+        assert np.array_equal(again[1].values, first[1].values)
+        assert list(tables_for.cache) == [(600,)]
 
     def test_subterm_error_carries_term_identification(self, zeros100, monkeypatch):
         from linnik.errors import PrecisionError

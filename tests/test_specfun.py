@@ -195,12 +195,12 @@ class TestBesselJ:
                 bessel_j_detailed(nu, u)
             assert exc.value.strategy == "series"
 
-    def test_evaluate_needs_no_mp_hyper(self, zeros100, monkeypatch):
+    def test_evaluate_needs_no_mp_hyper(self, zeros100, monkeypatch, cold_memos):
         def refuse(*args, **kwargs):
             raise AssertionError("mp.hyper called")
 
         monkeypatch.setattr(mp, "hyper", refuse)
-        monkeypatch.setattr(specfun, "_BESSEL_CACHE", {})
+        cold_memos(specfun.bessel_j)
         series = []
         detailed = specfun.bessel_j_detailed
 
@@ -276,14 +276,14 @@ class TestHankelKernel:
             assert d is not None, (nu, u)
             assert _hex(d.value) == _hex(_bessel_series(nu, u).value), (nu, u)
 
-    def test_refuses_below_the_certificate(self, monkeypatch):
+    def test_refuses_below_the_certificate(self, monkeypatch, cold_memos):
         # at u = 1.45 |nu|, gamma = 236.5, no term falls below 2^-60 of the
         # sum before the terms grow again; at 1.5 |nu| one does
         nu = 3.5 + 236.5242296658162j
         assert _bessel_hankel(nu, 1.5 * abs(nu)) is not None
         monkeypatch.setattr(specfun, "_HANKEL_NU_RATIO", 1.45)
         # a table built under the patched ratio must not reach later tests
-        monkeypatch.setattr(specfun, "_HANKEL_TABLES", {})
+        cold_memos(specfun._hankel_table)
         u = 1.45 * abs(nu)
         assert _bessel_hankel(nu, u) is None
         d = bessel_j_detailed(nu, u)
@@ -297,7 +297,7 @@ class TestHankelKernel:
             assert d.strategy == "series"
             assert _hex(d.value) == _hex(_bessel_series(nu, u).value)
 
-    def test_values_do_not_depend_on_call_order(self, monkeypatch):
+    def test_values_do_not_depend_on_call_order(self, cold_memos):
         # two orders interleaved: each table is built on its order's first
         # call and extended by the later ones
         calls = [
@@ -308,17 +308,17 @@ class TestHankelKernel:
         ]
         runs = []
         for order in (calls, calls[::-1], sorted(calls, key=lambda c: c[1])):
-            monkeypatch.setattr(specfun, "_HANKEL_TABLES", {})
+            cold_memos(specfun._hankel_table)
             runs.append({c: _hex(_bessel_hankel(*c).value) for c in order})
         assert runs[0] == runs[1] == runs[2]
 
     @staticmethod
-    def _reset(monkeypatch, warm_u=False):
-        monkeypatch.setattr(specfun, "_HANKEL_TABLES", {})
+    def _reset(cold_memos, warm_u=False):
+        cold_memos(specfun._hankel_table)
         if not warm_u:
-            monkeypatch.setattr(specfun, "_HANKEL_U_CACHE", {})
+            cold_memos(specfun._hankel_u_constants)
 
-    def test_values_do_not_depend_on_the_block_order(self, zeros100, monkeypatch):
+    def test_values_do_not_depend_on_the_block_order(self, zeros100, monkeypatch, cold_memos):
         # the passes of one evaluate at N = 2000, k = 2: m3 "zeros" takes
         # k + 1 + rho over lattice roots, then m4 block3 the same orders over
         # m, then block4 k + 1/2 + rho over m; each order and each u recurs
@@ -337,30 +337,30 @@ class TestHankelKernel:
         assert all(u >= max(300.0, 1.5 * abs(nu)) for nu, u in calls)
         alone = {}
         for c in calls:  # each call on a cold table and a cold per-u cache
-            self._reset(monkeypatch)
+            self._reset(cold_memos)
             d = _bessel_hankel(*c)
             assert d is not None, c
             alone[c] = _hex(d.value)
-        self._reset(monkeypatch)
+        self._reset(cold_memos)
         with mp.workprec(24):  # the kernel sets every precision it uses
             cold = {c: _hex(_bessel_hankel(*c).value) for c in calls}
-        self._reset(monkeypatch, warm_u=True)
+        self._reset(cold_memos, warm_u=True)
         warm = {c: _hex(_bessel_hankel(*c).value) for c in calls[::-1]}
-        self._reset(monkeypatch, warm_u=True)
-        monkeypatch.setattr(specfun, "_HANKEL_TABLES_MAX", 1)
+        self._reset(cold_memos, warm_u=True)
+        monkeypatch.setattr(specfun._hankel_table, "cap", 1)
         one_slot = {c: _hex(_bessel_hankel(*c).value) for c in calls}
-        assert len(specfun._HANKEL_TABLES) == 1
+        assert len(specfun._hankel_table.cache) == 1
         assert cold == warm == one_slot == alone
 
     @staticmethod
-    def _doubled_run(monkeypatch, zeros100):
+    def _doubled_run(monkeypatch, cold_memos, zeros100):
         """evaluate at N = 2000, k = 2, then with each cutoff doubled, on cold
-        Bessel caches; returns the orders whose table was built, in order,
-        the number of tables kept at the end (the dict never shrinks), and
+        Bessel memos; returns the orders whose table was built, in order,
+        the number of tables kept at the end (the memo never shrinks), and
         m3, m4 of every evaluate."""
-        monkeypatch.setattr(specfun, "_HANKEL_TABLES", {})
-        monkeypatch.setattr(specfun, "_HANKEL_U_CACHE", {})
-        monkeypatch.setattr(specfun, "_BESSEL_CACHE", {})
+        tables = specfun._hankel_table
+        cold_memos(tables, specfun._hankel_u_constants, specfun.bessel_j)
+        misses = tables.misses
         built = []
         table_class = specfun._HankelTable
 
@@ -376,17 +376,18 @@ class TestHankelKernel:
             report = evaluate(params, zeros100, s)
             values.append((report.m3.hex(), report.m4.hex()))
         monkeypatch.setattr(specfun, "_HankelTable", table_class)
-        return built, len(specfun._HANKEL_TABLES), values
+        assert tables.misses - misses == len(built)  # one build per miss
+        return built, len(tables.cache), values
 
-    def test_each_order_is_built_once(self, zeros100, monkeypatch):
+    def test_each_order_is_built_once(self, zeros100, monkeypatch, cold_memos):
         # m3 "zeros" and m4 block3 share the orders k + 1 + rho, and each
         # doubled cutoff takes them again: one table per order serves them all
-        built, _, values = self._doubled_run(monkeypatch, zeros100)
+        built, _, values = self._doubled_run(monkeypatch, cold_memos, zeros100)
         assert len(built) >= 8
         assert len(built) == len(set(built))
         # past the cap, tables are dropped and rebuilt; no value moves
-        monkeypatch.setattr(specfun, "_HANKEL_TABLES_MAX", 3)
-        rebuilt, kept, capped = self._doubled_run(monkeypatch, zeros100)
+        monkeypatch.setattr(specfun._hankel_table, "cap", 3)
+        rebuilt, kept, capped = self._doubled_run(monkeypatch, cold_memos, zeros100)
         assert kept <= 3
         assert len(rebuilt) > len(built)
         assert capped == values
