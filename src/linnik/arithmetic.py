@@ -279,10 +279,12 @@ def s_tilde(
     return TruncatedValue(head, tail)
 
 
-def default_theta_cutoff(a: float, tol: float = 1e-18) -> int:
-    """Smallest M with e^{-M^2 a} below tol, floored at the M^2 a >= 40 rule."""
-    need = max(40.0, -math.log(min(tol, 1.0)))
-    return max(2, math.isqrt(int(need / a)) + 1)
+_THETA_EXPONENT = -math.log(1e-18)
+
+
+def default_theta_cutoff(a: float) -> int:
+    """Smallest M >= 2 with e^{-M^2 a} below 1e-18 (M^2 a above _THETA_EXPONENT)."""
+    return max(2, math.isqrt(int(_THETA_EXPONENT / a)) + 1)
 
 
 def omega2(z: complex, cutoff: Optional[int] = None) -> TruncatedValue:

@@ -34,9 +34,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-CSV_HEADER = "N,k,lhs,m1,m2,m3,m4,residual,normalized_residual,slope_na"
 _ROW_FIELDS = ("N", "k", "lhs", "m1", "m2", "m3", "m4", "residual",
                "normalized_residual", "slope_na")
+CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
 class _UsageError(Exception):

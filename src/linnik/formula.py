@@ -3,22 +3,21 @@
 The arithmetic side sum_{n<=N} r_Q(n) (N-n)^k / Gamma(k+1) is the inverse
 Laplace transform of z^{-k-1} S(z) omega(z)^2, with S(z) = 1/z
 - sum_rho Gamma(rho) z^{-rho} + ... and omega the theta series of the two
-squares. Each of the four analytic terms inverts pieces of it:
+squares. Every main-term cell is one piece r pi^p z^{-e} of omega^2 (the
+table _OMEGA2, per index set) times one piece of S (the table _S: 1/z, or
+-Gamma(rho) z^{-rho} summed over conjugate zero pairs); _cells forms them.
 
-  m1, m2: the index-free pieces coef z^{-e} of omega^2 (pi/(4z), 1/4 and
-      -sqrt(pi/z)/2, the rows (name, coef, e) of _SMOOTH_ROWS) times the
-      piece 1/z (m1, a closed form in N and k) or -Gamma(rho) z^{-rho} (m2,
-      conjugate-paired sums over zeta zeros with Gamma-ratio weights) of S,
-      each inverted by (1/2 pi i) int e^{Nz} z^{-s} dz = N^{s-1}/Gamma(s);
-  m3, m4: Bessel blocks, one per piece pi/z or -sqrt(pi/z) of the theta
-      series part of omega^2 times a piece 1/z or -Gamma(rho) z^{-rho} of S.
-      The pair
+  m1, m2: the index-free ("smooth") pieces pi/(4z), 1/4 and -sqrt(pi/z)/2
+      times 1/z (m1, a closed form in N and k) or -Gamma(rho) z^{-rho} (m2,
+      Gamma-ratio weights), each inverted by
+      (1/2 pi i) int e^{Nz} z^{-s} dz = N^{s-1}/Gamma(s);
+  m3, m4: Bessel blocks, the pieces of omega^2 that carry e^{-c/z} (pi/z
+      over the "lattice" for m3; pi/z and -sqrt(pi/z) over "m" for m4) times
+      either S piece. The pair
       (1/2 pi i) int e^{Nz - c/z} z^{-s} dz = (N/c)^{(s-1)/2} J_{s-1}(2 sqrt(cN))
-      with c = pi^2 root^2 inverts each one. m3 sums over the lattice
-      root = sqrt(l1^2 + l2^2), m4 over a single index root = m.
-
-The six Bessel blocks are the rows (name, sign, a, b, c, paired) of _M3_ROWS
-and _M4_ROWS, all evaluated by one kernel, _bessel_term.
+      with c = pi^2 root^2 inverts each one, all by one kernel, _bessel_term.
+      m3 sums over the lattice root = sqrt(l1^2 + l2^2), m4 over a single
+      index root = m.
 
 All infinite sums are truncated under a TruncationSpec: Z zeros, lattice
 radius L, single-index cutoff M. Every term carries computed tail bounds:
@@ -26,7 +25,7 @@ radius L, single-index cutoff M. Every term carries computed tail bounds:
   * lattice/m tails from |J_nu(u)| <~ sqrt(2/(pi u)): a point past the cutoff
     weighs root^{-2s}, s = Re nu/2 + 1/4, summed past the cutoff with a safety
     factor 2 (_cut_tail). default_truncation picks L and M by the same rule,
-    as the smallest cutoffs whose unpaired rows' tail meets tol/4;
+    as the smallest cutoffs whose unpaired cells' tail meets tol/4;
   * zero tails from the Stirling amplitude |Gamma(rho)| J-growth cancellation:
     each discarded zero contributes at most ~ sqrt(2 pi) gamma^{beta-1/2}
     sqrt(2/(pi u)) times its lattice weight while gamma <~ u/2, decaying like
@@ -43,6 +42,7 @@ the residual over an N grid.
 import cmath
 import math
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -51,7 +51,7 @@ import numpy as np
 from mpmath import mp
 
 from . import arithmetic
-from .arithmetic import CesaroParams, fsum_complex
+from .arithmetic import CesaroParams, _lattice_norms, fsum_complex
 from .errors import DomainError, PrecisionError
 from .quadrature import adaptive_gauss_kronrod
 from .specfun import bessel_j, gamma_ratio, log_gamma, memo
@@ -153,18 +153,7 @@ def lattice_points(L: int):
     """Ascending [(lam, multiplicity)] for lam = l1^2 + l2^2 <= L^2, l1, l2 >= 1."""
     if L < 0:
         raise DomainError("lattice radius must be >= 0")
-    counts: dict = {}
-    L2 = L * L
-    l1 = 1
-    while l1 * l1 + 1 <= L2:
-        s1 = l1 * l1
-        l2 = 1
-        while s1 + l2 * l2 <= L2:
-            lam = s1 + l2 * l2
-            counts[lam] = counts.get(lam, 0) + 1
-            l2 += 1
-        l1 += 1
-    return tuple(sorted(counts.items()))
+    return tuple(sorted(Counter(_lattice_norms(L * L + 1)).items()))
 
 
 def _lattice_tail(L: int, s: float) -> float:
@@ -235,28 +224,45 @@ def _zero_tail_over_table(zs: ZeroSet, Z: int, N: float, u_ref: float, k: float)
 # ---------------------------------------------------------------------------
 
 
-# The index-free theta pieces coef * z^{-e} of omega(z)^2, from the Jacobi main
-# term (sqrt(pi/z) - 1)/2 of omega squared: pi/(4z) + 1/4 - sqrt(pi/z)/2. One
-# row (name, coef, e) each; against the 1/z piece of S they give m1, against
-# -Gamma(rho) z^{-rho} the paired zero sums of m2 (components keep each sum
-# without its coefficient).
-_SMOOTH_ROWS = (
-    ("block1", math.pi / 4.0, 1.0),
-    ("block2", 0.25, 0.0),
-    ("block3", -0.5 * math.sqrt(math.pi), 0.5),
-)
+# The pieces r pi^p z^{-e} of omega(z)^2 = P^2 + 2PT + T^2, per index set, with
+# P = (sqrt(pi/z) - 1)/2 the Jacobi main term of omega and T = sqrt(pi/z)
+# sum_{m>=1} e^{-pi^2 m^2/z} the rest: P^2 is index-free ("smooth"), 2PT
+# carries e^{-pi^2 m^2/z} ("m") and T^2 carries e^{-pi^2 (l1^2+l2^2)/z}
+# ("lattice").
+_OMEGA2 = {
+    "smooth": ((0.25, 1, 1), (0.25, 0, 0), (-0.5, 0.5, 0.5)),
+    "m": ((1, 1, 1), (-1, 0.5, 0.5)),
+    "lattice": ((1, 1, 1),),
+}
+
+# The pieces (sign, a, paired) of S(z), each sign z^{-a}, times Gamma(rho)
+# z^{-rho} summed over conjugate zero pairs if paired: 1/z and -Gamma(rho) z^{-rho}.
+_S = ((1, 1, False), (-1, 0, True))
+
+_BLOCKS = ("block1", "block2", "block3", "block4")
+
+
+def _cells(index_set: str) -> tuple:
+    """The cells (coef, p, q, paired) of one index set, S piece by S piece:
+    z^{-k-1} times an S piece times an omega^2 piece is coef pi^p z^{-k-1-q}
+    (times Gamma(rho) z^{-rho} if paired), coef = sign r and q = e + a."""
+    return tuple(
+        (sign * r, p, e + a, paired) for sign, a, paired in _S for r, p, e in _OMEGA2[index_set]
+    )
 
 
 def m1_term(params: CesaroParams) -> float:
-    """Smooth leading term: sum over _SMOOTH_ROWS of coef N^{k+1+e} / Gamma(k+2+e)."""
+    """Smooth leading term: sum over the plain smooth cells of
+    coef pi^p N^{k+q} / Gamma(k+1+q)."""
     N, k = float(params.N), params.k
     if k <= -1:
         raise DomainError("m1_term requires k > -1")
     lnN = math.log(N)
     value = 0.0
-    for _, coef, e in _SMOOTH_ROWS:
-        g = log_gamma(complex(k + (2.0 + e), 0.0)).real
-        value += coef * math.exp((k + (1.0 + e)) * lnN - g)
+    for coef, p, q, paired in _cells("smooth"):
+        if not paired:
+            g = log_gamma(complex(k + (1 + q), 0.0)).real
+            value += coef * math.pi**p * math.exp((k + q) * lnN - g)
     return value
 
 
@@ -265,8 +271,9 @@ def m2_term(
     zs: ZeroSet,
     spec: TruncationSpec,
 ) -> TermValue:
-    """Zero-sum term: sum over _SMOOTH_ROWS of -coef times the paired sum of
-    Gamma(rho)/Gamma(rho+k+1+e) N^{k+e+rho}."""
+    """Zero-sum term: sum over the paired smooth cells of coef pi^p times the
+    paired sum of Gamma(rho)/Gamma(rho+k+1+q) N^{k+q+rho} (components keep
+    each sum without its coefficient)."""
     N, k = float(params.N), params.k
     lnN = math.log(N)
     notes = ()
@@ -275,16 +282,18 @@ def m2_term(
 
     components = {}
     value = tail = 0.0
-    for name, coef, e in _SMOOTH_ROWS:
-        offset = k + (1.0 + e)
+    paired_cells = [cell for cell in _cells("smooth") if cell[3]]
+    for name, (coef, p, q, _) in zip(_BLOCKS, paired_cells):
+        weight = coef * math.pi**p
+        offset = k + (1 + q)
 
         def f(rho, offset=offset):
             return gamma_ratio(rho, offset) * cmath.exp((offset - 1.0 + rho) * lnN)
 
         b = paired_zero_sum(f, zs, spec.Z)
         components[name] = b
-        value -= coef * b
-        tail += abs(coef) * zero_tail_bound(k, N, offset, spec.Z, zs)
+        value += weight * b
+        tail += abs(weight) * zero_tail_bound(k, N, offset, spec.Z, zs)
     return TermValue(value, components, {"zeros": tail}, notes)
 
 
@@ -292,28 +301,18 @@ def m2_term(
 # Bessel blocks of m3 and m4
 # ---------------------------------------------------------------------------
 
-# One row (name, sign, a, b, c, paired) per Bessel block. The block is
+# A cell (coef, p, q, paired) of the "m" or "lattice" index set is the block
 #
-#   sign * N^{k/2+a} pi^{-(k+b)} sum_i mult_i J_nu(2 pi root_i sqrt N) / root_i^nu
+#   coef * N^{k/2+q/2} pi^{-(k+q-p)} sum_i mult_i J_nu(2 pi root_i sqrt N) / root_i^nu
 #
-# with nu = k + c, over the points of the term's index set; a paired row has
-# nu = k + c + rho and is summed over zeros with the weight
-# 2 Re Gamma(rho) pi^-rho N^{rho/2}. Components keep the block without its sign.
-_M3_ROWS = (
-    ("lattice", 1, 1.0, 1.0, 2.0, False),
-    ("zeros", -1, 0.5, 0.0, 1.0, True),
-)
-_M4_ROWS = (
-    ("block1", 1, 1.0, 1.0, 2.0, False),
-    ("block2", -1, 0.75, 1.0, 1.5, False),
-    ("block3", -1, 0.5, 0.0, 1.0, True),
-    ("block4", 1, 0.25, 0.0, 0.5, True),
-)
+# with nu = k + q, over the points of the index set; a paired cell has
+# nu = k + q + rho and is summed over zeros with the weight
+# 2 Re Gamma(rho) pi^-rho N^{rho/2}. Components keep the block without coef.
 
 
-def _pref(a: float, b: float, k: float, lnN: float) -> float:
-    """N^{k/2+a} pi^{-(k+b)}, the prefactor of a block row."""
-    return math.exp((k / 2.0 + a) * lnN - (k + b) * _LN_PI)
+def _pref(p: float, q: float, k: float, lnN: float) -> float:
+    """N^{k/2+q/2} pi^{-(k+q-p)}, the prefactor of a Bessel cell."""
+    return math.exp((k / 2.0 + q / 2.0) * lnN - (k + (q - p)) * _LN_PI)
 
 
 def _envelope(N: float) -> float:
@@ -321,15 +320,15 @@ def _envelope(N: float) -> float:
     return _SAFETY * N**-0.25 / math.pi
 
 
-def _cut_tail(rows, tail, cutoff: int, N: float, k: float, paired_tails=()) -> float:
-    """Tail bound past the cutoff of the unpaired rows: a point there weighs
-    root^{-2s}, s = (k+c)/2 + 1/4, and tail(cutoff, s) bounds their sum. The
+def _cut_tail(cells, tail, cutoff: int, N: float, k: float, paired_tails=()) -> float:
+    """Tail bound past the cutoff of the unpaired cells: a point there weighs
+    root^{-2s}, s = (k+q)/2 + 1/4, and tail(cutoff, s) bounds their sum. The
     caller's paired_tails (already in these units) are added after them."""
     lnN = math.log(N)
     total = 0.0
-    for _, _, a, b, c, paired in rows:
+    for _, p, q, paired in cells:
         if not paired:
-            total += _pref(a, b, k, lnN) * tail(cutoff, (k + c) / 2.0 + 0.25)
+            total += _pref(p, q, k, lnN) * tail(cutoff, (k + q) / 2.0 + 0.25)
     return _envelope(N) * sum(paired_tails, total)
 
 
@@ -341,11 +340,11 @@ def _bessel_sum(nu: complex, points, sqrtN: float) -> complex:
     )
 
 
-def _bessel_term(rows, points, tail, tail_key, cutoff, params, zs, spec) -> TermValue:
-    """The rows summed over the points (root, log root, mult) of one index
-    set, with tail bounds from _cut_tail. Past the cutoff a paired row carries
-    the amplitude of the zeros kept, with s = (k+c+beta_max)/2 + 1/4; zeros
-    past Z are weighed over all points.
+def _bessel_term(cells, names, points, tail, tail_key, cutoff, params, zs, spec) -> TermValue:
+    """The cells of one index set summed over its points (root, log root,
+    mult), one component per name, with tail bounds from _cut_tail. Past the
+    cutoff a paired cell carries the amplitude of the zeros kept, with
+    s = (k+q+beta_max)/2 + 1/4; zeros past Z are weighed over all points.
     """
     N, k = float(params.N), params.k
     lnN = math.log(N)
@@ -355,24 +354,24 @@ def _bessel_term(rows, points, tail, tail_key, cutoff, params, zs, spec) -> Term
     components = {}
     value = zero_weight = 0.0
     paired_tails = []
-    for name, sign, a, b, c, paired in rows:
-        pref = _pref(a, b, k, lnN)
+    for name, (coef, p, q, paired) in zip(names, cells):
+        pref = _pref(p, q, k, lnN)
         if paired:
 
-            def f(rho, c=c):
+            def f(rho, q=q):
                 w = cmath.exp(log_gamma(rho) - rho * _LN_PI + 0.5 * rho * lnN)
-                return w * _bessel_sum(k + c + rho, points, sqrtN)
+                return w * _bessel_sum(k + q + rho, points, sqrtN)
 
             block = pref * paired_zero_sum(f, zs, spec.Z)
-            s = (k + c + beta_max) / 2.0 + 0.25
+            s = (k + q + beta_max) / 2.0 + 0.25
             paired_tails.append(pref * amp_in * tail(cutoff, s))
             head = sum(mult * root ** (-2.0 * s) for root, _, mult in points)
             zero_weight += pref * (head + tail(cutoff, s))
         else:
-            block = pref * _bessel_sum(complex(k + c), points, sqrtN).real
+            block = pref * _bessel_sum(complex(k + q), points, sqrtN).real
         components[name] = block
-        value += sign * block
-    cut_tail = _cut_tail(rows, tail, cutoff, N, k, paired_tails)
+        value += coef * block
+    cut_tail = _cut_tail(cells, tail, cutoff, N, k, paired_tails)
     u_ref = 2.0 * math.pi * max(cutoff, 1) * sqrtN
     zero_tail = _envelope(N) * zero_weight * _zero_tail_over_table(zs, spec.Z, N, u_ref, k)
     return TermValue(value, components, {tail_key: cut_tail, "zeros": zero_tail})
@@ -383,10 +382,13 @@ def m3_term(
     zs: ZeroSet,
     spec: TruncationSpec,
 ) -> TermValue:
-    """Two-squares lattice term (rows _M3_ROWS): J_{k+2} lattice sum minus the
-    paired zero sum of J_{k+1+rho} lattice sums, over root = sqrt(lam)."""
+    """Two-squares lattice term (the "lattice" cells): J_{k+2} lattice sum
+    minus the paired zero sum of J_{k+1+rho} lattice sums, over root = sqrt(lam)."""
     pts = tuple((math.sqrt(lam), 0.5 * math.log(lam), m) for lam, m in lattice_points(spec.L))
-    return _bessel_term(_M3_ROWS, pts, _lattice_tail, "lattice", spec.L, params, zs, spec)
+    return _bessel_term(
+        _cells("lattice"), ("lattice", "zeros"), pts, _lattice_tail, "lattice", spec.L,
+        params, zs, spec,
+    )
 
 
 def m4_term(
@@ -394,10 +396,10 @@ def m4_term(
     zs: ZeroSet,
     spec: TruncationSpec,
 ) -> TermValue:
-    """Single-index theta term (rows _M4_ROWS): four m-sum blocks, signs
+    """Single-index theta term (the "m" cells): four m-sum blocks, signs
     +, -, -, +; the paired blocks carry N^{rho/2}."""
     pts = tuple((m, math.log(m), 1) for m in range(1, spec.M + 1))
-    return _bessel_term(_M4_ROWS, pts, _m_tail, "msum", spec.M, params, zs, spec)
+    return _bessel_term(_cells("m"), _BLOCKS, pts, _m_tail, "msum", spec.M, params, zs, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +407,11 @@ def m4_term(
 # ---------------------------------------------------------------------------
 
 
-def _smallest_cutoff(rows, tail, lo: int, hi: int, N: float, k: float, tol: float) -> int:
-    """Smallest cutoff n in [lo, hi) whose unpaired rows' _cut_tail is
+def _smallest_cutoff(cells, tail, lo: int, hi: int, N: float, k: float, tol: float) -> int:
+    """Smallest cutoff n in [lo, hi) whose unpaired cells' _cut_tail is
     <= tol/4; hi if there is none."""
     for n in range(lo, hi):
-        if _cut_tail(rows, tail, n, N, k) <= tol / 4.0:
+        if _cut_tail(cells, tail, n, N, k) <= tol / 4.0:
             return n
     return hi
 
@@ -421,11 +423,11 @@ def default_truncation(
     Z: Optional[int] = None,
 ) -> TruncationSpec:
     """Pick cutoffs: Z = 50 (or the table size), L in [3, 64) and M in
-    [3, 256) as the smallest for which the cut tail of the unpaired rows of
-    _M3_ROWS and _M4_ROWS, the rule m3_term and m4_term report, meets tol/4
+    [3, 256) as the smallest for which the cut tail of the unpaired
+    "lattice" and "m" cells, the rule m3_term and m4_term report, meets tol/4
     (tol defaults to 1e-6 N^{k+1}); L = 64 or M = 256 if none does.
 
-    The paired rows' lattice/m tails carry a Z-driven amplitude that no
+    The paired cells' lattice/m tails carry a Z-driven amplitude that no
     cutoff can push below tol; the term evaluators report them, but they do
     not drive the choice. evaluate notes every term whose reported tail
     exceeds tol, including one whose cutoff search ran into its cap.
@@ -434,8 +436,8 @@ def default_truncation(
     if tol is None:
         tol = 1e-6 * N ** (k + 1.0)
     Z = min(50, zs.count) if Z is None else Z
-    L = _smallest_cutoff(_M3_ROWS, _lattice_tail, 3, 64, N, k, tol)
-    M = _smallest_cutoff(_M4_ROWS, _m_tail, 3, 256, N, k, tol)
+    L = _smallest_cutoff(_cells("lattice"), _lattice_tail, 3, 64, N, k, tol)
+    M = _smallest_cutoff(_cells("m"), _m_tail, 3, 256, N, k, tol)
     return TruncationSpec(Z=Z, L=L, M=M, tol=tol)
 
 
@@ -464,8 +466,10 @@ def _tables_for(N: int):
 
 
 @contextmanager
-def _term_context(name: str):
-    """Re-raise numeric failures tagged with the term they came from."""
+def _term_context(name: str, wall: dict):
+    """Time the term into wall[name]; re-raise numeric failures tagged with
+    the term they came from."""
+    t0 = time.perf_counter()
     try:
         yield
     except PrecisionError as exc:
@@ -477,6 +481,7 @@ def _term_context(name: str):
         ) from exc
     except DomainError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
+    wall[name] = time.perf_counter() - t0
 
 
 def evaluate(
@@ -512,25 +517,14 @@ def evaluate(
     lhs = arithmetic.cesaro_lhs(rq, params)
     wall["lhs"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    with _term_context("m1"):
+    with _term_context("m1", wall):
         v1 = m1_term(params)
-    wall["m1"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with _term_context("m2"):
+    with _term_context("m2", wall):
         t2 = m2_term(params, zs, spec)
-    wall["m2"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with _term_context("m3"):
+    with _term_context("m3", wall):
         t3 = m3_term(params, zs, spec)
-    wall["m3"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with _term_context("m4"):
+    with _term_context("m4", wall):
         t4 = m4_term(params, zs, spec)
-    wall["m4"] = time.perf_counter() - t0
 
     notes.extend(t2.notes)
     tails = {"m2": t2.tail_total, "m3": t3.tail_total, "m4": t4.tail_total}

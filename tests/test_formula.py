@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from linnik import arithmetic, formula
 from linnik.arithmetic import CesaroParams
 from linnik.errors import DomainError
 from linnik.formula import (
@@ -41,6 +42,54 @@ class TestLatticePoints:
                 if s <= 144:
                     direct[s] = direct.get(s, 0) + 1
         assert pts == direct
+
+
+class TestOmega2Pieces:
+    """formula._OMEGA2, each piece times the theta sum of its index set, adds
+    up to omega(x)^2 itself. x = 1 is left out: there x^{-e} cannot show a
+    wrong e."""
+
+    XS = (2.0, 3.0, 5.0)
+
+    @staticmethod
+    def matches_omega_squared(x):
+        theta = {
+            "smooth": 1.0,
+            "m": math.fsum(math.exp(-math.pi**2 * m * m / x) for m in range(1, 13)),
+            "lattice": math.fsum(
+                mult * math.exp(-math.pi**2 * lam / x) for lam, mult in lattice_points(12)
+            ),
+        }
+        got = math.fsum(
+            r * math.pi**p * x**-e * theta[index_set]
+            for index_set, pieces in formula._OMEGA2.items()
+            for r, p, e in pieces
+        )
+        expected = arithmetic.omega2(x).value.real ** 2
+        return got == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("x", XS)
+    def test_pieces_sum_to_omega_squared(self, x):
+        assert self.matches_omega_squared(x)
+
+    MUTATIONS = {
+        "flip r": lambda r, p, e: (-r, p, e),
+        "p + 1/2": lambda r, p, e: (r, p + 0.5, e),
+        "p - 1/2": lambda r, p, e: (r, p - 0.5, e),
+        "e + 1/2": lambda r, p, e: (r, p, e + 0.5),
+        "e - 1/2": lambda r, p, e: (r, p, e - 0.5),
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize(
+        "index_set, i",
+        [("smooth", 0), ("smooth", 1), ("smooth", 2), ("m", 0), ("m", 1), ("lattice", 0)],
+    )
+    def test_a_mutated_piece_fails(self, monkeypatch, index_set, i, mutation):
+        pieces = list(formula._OMEGA2[index_set])
+        pieces[i] = self.MUTATIONS[mutation](*pieces[i])
+        monkeypatch.setitem(formula._OMEGA2, index_set, tuple(pieces))
+        assert not all(self.matches_omega_squared(x) for x in self.XS)
 
 
 class TestM1:
