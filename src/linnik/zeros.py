@@ -4,7 +4,8 @@ Zero ordinates are served from plain text files (one ascending ordinate per
 line, '#' comments allowed, optional second column for the real part beta).
 A bundled table of the first 100 zeros ships with the package so everything
 runs offline; fetch_zeros additionally knows how to download and cache tables
-from named sources with checksum verification.
+from named sources with checksum verification. It imports urllib.request and
+hashlib itself, so importing the package loads neither.
 
 Weighted sums over zeros always run over conjugate pairs: for weights f with
 f(conj rho) = conj f(rho) the pair sum is 2 Re f(rho), so paired_zero_sum
@@ -12,10 +13,8 @@ returns an exactly real number by construction. Its one math.fsum is exactly
 rounded, so the value is reproducible bit for bit.
 """
 
-import hashlib
 import math
 import os
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -132,6 +131,8 @@ def cache_dir() -> Path:
 
 
 def _sha256(data: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 
@@ -183,6 +184,8 @@ def fetch_zeros(source: str, limit: int, cache: Optional[Path] = None) -> Path:
         if entry.get("sha256") and _sha256(raw) != entry["sha256"]:
             raise IntegrityError("bundled zero table does not match its recorded checksum")
     elif entry.get("kind") == "url":
+        import urllib.request
+
         try:
             with urllib.request.urlopen(entry["url"], timeout=30) as resp:
                 raw = resp.read()

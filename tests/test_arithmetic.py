@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linnik import arithmetic
 from linnik.arithmetic import (
     CesaroParams,
     cesaro_lhs,
@@ -42,6 +43,30 @@ def brute_prime_powers(limit):
     return out
 
 
+def per_prime_sieve(N):
+    """Lambda table by one Python loop over every prime and its powers, the
+    arrays built from lists and ordered by a stable argsort on n."""
+    is_prime = np.ones(N + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, math.isqrt(N) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    values = np.zeros(N + 1, dtype=np.float64)
+    pp_n, pp_p, pp_j = [], [], []
+    for p in np.nonzero(is_prime)[0].tolist():
+        logp = math.log(p)
+        pk, j = p, 1
+        while pk <= N:
+            values[pk] = logp
+            pp_n.append(pk)
+            pp_p.append(p)
+            pp_j.append(j)
+            pk *= p
+            j += 1
+    order = np.argsort(np.asarray(pp_n, dtype=np.int64), kind="stable")
+    return (values,) + tuple(np.asarray(a, dtype=np.int64)[order] for a in (pp_n, pp_p, pp_j))
+
+
 class TestVonMangoldt:
     def test_small_values(self):
         lam = sieve_von_mangoldt(20)
@@ -72,6 +97,19 @@ class TestVonMangoldt:
         for N in (1000, 2500, 5000):
             psi = float(np.sum(lam.values[: N + 1]))
             assert abs(psi - N) / N < 0.11
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 1001, 65537])
+    def test_same_bits_as_the_per_prime_loop(self, N):
+        lam = sieve_von_mangoldt(N)
+        for got, want in zip((lam.values, lam.pp_n, lam.pp_p, lam.pp_j), per_prime_sieve(N)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_prime_values_are_math_log(self):
+        lam = sieve_von_mangoldt(10**5)
+        primes = lam.pp_n[lam.pp_j == 1]
+        assert len(primes) == 9592  # pi(10^5)
+        assert all(lam.values[p] == math.log(p) for p in primes.tolist())
 
     def test_size_errors(self):
         with pytest.raises(TableSizeError):
@@ -114,6 +152,22 @@ def pair_loop_rq(lam, N):
             l2 += 1
         l1 += 1
     return values
+
+
+def whole_array_rq(lam, N):
+    """r_Q by two one-square passes, each one whole-array slice add per
+    square, ascending in l."""
+
+    def one_square(src):
+        out = np.zeros(N + 1, dtype=np.float64)
+        root = 1
+        while root * root < N:
+            sq = root * root
+            out[sq + 1 :] += src[1 : N - sq + 1]
+            root += 1
+        return out
+
+    return one_square(one_square(lam.values))
 
 
 def compensated_lhs(rq, N, k):
@@ -166,11 +220,28 @@ class TestLinnikCounts:
         nz = oracle != 0.0
         assert np.all(np.abs(ours[nz] - oracle[nz]) <= 1e-13 * oracle[nz])
 
-    def test_prefix_is_the_same_bits_for_any_length(self):
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("N", [4, 5, 17, 1001, 4099])
+    def test_any_block_size_gives_the_whole_array_bits(self, N, block, monkeypatch):
+        lam = sieve_von_mangoldt(N)
+        monkeypatch.setattr(arithmetic, "_BLOCK", block)
+        assert compute_rq(lam, N).values.tobytes() == whole_array_rq(lam, N).tobytes()
+
+    def test_two_blocks_give_the_whole_array_bits(self):
+        N = 140000
+        assert 2 * arithmetic._BLOCK < N + 1 <= 3 * arithmetic._BLOCK
+        lam = sieve_von_mangoldt(N)
+        assert compute_rq(lam, N).values.tobytes() == whole_array_rq(lam, N).tobytes()
+
+    def test_prefix_is_the_same_bits_for_any_length(self, monkeypatch):
         lam = sieve_von_mangoldt(5000)
-        full = compute_rq(lam, 5000).values
-        for M in (4, 17, 1000, 4999):
-            assert full[: M + 1].tobytes() == compute_rq(lam, M).values.tobytes()
+        # under a 64-entry block, M = 62..65 and 129 put the table's end
+        # either side of a block edge
+        for block in (arithmetic._BLOCK, 64):
+            monkeypatch.setattr(arithmetic, "_BLOCK", block)
+            full = compute_rq(lam, 5000).values
+            for M in (4, 17, 62, 63, 64, 65, 129, 1000, 4999):
+                assert full[: M + 1].tobytes() == compute_rq(lam, M).values.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=4, max_value=300))

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +220,17 @@ class TestZeroTailBound:
         assert sub.count == 10
         with pytest.raises(DomainError):
             zeros100.truncated(101)
+
+
+def test_import_loads_no_network_modules():
+    """The fetch path alone needs urllib.request; importing the package in a
+    fresh process must not pull it in, nor http.client or ssl with it."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = (
+        "import sys, linnik\n"
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
