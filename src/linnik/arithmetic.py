@@ -8,12 +8,14 @@ convolution
 (the weighted count of ways to write n as a prime power plus two positive
 squares), built as Lambda * sq * sq with sq the indicator of the positive
 squares: two one-square passes of about sqrt(N) slice adds each, O(N^{3/2})
-element adds in all. Each pass walks the output in cache-sized blocks
-(_BLOCK entries) and adds every square into one block before moving to the
-next, which keeps each entry's float sum in the same order as whole-array
-adds would. The sieve assigns log p to every prime at once and loops in
-Python only over the primes p <= sqrt(N) that have higher powers. The
-Cesaro-weighted left-hand side
+element adds in all. r_Q(n) does not depend on the table length, so a table
+at N1 < N grows to N by running both passes over N1 < n <= N only, which
+costs (4/3)(N^{3/2} - N1^{3/2}) adds. Each pass walks the output in
+cache-sized blocks (_BLOCK entries) and adds every square into one block
+before moving to the next, which keeps each entry's float sum in the same
+order as whole-array adds would. The sieve assigns log p to every prime at
+once and loops in Python only over the primes p <= sqrt(N) that have higher
+powers. The Cesaro-weighted left-hand side
 
     sum_{n <= N} r_Q(n) (N - n)^k / Gamma(k + 1)
 
@@ -84,10 +86,23 @@ class LambdaTable:
 
 @dataclass(frozen=True)
 class LinnikTable:
-    """r_Q(n) for 1 <= n <= limit (values[0] unused, kept 0)."""
+    """r_Q(n) for 1 <= n <= limit (values[0] unused, kept 0).
+
+    one_square is compute_rq's first pass, T(j) = sum_{l>=1} Lambda(j - l^2)
+    on 0..limit, which is also the Hardy-Littlewood count r_HL(j) of
+    j = prime power + one positive square; a table that has it can grow.
+    """
 
     limit: int
     values: np.ndarray
+    one_square: Optional[np.ndarray] = None
+
+    def upto(self, N: int) -> "LinnikTable":
+        """The table on 0..N for N <= limit, as views of the first N + 1 entries."""
+        if not 0 <= N <= self.limit:
+            raise DomainError(f"cannot cut a table of limit {self.limit} to {N}")
+        first = None if self.one_square is None else self.one_square[: N + 1]
+        return LinnikTable(limit=N, values=self.values[: N + 1], one_square=first)
 
 
 @dataclass(frozen=True)
@@ -171,17 +186,19 @@ def _lattice_norms(limit_exclusive: int):
         l1 += 1
 
 
-def _add_one_square(src: np.ndarray, out: np.ndarray) -> None:
-    """out[n] += sum over l >= 1 with l^2 < n of src[n - l^2], for n < len(out).
+def _add_one_square(src: np.ndarray, out: np.ndarray, first: int = 0) -> None:
+    """out[n] += sum over l >= 1 with l^2 < n of src[n - l^2], for
+    first <= n < len(out); entries below first are left as they are.
 
-    The output is walked in blocks of _BLOCK entries, and each block gets one
-    contiguous slice add per square, ascending in l. Each entry is therefore
-    the same left-to-right float sum as with one whole-array add per square,
-    whatever the table length or block size, while the block being summed
-    stays in cache instead of the whole array streaming once per square.
+    The output is walked in blocks of _BLOCK entries from first, and each
+    block gets one contiguous slice add per square, ascending in l. Each entry
+    is therefore the same left-to-right float sum as with one whole-array add
+    per square, whatever the table length, block size or first entry, while
+    the block being summed stays in cache instead of the whole array
+    streaming once per square.
     """
     N = len(out) - 1
-    for lo in range(0, N + 1, _BLOCK):
+    for lo in range(first, N + 1, _BLOCK):
         hi = min(lo + _BLOCK, N + 1)
         root = 1
         while root * root < hi - 1:
@@ -191,7 +208,9 @@ def _add_one_square(src: np.ndarray, out: np.ndarray) -> None:
             root += 1
 
 
-def compute_rq(lam: LambdaTable, N: int) -> LinnikTable:
+def compute_rq(
+    lam: LambdaTable, N: int, prefix: Optional[LinnikTable] = None
+) -> LinnikTable:
     """Convolve the Lambda table with the two-positive-squares lattice.
 
     r_Q = Lambda * sq * sq, taken as two one-square passes: first
@@ -201,14 +220,28 @@ def compute_rq(lam: LambdaTable, N: int) -> LinnikTable:
     adds in all. The table stays a plain sum of log p values, so zeros are
     exactly 0.0, and entries n <= M are the same bits for every table length
     N >= M.
+
+    A prefix, a table an earlier call built at a smaller limit N1, is grown:
+    its two passes are copied and both passes run over N1 < n <= N only,
+    (4/3)(N^{3/2} - N1^{3/2}) adds, with the same bits as a fresh build. A
+    prefix at or past N is cut to N instead (LinnikTable.upto), with no adds.
     """
     if lam.limit < N:
         raise DomainError(f"Lambda table limit {lam.limit} < requested N {N}")
+    if prefix is not None and prefix.limit >= N:
+        return prefix.upto(N)
+    if prefix is not None and prefix.one_square is None:
+        raise DomainError("prefix table keeps no first pass to grow from")
     one_square = np.zeros(N + 1, dtype=np.float64)
-    _add_one_square(lam.values, one_square)
     values = np.zeros(N + 1, dtype=np.float64)
-    _add_one_square(one_square, values)
-    return LinnikTable(limit=N, values=values)
+    first = 0
+    if prefix is not None:
+        first = prefix.limit + 1
+        one_square[:first] = prefix.one_square
+        values[:first] = prefix.values
+    _add_one_square(lam.values, one_square, first)
+    _add_one_square(one_square, values, first)
+    return LinnikTable(limit=N, values=values, one_square=one_square)
 
 
 def rq_prime_counts(lam: LambdaTable, n_max: int) -> list:

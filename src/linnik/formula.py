@@ -456,13 +456,19 @@ def override_truncation(
 # Full evaluation
 # ---------------------------------------------------------------------------
 
-# One slot, the last N: every reuse is the same N back to back (each doubled
-# cutoff of an evaluate, a repeated run), and a table at N = 10^6 takes about
-# 18 MB.
+# One slot, the last N, holding (None, r_Q): the Lambda table is not kept,
+# since evaluate never reads it after the build. Each doubled cutoff of an
+# evaluate and a repeated run reuse the slot as it is. r_Q(n) does not depend
+# on N, so a new N past the held table's limit grows that table (compute_rq
+# with it as the prefix), and one at or below it gets views of its first
+# N + 1 entries, with no sieve and no convolution. r_Q and its first pass at
+# N = 10^6 take about 16 MB.
 @memo(1)
 def _tables_for(N: int):
-    lam = arithmetic.sieve_von_mangoldt(N)
-    return lam, arithmetic.compute_rq(lam, N)
+    held = next(iter(_tables_for.cache.values()), (None, None))[1]
+    if held is not None and N <= held.limit:
+        return None, held.upto(N)
+    return None, arithmetic.compute_rq(arithmetic.sieve_von_mangoldt(N), N, held)
 
 
 @contextmanager
@@ -513,7 +519,7 @@ def evaluate(
 
     wall = {}
     t0 = time.perf_counter()
-    lam, rq = _tables_for(N)
+    _, rq = _tables_for(N)
     lhs = arithmetic.cesaro_lhs(rq, params)
     wall["lhs"] = time.perf_counter() - t0
 

@@ -256,6 +256,76 @@ class TestLinnikCounts:
         with pytest.raises(DomainError):
             compute_rq(lam500, 600)
 
+    def test_first_pass_is_the_one_square_count(self, lam500):
+        # r_HL(j) = sum over l >= 1 of Lambda(j - l^2), the same float sum
+        # ascending in l
+        first = compute_rq(lam500, 500).one_square
+        for j in range(501):
+            total = 0.0
+            for l in range(1, math.isqrt(max(j - 1, 0)) + 1):
+                total += float(lam500.values[j - l * l])
+            assert first[j] == total
+
+
+# (N1, N2): one entry grown; a few blocks; and prefixes that end one before,
+# on and one past the 65536-entry block edge, grown to three blocks
+GROWN = [(4, 5), (17, 1001), (1000, 4099), (65535, 140000), (65536, 140000),
+         (65537, 140000)]
+
+
+class TestGrownTable:
+    @pytest.fixture(scope="class")
+    def lam140k(self):
+        return sieve_von_mangoldt(140000)
+
+    @staticmethod
+    def same_bits(a, b):
+        assert a.limit == b.limit
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.one_square.tobytes() == b.one_square.tobytes()
+
+    @pytest.mark.parametrize("N1, N2", GROWN)
+    def test_a_grown_table_is_a_fresh_build(self, lam140k, N1, N2):
+        prefix = compute_rq(lam140k, N1)
+        self.same_bits(compute_rq(lam140k, N2, prefix), compute_rq(lam140k, N2))
+        assert prefix.limit == N1  # the prefix is copied, not written
+
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("N1, N2", GROWN[:3])
+    def test_any_block_size_grows_the_same_bits(self, lam140k, N1, N2, block, monkeypatch):
+        monkeypatch.setattr(arithmetic, "_BLOCK", block)
+        grown = compute_rq(lam140k, N2, compute_rq(lam140k, N1))
+        self.same_bits(grown, compute_rq(lam140k, N2))
+
+    def test_growth_adds_only_past_the_prefix(self, lam500, monkeypatch):
+        firsts = []
+        add = arithmetic._add_one_square
+        monkeypatch.setattr(arithmetic, "_add_one_square",
+                            lambda src, out, first=0: firsts.append(first) or add(src, out, first))
+        compute_rq(lam500, 500, compute_rq(lam500, 200))
+        assert firsts == [0, 0, 201, 201]
+
+    @pytest.mark.parametrize("N", [17, 200])
+    def test_a_prefix_at_or_past_n_is_cut_to_views(self, lam500, N, monkeypatch):
+        prefix = compute_rq(lam500, 200)
+        monkeypatch.setattr(arithmetic, "_add_one_square", None)  # no adds
+        cut = compute_rq(lam500, N, prefix)
+        assert cut.limit == N
+        assert np.shares_memory(cut.values, prefix.values)
+        assert np.shares_memory(cut.one_square, prefix.one_square)
+        monkeypatch.undo()
+        self.same_bits(cut, compute_rq(lam500, N))
+
+    def test_a_prefix_without_its_first_pass_cannot_grow(self, lam500):
+        bare = arithmetic.LinnikTable(limit=100, values=compute_rq(lam500, 100).values)
+        with pytest.raises(DomainError):
+            compute_rq(lam500, 200, bare)
+        assert compute_rq(lam500, 50, bare).values.tobytes() == bare.values[:51].tobytes()
+
+    def test_upto_past_the_limit_is_refused(self, rq500):
+        with pytest.raises(DomainError):
+            rq500.upto(501)
+
 
 class TestCesaroLhs:
     def test_weight_vanishes_at_n_equal_N(self, rq500):

@@ -1,8 +1,9 @@
+import csv
 import json
 
 import pytest
 
-from linnik import cli
+from linnik import cli, formula
 
 
 def run(argv):
@@ -87,6 +88,27 @@ class TestScanCommand:
         scan_row = scan_out.read_text().splitlines()[3].split(",")
         eval_row = eval_out.read_text().splitlines()[1].split(",")
         assert scan_row[:-1] == eval_row[:-1]
+
+    def test_a_grown_table_writes_the_bytes_of_separate_runs(self, tmp_path, cold_memos):
+        # scan grows one r_Q table over its N list; each evaluate here starts
+        # with no table (c10)
+        fields = ("lhs", "m1", "m2", "m3", "m4")
+        tables_for = formula._tables_for
+        cold_memos(tables_for)
+        scan_out = tmp_path / "scan.csv"
+        assert run(["scan", "--N-list", "500,1000,2000", "--k", "2", "--Z", "2",
+                    "--out", str(scan_out)]) == 0
+        with scan_out.open(newline="") as f:
+            scanned = [[row[k] for k in fields] for row in csv.DictReader(f)]
+        separate = []
+        for N in (500, 1000, 2000):
+            tables_for.cache.clear()
+            out = tmp_path / f"eval{N}.csv"
+            assert run(["evaluate", "--N", str(N), "--k", "2", "--Z", "2",
+                        "--out", str(out)]) == 0
+            with out.open(newline="") as f:
+                separate += [[row[k] for k in fields] for row in csv.DictReader(f)]
+        assert scanned == separate
 
     def test_synthetic_selftest(self):
         assert run(["scan", "--synthetic-selftest"]) == 0
