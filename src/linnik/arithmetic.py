@@ -90,19 +90,12 @@ class LinnikTable:
 
     one_square is compute_rq's first pass, T(j) = sum_{l>=1} Lambda(j - l^2)
     on 0..limit, which is also the Hardy-Littlewood count r_HL(j) of
-    j = prime power + one positive square; a table that has it can grow.
+    j = prime power + one positive square; compute_rq grows a table from it.
     """
 
     limit: int
     values: np.ndarray
-    one_square: Optional[np.ndarray] = None
-
-    def upto(self, N: int) -> "LinnikTable":
-        """The table on 0..N for N <= limit, as views of the first N + 1 entries."""
-        if not 0 <= N <= self.limit:
-            raise DomainError(f"cannot cut a table of limit {self.limit} to {N}")
-        first = None if self.one_square is None else self.one_square[: N + 1]
-        return LinnikTable(limit=N, values=self.values[: N + 1], one_square=first)
+    one_square: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -221,17 +214,15 @@ def compute_rq(
     exactly 0.0, and entries n <= M are the same bits for every table length
     N >= M.
 
-    A prefix, a table an earlier call built at a smaller limit N1, is grown:
-    its two passes are copied and both passes run over N1 < n <= N only,
-    (4/3)(N^{3/2} - N1^{3/2}) adds, with the same bits as a fresh build. A
-    prefix at or past N is cut to N instead (LinnikTable.upto), with no adds.
+    A prefix, a table an earlier call built at a smaller limit N1 < N, is
+    grown: its two passes are copied and both passes run over N1 < n <= N
+    only, (4/3)(N^{3/2} - N1^{3/2}) adds, with the same bits as a fresh build.
+    A prefix at or past N is refused.
     """
     if lam.limit < N:
         raise DomainError(f"Lambda table limit {lam.limit} < requested N {N}")
     if prefix is not None and prefix.limit >= N:
-        return prefix.upto(N)
-    if prefix is not None and prefix.one_square is None:
-        raise DomainError("prefix table keeps no first pass to grow from")
+        raise DomainError(f"prefix limit {prefix.limit} >= requested N {N}")
     one_square = np.zeros(N + 1, dtype=np.float64)
     values = np.zeros(N + 1, dtype=np.float64)
     first = 0

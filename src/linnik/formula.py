@@ -460,15 +460,13 @@ def override_truncation(
 # since evaluate never reads it after the build. Each doubled cutoff of an
 # evaluate and a repeated run reuse the slot as it is. r_Q(n) does not depend
 # on N, so a new N past the held table's limit grows that table (compute_rq
-# with it as the prefix), and one at or below it gets views of its first
-# N + 1 entries, with no sieve and no convolution. r_Q and its first pass at
-# N = 10^6 take about 16 MB.
+# with it as the prefix); a new N below it is built fresh. r_Q and its first
+# pass at N = 10^6 take about 16 MB.
 @memo(1)
 def _tables_for(N: int):
     held = next(iter(_tables_for.cache.values()), (None, None))[1]
-    if held is not None and N <= held.limit:
-        return None, held.upto(N)
-    return None, arithmetic.compute_rq(arithmetic.sieve_von_mangoldt(N), N, held)
+    prefix = held if held is not None and held.limit < N else None
+    return None, arithmetic.compute_rq(arithmetic.sieve_von_mangoldt(N), N, prefix)
 
 
 @contextmanager

@@ -306,25 +306,9 @@ class TestGrownTable:
         assert firsts == [0, 0, 201, 201]
 
     @pytest.mark.parametrize("N", [17, 200])
-    def test_a_prefix_at_or_past_n_is_cut_to_views(self, lam500, N, monkeypatch):
-        prefix = compute_rq(lam500, 200)
-        monkeypatch.setattr(arithmetic, "_add_one_square", None)  # no adds
-        cut = compute_rq(lam500, N, prefix)
-        assert cut.limit == N
-        assert np.shares_memory(cut.values, prefix.values)
-        assert np.shares_memory(cut.one_square, prefix.one_square)
-        monkeypatch.undo()
-        self.same_bits(cut, compute_rq(lam500, N))
-
-    def test_a_prefix_without_its_first_pass_cannot_grow(self, lam500):
-        bare = arithmetic.LinnikTable(limit=100, values=compute_rq(lam500, 100).values)
+    def test_a_prefix_at_or_past_n_is_refused(self, lam500, N):
         with pytest.raises(DomainError):
-            compute_rq(lam500, 200, bare)
-        assert compute_rq(lam500, 50, bare).values.tobytes() == bare.values[:51].tobytes()
-
-    def test_upto_past_the_limit_is_refused(self, rq500):
-        with pytest.raises(DomainError):
-            rq500.upto(501)
+            compute_rq(lam500, N, compute_rq(lam500, 200))
 
 
 class TestCesaroLhs:

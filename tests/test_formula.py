@@ -381,8 +381,8 @@ class TestEvaluate:
         assert list(tables_for.cache) == [(600,)]
 
     def test_any_n_order_gives_the_cold_bits(self, zeros100, cold_memos, monkeypatch):
-        # a grown table, and views of a larger one, give each N the bits of
-        # an evaluate whose table was built cold at that N
+        # a grown table gives each N the bits of an evaluate whose table was
+        # built cold at that N
         tables_for = formula._tables_for
         cold_memos(tables_for)
         spec = TruncationSpec(Z=2, L=3, M=3, tol=1.0)
@@ -405,21 +405,17 @@ class TestEvaluate:
                             lambda lam, N, prefix=None: builds.append(N) or build(lam, N, prefix))
         monkeypatch.setattr(arithmetic, "sieve_von_mangoldt",
                             lambda N: sieves.append(N) or sieve(N))
-        # the passes start at 0 for a cold table and past the held limit for
-        # a grown one; an N at or below the held limit builds nothing
+        # the passes start past the held limit for an N above it, and at 0
+        # for a cold slot or an N below the held limit
         expected = {(3000, 6000, 12000): [0, 0, 3001, 3001, 6001, 6001],
-                    (12000, 6000, 3000): [0, 0],
-                    (12000, 3000, 6000): [0, 0, 3001, 3001]}
+                    (12000, 6000, 3000): [0, 0, 0, 0, 0, 0],
+                    (12000, 3000, 6000): [0, 0, 0, 0, 3001, 3001]}
         for order, passes in expected.items():
             tables_for.cache.clear()
             del firsts[:], builds[:], sieves[:]
-            held = 0  # the limit of the table in the slot: the last N served
             for N in order:
-                n_builds, n_sieves = len(builds), len(sieves)
                 assert fields(N) == cold[N]
-                grown = [N] if N > held else []
-                assert builds[n_builds:] == sieves[n_sieves:] == grown
-                held = N
+            assert builds == sieves == list(order)
             assert firsts == passes
 
     def test_subterm_error_carries_term_identification(self, zeros100, monkeypatch):
