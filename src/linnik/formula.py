@@ -26,11 +26,12 @@ radius L, single-index cutoff M. Every term carries computed tail bounds:
     weighs root^{-2s}, s = Re nu/2 + 1/4, summed past the cutoff with a safety
     factor 2 (_cut_tail). default_truncation picks L and M by the same rule,
     as the smallest cutoffs whose unpaired cells' tail meets tol/4;
-  * zero tails from the Stirling amplitude |Gamma(rho)| J-growth cancellation:
-    each discarded zero contributes at most ~ sqrt(2 pi) gamma^{beta-1/2}
-    sqrt(2/(pi u)) times its lattice weight while gamma <~ u/2, decaying like
-    (u/2 / gamma)^{k+3/2} beyond; zeros past the loaded table are covered by
-    the counting density ~ log(gamma/2pi)/(2pi), integrated against the decay.
+  * zero tails from zeros.zero_tail, the one model of the zeros past Z: m2
+    weighs a zero by its Stirling Gamma ratio ~ gamma^-c; m3 and m4 by the
+    cancellation of |Gamma(rho)| against the J growth, at most
+    ~ sqrt(2 pi) gamma^{beta-1/2} sqrt(2/(pi u)) times its lattice weight
+    while gamma <~ u/2, decaying like (u/2 / gamma)^{k+3/2} beyond. Zeros
+    past the loaded table are counted by the density log(gamma/2pi)/(2pi).
 
 Sums over points, zeros and probe terms are exactly rounded (math.fsum).
 
@@ -55,7 +56,7 @@ from .arithmetic import CesaroParams, _lattice_norms, fsum_complex
 from .errors import DomainError, PrecisionError
 from .quadrature import adaptive_gauss_kronrod
 from .specfun import bessel_j, gamma_ratio, log_gamma, memo
-from .zeros import _RATIO_SLACK, _SAFETY, ZeroSet, paired_zero_sum, zero_tail_bound
+from .zeros import _SAFETY, ZeroSet, paired_zero_sum, zero_amp, zero_tail, zero_tail_bound
 
 __all__ = [
     "TruncationSpec",
@@ -174,52 +175,6 @@ def _m_tail(M: int, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Zero-amplitude models shared by the m3/m4 tails
-# ---------------------------------------------------------------------------
-
-
-def _zero_amp(beta: float, gamma: float, N: float) -> float:
-    """Model bound for |Gamma(rho) pi^-rho N^{rho/2}| * e^{pi gamma / 2}."""
-    return (
-        _RATIO_SLACK
-        * math.sqrt(2.0 * math.pi)
-        * gamma ** (beta - 0.5)
-        * math.pi ** (-beta)
-        * N ** (beta / 2.0)
-    )
-
-
-def _plateau_decay(gamma: float, u_ref: float, k: float) -> float:
-    """Order-1 until gamma ~ u_ref/2, then (u_ref/2 / gamma)^(k+3/2) decay."""
-    edge = 0.5 * u_ref
-    if gamma <= edge:
-        return 1.0
-    return (edge / gamma) ** (k + 1.5)
-
-
-def _zero_tail_over_table(zs: ZeroSet, Z: int, N: float, u_ref: float, k: float) -> float:
-    """Sum of paired zero amplitudes for j >= Z, including the density model
-    for zeros beyond the end of the loaded table."""
-    total = 0.0
-    for zero in zs.zeros[Z:]:
-        total += 2.0 * _zero_amp(zero.beta, zero.gamma, N) * _plateau_decay(
-            zero.gamma, u_ref, k
-        )
-    beta_max = max((z.beta for z in zs.zeros), default=0.5)
-    gamma_T = zs.zeros[-1].gamma if zs.count else 14.0
-    q0 = 2.0 * _zero_amp(beta_max, max(gamma_T, 14.0), N)
-    edge = 0.5 * u_ref
-    dens = math.log(max(gamma_T, edge, 15.0) / (2.0 * math.pi)) / (2.0 * math.pi)
-    plateau_span = max(0.0, edge - gamma_T)
-    g_star = max(gamma_T, edge)
-    total += q0 * dens * plateau_span  # plateau zeros past the table
-    # decaying part, int_{g*}^inf (g*/gamma)^{k+3/2} log(gamma/2pi)/(2pi) dgamma
-    x = g_star / (2.0 * math.pi)
-    total += q0 * x * (math.log(x) / (k + 0.5) + (k + 0.5) ** -2)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Main terms
 # ---------------------------------------------------------------------------
 
@@ -293,7 +248,7 @@ def m2_term(
         b = paired_zero_sum(f, zs, spec.Z)
         components[name] = b
         value += weight * b
-        tail += abs(weight) * zero_tail_bound(k, N, offset, spec.Z, zs)
+        tail += abs(weight) * zero_tail_bound(N, offset, spec.Z, zs)
     return TermValue(value, components, {"zeros": tail}, notes)
 
 
@@ -344,13 +299,14 @@ def _bessel_term(cells, names, points, tail, tail_key, cutoff, params, zs, spec)
     """The cells of one index set summed over its points (root, log root,
     mult), one component per name, with tail bounds from _cut_tail. Past the
     cutoff a paired cell carries the amplitude of the zeros kept, with
-    s = (k+q+beta_max)/2 + 1/4; zeros past Z are weighed over all points.
+    s = (k+q+beta_max)/2 + 1/4; zeros past Z are weighed over all points by
+    zeros.zero_tail, with the plateau edge u_ref/2 and decay k + 3/2.
     """
     N, k = float(params.N), params.k
     lnN = math.log(N)
     sqrtN = math.sqrt(N)
-    beta_max = max((z.beta for z in zs.zeros), default=0.5)
-    amp_in = sum(2.0 * _zero_amp(z.beta, z.gamma, N) for z in zs.zeros[: spec.Z])
+    amp = zero_amp(N)
+    amp_in = sum(2.0 * C * z.gamma**A for z in zs.zeros[: spec.Z] for C, A in [amp(z.beta)])
     components = {}
     value = zero_weight = 0.0
     paired_tails = []
@@ -363,7 +319,7 @@ def _bessel_term(cells, names, points, tail, tail_key, cutoff, params, zs, spec)
                 return w * _bessel_sum(k + q + rho, points, sqrtN)
 
             block = pref * paired_zero_sum(f, zs, spec.Z)
-            s = (k + q + beta_max) / 2.0 + 0.25
+            s = (k + q + zs.beta_max) / 2.0 + 0.25
             paired_tails.append(pref * amp_in * tail(cutoff, s))
             head = sum(mult * root ** (-2.0 * s) for root, _, mult in points)
             zero_weight += pref * (head + tail(cutoff, s))
@@ -372,9 +328,9 @@ def _bessel_term(cells, names, points, tail, tail_key, cutoff, params, zs, spec)
         components[name] = block
         value += coef * block
     cut_tail = _cut_tail(cells, tail, cutoff, N, k, paired_tails)
-    u_ref = 2.0 * math.pi * max(cutoff, 1) * sqrtN
-    zero_tail = _envelope(N) * zero_weight * _zero_tail_over_table(zs, spec.Z, N, u_ref, k)
-    return TermValue(value, components, {tail_key: cut_tail, "zeros": zero_tail})
+    edge = math.pi * max(cutoff, 1) * sqrtN  # u_ref/2 for u_ref = 2 pi cutoff sqrt N
+    past_z = _envelope(N) * zero_weight * zero_tail(zs, spec.Z, amp, edge, k + 1.5)
+    return TermValue(value, components, {tail_key: cut_tail, "zeros": past_z})
 
 
 def m3_term(
@@ -456,17 +412,16 @@ def override_truncation(
 # Full evaluation
 # ---------------------------------------------------------------------------
 
-# One slot, the last N, holding (None, r_Q): the Lambda table is not kept,
-# since evaluate never reads it after the build. Each doubled cutoff of an
+# One slot, the last N, holding its r_Q table (the Lambda table is not kept,
+# since evaluate never reads it after the build). Each doubled cutoff of an
 # evaluate and a repeated run reuse the slot as it is. r_Q(n) does not depend
 # on N, so a new N past the held table's limit grows that table (compute_rq
 # with it as the prefix); a new N below it is built fresh. r_Q and its first
 # pass at N = 10^6 take about 16 MB.
 @memo(1)
 def _tables_for(N: int):
-    held = next(iter(_tables_for.cache.values()), (None, None))[1]
-    prefix = held if held is not None and held.limit < N else None
-    return None, arithmetic.compute_rq(arithmetic.sieve_von_mangoldt(N), N, prefix)
+    prefix = next((held for held in _tables_for.cache.values() if held.limit < N), None)
+    return arithmetic.compute_rq(arithmetic.sieve_von_mangoldt(N), N, prefix)
 
 
 @contextmanager
@@ -517,8 +472,7 @@ def evaluate(
 
     wall = {}
     t0 = time.perf_counter()
-    _, rq = _tables_for(N)
-    lhs = arithmetic.cesaro_lhs(rq, params)
+    lhs = arithmetic.cesaro_lhs(_tables_for(N), params)
     wall["lhs"] = time.perf_counter() - t0
 
     with _term_context("m1", wall):

@@ -39,6 +39,10 @@ _GAUSS_WEIGHTS = (
     0.417959183673469,
 )
 
+# Bisection depth and panel budget, past which the rule gives up.
+_MAX_DEPTH = 48
+_MAX_PANELS = 200000
+
 
 def _gk15(f, a: float, b: float):
     """One G7/K15 panel; returns (kronrod, |kronrod - gauss|)."""
@@ -60,14 +64,7 @@ def _gk15(f, a: float, b: float):
     return half * fk, abs(half * (fk - fg))
 
 
-def adaptive_gauss_kronrod(
-    f,
-    a: float,
-    b: float,
-    abs_tol: float,
-    max_depth: int = 48,
-    max_panels: int = 200000,
-) -> complex:
+def adaptive_gauss_kronrod(f, a: float, b: float, abs_tol: float) -> complex:
     """Integrate f over [a, b] to absolute tolerance abs_tol.
 
     Bisects depth-first in a fixed left-to-right order. Raises
@@ -82,7 +79,7 @@ def adaptive_gauss_kronrod(
         x0, x1, tol, depth = stack.pop()
         val, err = _gk15(f, x0, x1)
         panels += 1
-        if panels > max_panels:
+        if panels > _MAX_PANELS:
             raise QuadratureError(
                 f"panel budget exhausted on [{x0}, {x1}]",
                 strategy="gauss-kronrod",
@@ -94,7 +91,7 @@ def adaptive_gauss_kronrod(
         if err <= tol or err <= 5e-15 * abs(val) or (x1 - x0) < 1e-300:
             total += val
             continue
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise QuadratureError(
                 f"max depth reached on [{x0}, {x1}] (err {err:.3e} > tol {tol:.3e})",
                 strategy="gauss-kronrod",

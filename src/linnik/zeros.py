@@ -11,6 +11,9 @@ Weighted sums over zeros always run over conjugate pairs: for weights f with
 f(conj rho) = conj f(rho) the pair sum is 2 Re f(rho), so paired_zero_sum
 returns an exactly real number by construction. Its one math.fsum is exactly
 rounded, so the value is reproducible bit for bit.
+
+zero_tail is the one model of the zeros a sum leaves out past Z, for M2's
+Gamma ratios (zero_tail_bound) and M3/M4's Bessel cells (zero_amp) alike.
 """
 
 import math
@@ -30,11 +33,14 @@ __all__ = [
     "bundled_zeros_path",
     "cache_dir",
     "paired_zero_sum",
+    "zero_amp",
+    "zero_tail",
     "zero_tail_bound",
 ]
 
 CACHE_ENV_VAR = "LINNIK_CACHE_DIR"
 _FIRST_ZERO_WINDOW = (14.0, 14.3)
+_TWO_PI = 2.0 * math.pi
 
 # Stirling-ratio slack: |Gamma(rho)/Gamma(rho+power)| <= RATIO_SLACK * gamma^-power
 # on every table zero (asserted against log_gamma in the test suite).
@@ -72,6 +78,11 @@ class ZeroSet:
 
     def gammas(self) -> list:
         return [z.gamma for z in self.zeros]
+
+    @property
+    def beta_max(self) -> float:
+        """The largest beta of the table, 1/2 for an empty one."""
+        return max((z.beta for z in self.zeros), default=0.5)
 
     def truncated(self, Z: int) -> "ZeroSet":
         if Z > self.count:
@@ -228,33 +239,67 @@ def paired_zero_sum(
     return 2.0 * math.fsum(complex(f(zero.rho)).real for zero in zs.zeros[:Z])
 
 
-def zero_tail_bound(k: float, N: float, power: float, Z: int, zs: ZeroSet) -> float:
+def _density_integral(c: float, lo: float, hi: float = math.inf) -> float:
+    """int_lo^hi gamma^c log(gamma/2pi)/(2pi) dgamma, a power of gamma against
+    the zeros' counting density; inf when it diverges. c != -1."""
+
+    def antiderivative(g):
+        return g ** (c + 1.0) * (math.log(g / _TWO_PI) - 1.0 / (c + 1.0)) / ((c + 1.0) * _TWO_PI)
+
+    if hi < math.inf:
+        return antiderivative(hi) - antiderivative(lo)
+    return -antiderivative(lo) if c < -1.0 else math.inf
+
+
+def zero_tail(zs: ZeroSet, Z: int, amp, edge: float = math.inf, decay: float = 0.0) -> float:
+    """Bound for the paired zeros j >= Z of a weight that is at most
+    C gamma^A min(1, (edge/gamma)^decay) at beta + i gamma, (C, A) = amp(beta).
+
+    The table zeros past Z are summed one by one; the zeros past the table's
+    last ordinate gamma_T take the weight at the table's largest beta against
+    the counting density log(gamma/2pi)/(2pi), integrated in closed form.
+    Conjugate pairs count twice; the caller adds the safety factor.
+    """
+    if Z < 0:
+        raise DomainError("Z must be >= 0")
+
+    def weight(beta, gamma):
+        C, A = amp(beta)
+        return C * gamma**A * (1.0 if gamma <= edge else (edge / gamma) ** decay)
+
+    head = [weight(z.beta, z.gamma) for z in zs.zeros[Z:]]
+    gamma_T = zs.zeros[-1].gamma if zs.count else _FIRST_ZERO_WINDOW[0]
+    C, A = amp(zs.beta_max)
+    past = _density_integral(A, gamma_T, max(gamma_T, edge))
+    if edge < math.inf:
+        past += edge**decay * _density_integral(A - decay, max(gamma_T, edge))
+    return 2.0 * math.fsum(head + [C * past])
+
+
+def zero_amp(N: float) -> Callable[[float], tuple]:
+    """zero_tail's amp for the paired Bessel cells of M3 and M4: by Stirling,
+    |Gamma(rho) pi^-rho N^{rho/2}| e^{pi gamma/2} <= C gamma^A with
+    C = RATIO_SLACK sqrt(2 pi) pi^-beta N^{beta/2} and A = beta - 1/2."""
+
+    def amp(beta):
+        C = _RATIO_SLACK * math.sqrt(2.0 * math.pi) * math.pi ** (-beta) * N ** (beta / 2.0)
+        return C, beta - 0.5
+
+    return amp
+
+
+def zero_tail_bound(N: float, power: float, Z: int, zs: ZeroSet) -> float:
     """Upper bound for the discarded zero tail |sum_{j >= Z} Gamma(rho)/Gamma(rho+power) N^{power-1+rho}|.
 
     Each term is bounded by RATIO_SLACK * gamma^-power * N^{power-1+beta}
     (Stirling: the e^{-pi gamma/2} factors of numerator and denominator
-    cancel, leaving polynomial decay). Zeros beyond the loaded table are
-    covered by the counting-density model dN ~ log(gamma/2pi)/(2pi) dgamma.
-    Conjugate pairing and a global safety factor of 2 are included. Returns
-    inf when power is too small for the density integral to converge.
+    cancel, leaving polynomial decay), summed by zero_tail with no plateau
+    edge, times the safety factor. Returns inf when power is too small for
+    the density integral to converge.
     """
-    if Z < 0:
-        raise DomainError("Z must be >= 0")
     if power <= 1.1:
         return math.inf
-    n_pow = float(N)
-
-    total = 0.0
-    for zero in zs.zeros[Z:]:
-        total += _RATIO_SLACK * zero.gamma ** (-power) * n_pow ** (power - 1.0 + zero.beta)
-    # density remainder beyond the end of the table
-    beta_max = max((z.beta for z in zs.zeros), default=0.5)
-    gamma_T = zs.zeros[-1].gamma if zs.count else 14.0
-    p = power
-    remainder = (
-        (_RATIO_SLACK / (2 * math.pi))
-        * n_pow ** (p - 1.0 + beta_max)
-        * gamma_T ** (1.0 - p)
-        * (math.log(gamma_T / (2 * math.pi)) / (p - 1.0) + 1.0 / (p - 1.0) ** 2)
+    N = float(N)
+    return _SAFETY * zero_tail(
+        zs, Z, lambda beta: (_RATIO_SLACK * N ** (power - 1.0 + beta), -power)
     )
-    return 2.0 * _SAFETY * (total + remainder)

@@ -18,12 +18,9 @@ from linnik.formula import (
     m2_term,
     m3_term,
     m4_term,
-    _plateau_decay,
-    _zero_amp,
-    _zero_tail_over_table,
 )
 from linnik.specfun import gamma_ratio
-from linnik.zeros import ZeroSet
+from linnik.zeros import _SAFETY, ZeroSet, ZetaZero, zero_amp, zero_tail, zero_tail_bound
 
 
 class TestLatticePoints:
@@ -196,27 +193,63 @@ def _invert_power(coef, s, N):
     return coef * mpmath.mpf(N) ** (s - 1) / mpmath.gamma(s)
 
 
+def _past_table_model(weight, gamma_T, edge=mpmath.inf):
+    """mpmath.quad of a paired weight per zero times the counting density
+    log(gamma/2pi)/(2pi), from gamma_T on, split at the plateau edge."""
+
+    def integrand(g):
+        return 2 * weight(g) * mpmath.log(g / (2 * mpmath.pi)) / (2 * mpmath.pi)
+
+    pts = [gamma_T, edge, mpmath.inf] if gamma_T < edge < mpmath.inf else [gamma_T, mpmath.inf]
+    return float(mpmath.quad(integrand, pts))
+
+
 class TestZeroTailModel:
+    """zeros.zero_tail's part past the table (Z = count leaves only that
+    part) equals mpmath.quad of its own model, from above and below."""
+
     @pytest.mark.parametrize("N", [300, 500, 1000, 2000, 4000])
     def test_past_table_part_covers_its_model(self, zeros100, N):
-        # The zeros past the table: the model's own per-zero bound times the
-        # density log(gamma/2pi)/(2pi), integrated from the last table zero.
-        # Z = count leaves only that part of _zero_tail_over_table.
+        # the M3/M4 weight: a plateau up to edge = u_ref/2, then the
+        # (edge/gamma)^{k+3/2} decay; N = 300 at cutoff 3 has its edge below
+        # the last table zero, N = 4000 at cutoff 6 above it
         gamma_T = zeros100.zeros[-1].gamma
+        C, A = zero_amp(N)(0.5)
         for cutoff in (3, 4, 6):
-            u_ref = 2.0 * math.pi * cutoff * math.sqrt(N)
-            edge = 0.5 * u_ref
+            edge = math.pi * cutoff * math.sqrt(N)
             for k in (1.7, 2.0, 2.5):
+                decay = k + 1.5
+                model = _past_table_model(
+                    lambda g: C * g**A * min(1, (edge / g) ** decay), gamma_T, edge
+                )
+                past = zero_tail(zeros100, zeros100.count, zero_amp(N), edge, decay)
+                assert past == pytest.approx(model, rel=1e-12), (N, cutoff, k, past / model)
 
-                def per_zero(g):
-                    g = float(g)
-                    dens = math.log(g / (2.0 * math.pi)) / (2.0 * math.pi)
-                    return 2.0 * _zero_amp(0.5, g, N) * _plateau_decay(g, u_ref, k) * dens
+    @pytest.mark.parametrize("N", [300, 2000, 4000])
+    def test_m2_past_table_part_is_its_model(self, zeros100, N):
+        # M2's weight: the Stirling ratio model 1.25 gamma^-power N^{power-1+beta}
+        gamma_T = zeros100.zeros[-1].gamma
+        for power in (2.5, 3.0, 4.5):
+            model = _past_table_model(
+                lambda g: 1.25 * g ** (-power) * mpmath.mpf(N) ** (power - 0.5), gamma_T
+            )
+            past = zero_tail_bound(N, power, zeros100.count, zeros100) / _SAFETY
+            assert past == pytest.approx(model, rel=1e-12), (N, power, past / model)
 
-                pts = [gamma_T, edge, mpmath.inf] if edge > gamma_T else [gamma_T, mpmath.inf]
-                model = float(mpmath.quad(per_zero, pts))
-                past = _zero_tail_over_table(zeros100, zeros100.count, N, u_ref, k)
-                assert past >= model, (N, cutoff, k, past / model)
+    @pytest.mark.parametrize("edge", [100.0, 1000.0, 1e4])
+    def test_past_table_amplitude_grows_like_gamma_to_beta_minus_half(self, zeros100, edge):
+        # a two-column table whose last zero has beta = 0.6: past the table
+        # the zeros take that beta, so their amplitude grows like gamma^0.1
+        # over the plateau and on into the decay
+        last = zeros100.zeros[-1]
+        zs = ZeroSet(zeros100.zeros[:-1] + (ZetaZero(last.gamma, 0.6),))
+        N, decay = 2000, 3.5
+        C = zero_amp(N)(0.6)[0]
+        model = _past_table_model(
+            lambda g: C * g**0.1 * min(1, (edge / g) ** decay), last.gamma, edge
+        )
+        past = zero_tail(zs, zs.count, zero_amp(N), edge, decay)
+        assert past == pytest.approx(model, rel=1e-12), (edge, past / model)
 
 
 class TestBlockOracle:
@@ -358,7 +391,7 @@ class TestEvaluate:
 
     def test_tails_missing_tol_are_noted(self, zeros100, grid_runs):
         spec, rep = grid_runs[2000]
-        assert rep.tail_bounds["m3"] > spec.tol  # 3.2e6 against 8000
+        assert rep.tail_bounds["m3"] > spec.tol  # 3.25e6 against 8000
         assert (f"m3 tail bound {rep.tail_bounds['m3']:.3e} exceeds tol "
                 f"{spec.tol:.3e}") in rep.notes
         loose = TruncationSpec(Z=spec.Z, L=spec.L, M=spec.M, tol=1e30)
@@ -377,7 +410,7 @@ class TestEvaluate:
         assert tables_for(700) is other
         again = tables_for(600)  # rebuilt, with the same bits
         assert again is not first
-        assert np.array_equal(again[1].values, first[1].values)
+        assert np.array_equal(again.values, first.values)
         assert list(tables_for.cache) == [(600,)]
 
     def test_any_n_order_gives_the_cold_bits(self, zeros100, cold_memos, monkeypatch):

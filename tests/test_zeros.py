@@ -195,7 +195,7 @@ class TestZeroTailBound:
                 assert true <= 1.25 * zero.gamma ** (-power)
 
     def test_monotone_decreasing_in_Z(self, zeros100):
-        bounds = [zero_tail_bound(2.0, 1000, 4.0, Z, zeros100) for Z in range(0, 100, 10)]
+        bounds = [zero_tail_bound(1000, 4.0, Z, zeros100) for Z in range(0, 100, 10)]
         assert all(b >= a for a, b in zip(bounds[1:], bounds))
 
     def test_contains_actual_tail(self, zeros100):
@@ -210,10 +210,10 @@ class TestZeroTailBound:
         full = paired_zero_sum(f, zeros100, 100)
         for Z in (30, 50, 80):
             part = paired_zero_sum(f, zeros100, Z)
-            assert abs(full - part) <= zero_tail_bound(k, N, power, Z, zeros100)
+            assert abs(full - part) <= zero_tail_bound(N, power, Z, zeros100)
 
     def test_infinite_for_tiny_power(self, zeros100):
-        assert zero_tail_bound(2.0, 100, 1.05, 10, zeros100) == math.inf
+        assert zero_tail_bound(100, 1.05, 10, zeros100) == math.inf
 
     def test_truncated_view(self, zeros100):
         sub = zeros100.truncated(10)
