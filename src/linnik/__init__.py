@@ -14,8 +14,6 @@ from .arithmetic import (
 )
 from .errors import (
     DomainError,
-    FetchError,
-    IntegrityError,
     LinnikError,
     PoleError,
     PrecisionError,
@@ -38,7 +36,6 @@ from .formula import (
 )
 from .specfun import (
     bessel_j,
-    bessel_j_sonine,
     gamma_ratio,
     laplace_line_integral,
     log_gamma,
@@ -47,7 +44,7 @@ from .zeros import (
     ZeroSet,
     ZetaZero,
     bundled_zeros_path,
-    fetch_zeros,
+    compute_zeros,
     load_zeros,
     paired_zero_sum,
     zero_tail_bound,

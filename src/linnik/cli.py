@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: evaluate, scan, zeros {fetch,validate,info}, probe, selftest,
+Subcommands: evaluate, scan, zeros {compute,validate,info}, probe, selftest,
 and bessel (ad-hoc single evaluation for debugging).
 
 All outputs are deterministic functions of the configuration and input files:
@@ -20,8 +20,6 @@ from . import arithmetic, formula, specfun, zeros as zeros_mod
 from .arithmetic import CesaroParams
 from .errors import (
     DomainError,
-    FetchError,
-    IntegrityError,
     LinnikError,
     PrecisionError,
     QuadratureError,
@@ -87,6 +85,14 @@ def _write_rows(path, rows, fmt: str) -> None:
             out_rows.append(obj)
         payload = '{"rows": [' + ", ".join(out_rows) + "]}\n"
     Path(path).write_text(payload, encoding="utf-8", newline="\n")
+
+
+def _emit(payload: str, out) -> None:
+    """Write payload to the file out, or to stdout when out is None."""
+    if out:
+        Path(out).write_text(payload, encoding="utf-8")
+    else:
+        sys.stdout.write(payload)
 
 
 def _load_zero_set(spec_str: str):
@@ -157,10 +163,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    if args.zeros_cmd == "fetch":
-        path = zeros_mod.fetch_zeros(args.source, args.limit, cache=args.cache_dir)
-        zs = zeros_mod.load_zeros(path, args.source)
-        print(f"fetched {zs.count} zeros -> {path}")
+    if args.zeros_cmd == "compute":
+        zs = zeros_mod.compute_zeros(args.count)
+        lines = [f"# First {zs.count} zeta zero ordinates from mpmath.zetazero at 80 bits, "
+                 "rounded to doubles."]
+        lines += [_fmt(g) for g in zs.gammas()]
+        _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     zs = _load_zero_set(args.table)
     if args.zeros_cmd == "validate":
@@ -181,11 +189,7 @@ def cmd_probe(args) -> int:
     lines = ["zeros_included,partial_sum"]
     for i, p in enumerate(series.partial_sums, start=1):
         lines.append(f"{i},{_fmt(p)}")
-    payload = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -324,10 +328,9 @@ def _build_parser() -> _Parser:
 
     zr = sub.add_parser("zeros", help="zero-table management")
     zsub = zr.add_subparsers(dest="zeros_cmd", required=True)
-    zf = zsub.add_parser("fetch")
-    zf.add_argument("--source", default="bundled")
-    zf.add_argument("--limit", type=int, default=100)
-    zf.add_argument("--cache-dir", dest="cache_dir", default=None)
+    zc = zsub.add_parser("compute", help="compute a zero table with mpmath")
+    zc.add_argument("--count", type=int, required=True)
+    zc.add_argument("--out", default=None)
     zv = zsub.add_parser("validate")
     zv.add_argument("table", help="'bundled' or path")
     zi = zsub.add_parser("info")
@@ -372,7 +375,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ZeroTableError, FetchError, IntegrityError, TableSizeError) as exc:
+    except (ZeroTableError, TableSizeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (PrecisionError, QuadratureError) as exc:

@@ -55,11 +55,3 @@ class ZeroTableError(LinnikError, ValueError):
     def __init__(self, message, line=None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
-
-
-class FetchError(LinnikError, IOError):
-    """Zero-table download failed (network or missing cache)."""
-
-
-class IntegrityError(LinnikError, IOError):
-    """Checksum mismatch on a cached or downloaded zero table."""

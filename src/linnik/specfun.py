@@ -1,8 +1,8 @@
 """Complex log-gamma (mpmath.loggamma at 80 bits), Bessel J of real or
 complex order, Laplace line integrals, and memo(cap), the package's one
 cache: log Gamma, gamma_ratio, the Hankel tables and per-u constants, J and
-formula's last (Lambda, r_Q) tables each sit in a memo, with hit and miss
-counts.
+formula's last r_Q table (the Lambda table is not kept) each sit in a memo,
+with hit and miss counts.
 
 The Bessel evaluator is the numerical core of the analytic main terms: orders
 are k + c + rho with rho a zeta zero (so imaginary parts up to a few hundred),
@@ -34,10 +34,6 @@ two paths, chosen from (u, nu) alone:
   its first term. The prefactor is exp(nu log(u/2) - log Gamma(nu+1)),
   with log Gamma from the same memo as gamma_ratio.
 
-Direct quadrature of the contour-integral representation
-(u/2)^nu / (2 pi i) * int e^s s^{-nu-1} e^{-u^2/(4 s)} ds over a vertical
-line, bessel_j_sonine, is kept as an independent cross-check oracle.
-
 Every path returns an error estimate and never returns a value it cannot
 certify: the fixed-point kernel hands such a call to the series, and the
 series raises PrecisionError.
@@ -60,7 +56,6 @@ __all__ = [
     "gamma_ratio",
     "bessel_j",
     "bessel_j_detailed",
-    "bessel_j_sonine",
     "laplace_line_integral",
     "memo",
 ]
@@ -522,48 +517,6 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
     # |x| >= size / sqrt 2
     err_rel = 3 * err / (2 * size) + 2.0**-53
     return BesselEval(complex(lo_r, lo_i), "hankel", wp, k, err_rel)
-
-
-# ---------------------------------------------------------------------------
-# Bessel J: contour-quadrature oracle
-# ---------------------------------------------------------------------------
-
-
-def bessel_j_sonine(nu, u: float, prec_bits: int = 200, abscissa: float = 1.0) -> complex:
-    """Cross-check oracle: vertical-line contour integral for J_nu(u).
-
-    The line Re s = abscissa is deformed to a bracket (finite vertical segment
-    plus two horizontal rays at Im s = +-T on which e^s decays); the essential
-    singularity at s = 0 stays outside the deformation region for every T > 0,
-    so the bracket value equals the line integral exactly. The value is
-    independent of the abscissa, which unit tests assert rather than assume.
-    """
-    if u <= 0:
-        raise DomainError("oracle requires u > 0")
-    if abscissa <= 0:
-        raise DomainError("contour abscissa must be positive")
-    with mp.workprec(prec_bits + 80):
-        nu_m = mp.mpc(nu)
-        u_m = mp.mpf(u)
-        a_m = mp.mpf(abscissa)
-        q = u_m * u_m / 4
-
-        def f(sv):
-            return mp.e ** (sv - q / sv) * sv ** (-nu_m - 1)
-
-        T = u_m / 2 + 30
-        n_panels = int(2 * T / (math.pi / 2)) + 1
-        pts = mp.linspace(-T, T, n_panels + 1)
-        # Gauss-Legendre gives the same doubles as mpmath's default
-        # tanh-sinh at every oracle point of the test suite, in about a
-        # third of the time
-        vertical = mp.quad(lambda t: f(a_m + 1j * t) * 1j, pts, method="gauss-legendre")
-        ray = [-mp.inf, a_m - 200, a_m - 80, a_m - 20, a_m - 5, a_m]
-        top = mp.quad(lambda x: f(x + 1j * T), ray, method="gauss-legendre")
-        bottom = mp.quad(lambda x: f(x - 1j * T), ray, method="gauss-legendre")
-        total = bottom + vertical - top
-        value = (u_m / 2) ** nu_m * total / (2j * mp.pi)
-        return complex(value)
 
 
 # ---------------------------------------------------------------------------

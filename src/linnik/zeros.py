@@ -1,11 +1,9 @@
-"""Nontrivial zeta-zero tables: ingestion, caching, paired sums, tail bounds.
+"""Nontrivial zeta-zero tables: ingestion, computation, paired sums, tail bounds.
 
 Zero ordinates are served from plain text files (one ascending ordinate per
 line, '#' comments allowed, optional second column for the real part beta).
 A bundled table of the first 100 zeros ships with the package so everything
-runs offline; fetch_zeros additionally knows how to download and cache tables
-from named sources with checksum verification. It imports urllib.request and
-hashlib itself, so importing the package loads neither.
+runs offline; compute_zeros gives any number of them from mpmath.zetazero.
 
 Weighted sums over zeros always run over conjugate pairs: for weights f with
 f(conj rho) = conj f(rho) the pair sum is 2 Re f(rho), so paired_zero_sum
@@ -17,28 +15,27 @@ Gamma ratios (zero_tail_bound) and M3/M4's Bessel cells (zero_amp) alike.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
-from .errors import DomainError, FetchError, IntegrityError, ZeroTableError
+from mpmath import mp
+
+from .errors import DomainError, ZeroTableError
 
 __all__ = [
     "ZetaZero",
     "ZeroSet",
     "load_zeros",
-    "fetch_zeros",
+    "compute_zeros",
     "bundled_zeros_path",
-    "cache_dir",
     "paired_zero_sum",
     "zero_amp",
     "zero_tail",
     "zero_tail_bound",
 ]
 
-CACHE_ENV_VAR = "LINNIK_CACHE_DIR"
 _FIRST_ZERO_WINDOW = (14.0, 14.3)
 _TWO_PI = 2.0 * math.pi
 
@@ -134,94 +131,14 @@ def bundled_zeros_path() -> Path:
     return Path(resources.files("linnik.data") / "zeros100.txt")
 
 
-def cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "linnik"
-
-
-def _sha256(data: bytes) -> str:
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
-
-
-def _registry() -> dict:
-    import json
-
-    with resources.files("linnik.data").joinpath("sources.json").open("r") as fh:
-        return json.load(fh)
-
-
-def fetch_zeros(source: str, limit: int, cache: Optional[Path] = None) -> Path:
-    """Materialize the first `limit` zeros of a named source as a cached file.
-
-    Repeated calls hit the cache and return a byte-identical file; a cached
-    file whose recorded checksum no longer matches is purged and reported as
-    an IntegrityError. The bundled source never touches the network.
-    """
-    if source.startswith(("http://", "https://")):
-        # ad-hoc URL: no registry checksum, generous capacity
-        entry = {"kind": "url", "url": source, "capacity": 10**9}
-        cache_key = "url_" + _sha256(source.encode())[:16]
-    else:
-        registry = _registry()
-        if source not in registry:
-            raise FetchError(f"unknown zero source {source!r}; known: {sorted(registry)}")
-        entry = registry[source]
-        cache_key = source
-    if limit < 0 or limit > entry.get("capacity", 0):
-        raise FetchError(
-            f"limit {limit} exceeds capacity {entry.get('capacity')} of source {source!r}"
-        )
-    cache = Path(cache) if cache is not None else cache_dir()
-    cache.mkdir(parents=True, exist_ok=True)
-    target = cache / f"{cache_key}_{limit}.txt"
-    sidecar = cache / f"{cache_key}_{limit}.txt.sha256"
-
-    if target.exists():
-        data = target.read_bytes()
-        if sidecar.exists() and _sha256(data) == sidecar.read_text().strip():
-            return target
-        target.unlink(missing_ok=True)
-        sidecar.unlink(missing_ok=True)
-        raise IntegrityError(
-            f"cached file {target} failed checksum verification; cache entry purged"
-        )
-
-    if entry.get("kind") == "bundled":
-        raw = bundled_zeros_path().read_bytes()
-        if entry.get("sha256") and _sha256(raw) != entry["sha256"]:
-            raise IntegrityError("bundled zero table does not match its recorded checksum")
-    elif entry.get("kind") == "url":
-        import urllib.request
-
-        try:
-            with urllib.request.urlopen(entry["url"], timeout=30) as resp:
-                raw = resp.read()
-        except Exception as exc:
-            raise FetchError(
-                f"download failed for {source!r} ({exc}); no cached copy present"
-            ) from exc
-        if entry.get("sha256") and _sha256(raw) != entry["sha256"]:
-            raise IntegrityError(f"download for {source!r} failed checksum verification")
-    else:
-        raise FetchError(f"source {source!r} has unsupported kind {entry.get('kind')!r}")
-
-    lines = []
-    for line in raw.decode("utf-8").splitlines():
-        t = line.strip()
-        if t and not t.startswith("#"):
-            lines.append(t)
-        if len(lines) == limit:
-            break
-    if len(lines) < limit:
-        raise FetchError(f"source {source!r} provided {len(lines)} zeros, wanted {limit}")
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    target.write_bytes(payload)
-    sidecar.write_text(_sha256(payload) + "\n")
-    return target
+def compute_zeros(count: int) -> ZeroSet:
+    """The first `count` zeros from mpmath.zetazero at 80 bits, each ordinate
+    rounded to the nearest double."""
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
+    with mp.workprec(80):
+        gammas = [float(mp.zetazero(n).imag) for n in range(1, count + 1)]
+    return ZeroSet(tuple(ZetaZero(g) for g in gammas), "mpmath.zetazero")
 
 
 def paired_zero_sum(

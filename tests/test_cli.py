@@ -4,6 +4,7 @@ import json
 import pytest
 
 from linnik import cli, formula
+from linnik.zeros import compute_zeros, load_zeros
 
 
 def run(argv):
@@ -125,25 +126,18 @@ class TestZerosCommand:
         first = float(out.split("gamma_first=")[1].split()[0])
         assert 14.0 < first < 14.3
 
-    def test_fetch_and_cache(self, tmp_path, capsys):
-        assert run([
-            "zeros", "fetch", "--source", "bundled", "--limit", "100",
-            "--cache-dir", str(tmp_path),
-        ]) == 0
-        assert "fetched 100 zeros" in capsys.readouterr().out
-        cached = list(tmp_path.glob("bundled_100.txt"))
-        assert len(cached) == 1
-        data = cached[0].read_bytes()
-        assert run([
-            "zeros", "fetch", "--source", "bundled", "--limit", "100",
-            "--cache-dir", str(tmp_path),
-        ]) == 0
-        assert cached[0].read_bytes() == data
+    def test_compute_writes_a_loadable_table(self, tmp_path, capsys):
+        out = tmp_path / "zeros5.txt"
+        assert run(["zeros", "compute", "--count", "5", "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert run(["zeros", "compute", "--count", "5", "--out", str(out)]) == 0
+        assert out.read_bytes() == data
+        assert run(["zeros", "validate", str(out)]) == 0
+        assert "count=5" in capsys.readouterr().out
+        assert load_zeros(out).gammas() == compute_zeros(5).gammas()
 
-    def test_fetch_unknown_source(self, tmp_path):
-        assert run([
-            "zeros", "fetch", "--source", "missing", "--cache-dir", str(tmp_path),
-        ]) == cli.EXIT_DATA
+    def test_compute_count_zero(self):
+        assert run(["zeros", "compute", "--count", "0"]) == cli.EXIT_DATA
 
     def test_validate_bad_file(self, tmp_path):
         bad = tmp_path / "bad.txt"

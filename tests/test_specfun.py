@@ -14,13 +14,13 @@ from linnik.specfun import (
     _bessel_series,
     bessel_j,
     bessel_j_detailed,
-    bessel_j_sonine,
     gamma_ratio,
     laplace_line_integral,
     log_gamma,
 )
 
 from frozen_values import FROZEN_LOGGAMMA, FROZEN_SONINE
+from sonine_oracle import bessel_j_sonine
 
 
 class TestLogGamma:

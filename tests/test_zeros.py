@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import os
 import subprocess
@@ -7,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from linnik.errors import DomainError, FetchError, IntegrityError, ZeroTableError
+from linnik.errors import DomainError, ZeroTableError
 from linnik.specfun import gamma_ratio, log_gamma
 from linnik.zeros import (
     ZetaZero,
     ZeroSet,
     bundled_zeros_path,
-    fetch_zeros,
+    compute_zeros,
     load_zeros,
     paired_zero_sum,
     zero_tail_bound,
@@ -90,67 +91,20 @@ class TestLoadZeros:
             ZetaZero(gamma=14.1, beta=0.0)
 
 
-class TestFetchZeros:
-    def test_bundled_fetch_and_cache_hit(self, tmp_path):
-        p1 = fetch_zeros("bundled", 100, cache=tmp_path)
-        data1 = p1.read_bytes()
-        zs = load_zeros(p1, "bundled")
-        assert zs.count == 100
-        p2 = fetch_zeros("bundled", 100, cache=tmp_path)
-        assert p1 == p2
-        assert p2.read_bytes() == data1
+class TestComputeZeros:
+    def test_first_ten_match_bundled_bit_for_bit(self, zeros100):
+        assert compute_zeros(10).gammas() == zeros100.gammas()[:10]
 
-    def test_truncated_fetch(self, tmp_path):
-        p = fetch_zeros("bundled", 7, cache=tmp_path)
-        assert load_zeros(p).count == 7
+    def test_count_below_one(self):
+        with pytest.raises(DomainError):
+            compute_zeros(0)
 
-    def test_corrupted_cache_purged(self, tmp_path):
-        p = fetch_zeros("bundled", 10, cache=tmp_path)
-        p.write_text("14.2\n15.0\n")  # corrupt the cached payload
-        with pytest.raises(IntegrityError):
-            fetch_zeros("bundled", 10, cache=tmp_path)
-        assert not p.exists()
-        # cache re-materializes cleanly afterwards
-        p3 = fetch_zeros("bundled", 10, cache=tmp_path)
-        assert load_zeros(p3).count == 10
 
-    def test_unknown_source_and_capacity(self, tmp_path):
-        with pytest.raises(FetchError):
-            fetch_zeros("nope", 10, cache=tmp_path)
-        with pytest.raises(FetchError):
-            fetch_zeros("bundled", 101, cache=tmp_path)
-
-    def test_network_failure_without_cache(self, tmp_path, monkeypatch):
-        import urllib.request
-
-        def boom(*args, **kwargs):
-            raise OSError("network unreachable")
-
-        monkeypatch.setattr(urllib.request, "urlopen", boom)
-        with pytest.raises(FetchError) as exc:
-            fetch_zeros("odlyzko_zeros1", 100, cache=tmp_path)
-        assert "no cached copy" in str(exc.value)
-        with pytest.raises(FetchError):
-            fetch_zeros("https://example.invalid/zeros", 10, cache=tmp_path)
-
-    def test_literal_url_source_served_from_fake_download(self, tmp_path, monkeypatch):
-        import io
-        import urllib.request
-
-        payload = ("14.134725141\n21.022039638\n" * 1).encode()
-
-        class FakeResp(io.BytesIO):
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *a):
-                return False
-
-        monkeypatch.setattr(
-            urllib.request, "urlopen", lambda *a, **k: FakeResp(payload)
-        )
-        p = fetch_zeros("https://example.invalid/zeros", 2, cache=tmp_path)
-        assert load_zeros(p).count == 2
+def test_bundled_table_checksum():
+    """The packaged table is the data every frozen value rests on; a changed
+    byte must fail here before it moves a term."""
+    digest = hashlib.sha256(bundled_zeros_path().read_bytes()).hexdigest()
+    assert digest == "cc67e0404f0046dc0242fdf47cfea2c71e282464dff2ef70872aa31e751612a4"
 
 
 class TestPairedZeroSum:
@@ -223,8 +177,8 @@ class TestZeroTailBound:
 
 
 def test_import_loads_no_network_modules():
-    """The fetch path alone needs urllib.request; importing the package in a
-    fresh process must not pull it in, nor http.client or ssl with it."""
+    """No package module imports urllib, http.client or ssl: importing the
+    package in a fresh process loads none of them, and this keeps it so."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = (
