@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: evaluate, scan, zeros {compute,validate,info}, probe, selftest,
-and bessel (ad-hoc single evaluation for debugging).
+and bessel (ad-hoc single evaluation for debugging). evaluate and scan share
+--zeros, --Z, --L, --M, --tol, --format and --allow-subcritical; a cutoff
+given is used as is, and formula.default_truncation chooses the others for
+--tol at every N.
 
 All outputs are deterministic functions of the configuration and input files:
 numbers are serialized with 17 significant digits, no timestamps or wallclock
@@ -101,15 +104,15 @@ def _load_zero_set(spec_str: str):
     return zeros_mod.load_zeros(spec_str)
 
 
-def _overrides(args) -> dict:
-    """The --Z, --L, --M and --tol given, for formula.override_truncation."""
-    return {n: getattr(args, n) for n in ("Z", "L", "M", "tol") if getattr(args, n) is not None}
+def _cutoffs(args) -> dict:
+    """--Z, --L, --M and --tol (None where not given) for formula.default_truncation."""
+    return {n: getattr(args, n) for n in ("Z", "L", "M", "tol")}
 
 
 def cmd_evaluate(args) -> int:
     zs = _load_zero_set(args.zeros)
     params = CesaroParams(N=args.N, k=args.k)
-    spec = formula.override_truncation(params, zs, _overrides(args))
+    spec = formula.default_truncation(params, zs, **_cutoffs(args))
     rep = formula.evaluate(params, zs, spec, allow_subcritical=args.allow_subcritical)
     _write_rows(args.out, [_report_row(rep)], args.format)
     print(
@@ -122,11 +125,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.synthetic_selftest:
-        ns = [500, 1000, 2000, 4000]
-        slope, _ = formula.fit_loglog_slope(ns, [0.7 * n**3 for n in ns])
-        print(f"synthetic slope={_fmt(slope)}")
-        return EXIT_OK if abs(slope - 3.0) <= 1e-6 else EXIT_NUMERIC
     try:
         n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
     except ValueError as exc:
@@ -135,11 +133,7 @@ def cmd_scan(args) -> int:
         raise _UsageError("--N-list needs at least 3 ascending values")
     zs = _load_zero_set(args.zeros)
     study = formula.scaling_study(
-        n_list,
-        args.k,
-        zs,
-        spec_overrides=_overrides(args),
-        allow_subcritical=args.allow_subcritical,
+        n_list, args.k, zs, allow_subcritical=args.allow_subcritical, **_cutoffs(args)
     )
     rows = [_report_row(rep, slope=study.slope) for rep in study.rows]
     _write_rows(args.out, rows, args.format)
@@ -185,7 +179,7 @@ def cmd_probe(args) -> int:
     zs = _load_zero_set(args.zeros)
     if args.Z is not None:
         zs = zs.truncated(args.Z)
-    series = formula.threshold_probe(args.d, args.k, args.N, zs, vmax=args.vmax)
+    series = formula.threshold_probe(args.d, args.k, args.N, zs)
     lines = ["zeros_included,partial_sum"]
     for i, p in enumerate(series.partial_sums, start=1):
         lines.append(f"{i},{_fmt(p)}")
@@ -248,12 +242,19 @@ def _selftest_checks():
         if zs.count != 100:
             raise AssertionError(f"bundled table has {zs.count} zeros, expected 100")
 
+    def loglog_fit():
+        ns = [500, 1000, 2000, 4000]
+        slope, _ = formula.fit_loglog_slope(ns, [0.7 * n**3 for n in ns])
+        if abs(slope - 3.0) > 1e-6:
+            raise AssertionError(f"fit slope {slope} of 0.7 N^3, expected 3")
+
     return (
         ("theta_modularity", EXIT_NUMERIC, theta_modularity),
         ("laplace_identity", EXIT_NUMERIC, laplace_identity),
         ("bessel_recurrence", EXIT_NUMERIC, bessel_recurrence),
         ("rq_oracle", EXIT_NUMERIC, rq_oracle),
         ("zeros_bundled", EXIT_DATA, zeros_bundled),
+        ("loglog_fit", EXIT_NUMERIC, loglog_fit),
     )
 
 
@@ -298,32 +299,29 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="linnik", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    ev = sub.add_parser("evaluate", help="evaluate both sides of the formula at one N")
+    # the options evaluate and scan share
+    terms = _Parser(add_help=False)
+    terms.add_argument("--zeros", default="bundled", help="'bundled' or path to a zero table")
+    terms.add_argument("--Z", type=int, default=None)
+    terms.add_argument("--L", type=int, default=None)
+    terms.add_argument("--M", type=int, default=None)
+    terms.add_argument("--tol", type=float, default=None)
+    terms.add_argument("--format", choices=("csv", "json"), default="csv")
+    terms.add_argument("--allow-subcritical", action="store_true")
+
+    ev = sub.add_parser(
+        "evaluate", parents=[terms], help="evaluate both sides of the formula at one N"
+    )
     ev.add_argument("--N", type=int, required=True)
     ev.add_argument("--k", type=float, required=True)
-    ev.add_argument("--zeros", default="bundled", help="'bundled' or path to a zero table")
-    ev.add_argument("--Z", type=int, default=None)
-    ev.add_argument("--L", type=int, default=None)
-    ev.add_argument("--M", type=int, default=None)
-    ev.add_argument("--tol", type=float, default=None)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--format", choices=("csv", "json"), default="csv")
-    ev.add_argument("--allow-subcritical", action="store_true")
     ev.set_defaults(func=cmd_evaluate)
 
-    sc = sub.add_parser("scan", help="scaling study over an N grid")
+    sc = sub.add_parser("scan", parents=[terms], help="scaling study over an N grid")
     sc.add_argument("--N-list", dest="N_list", default="")
     sc.add_argument("--k", type=float, default=2.0)
-    sc.add_argument("--zeros", default="bundled")
-    sc.add_argument("--Z", type=int, default=None)
-    sc.add_argument("--L", type=int, default=None)
-    sc.add_argument("--M", type=int, default=None)
-    sc.add_argument("--tol", type=float, default=None)
     sc.add_argument("--out", default="scan.csv")
-    sc.add_argument("--format", choices=("csv", "json"), default="csv")
     sc.add_argument("--plot-data", dest="plot_data", default=None)
-    sc.add_argument("--allow-subcritical", action="store_true")
-    sc.add_argument("--synthetic-selftest", dest="synthetic_selftest", action="store_true")
     sc.set_defaults(func=cmd_scan)
 
     zr = sub.add_parser("zeros", help="zero-table management")
@@ -343,7 +341,6 @@ def _build_parser() -> _Parser:
     pr.add_argument("--N", type=int, required=True)
     pr.add_argument("--zeros", default="bundled")
     pr.add_argument("--Z", type=int, default=None)
-    pr.add_argument("--vmax", type=float, default=40.0)
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=cmd_probe)
 

@@ -45,7 +45,7 @@ import math
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -64,7 +64,6 @@ __all__ = [
     "FormulaReport",
     "ProbeSeries",
     "default_truncation",
-    "override_truncation",
     "lattice_points",
     "m1_term",
     "m2_term",
@@ -79,6 +78,7 @@ _LN_PI = math.log(math.pi)
 _LATTICE_FLUCT = 2.0  # head room for r2 fluctuations around its mean pi/4
 
 THEOREM_MIN_K = 1.5
+_PROBE_VMAX = 40.0  # threshold_probe cuts its v integral here
 
 
 @dataclass(frozen=True)
@@ -377,11 +377,14 @@ def default_truncation(
     zs: ZeroSet,
     tol: Optional[float] = None,
     Z: Optional[int] = None,
+    L: Optional[int] = None,
+    M: Optional[int] = None,
 ) -> TruncationSpec:
-    """Pick cutoffs: Z = 50 (or the table size), L in [3, 64) and M in
+    """Keep each cutoff given and choose the missing ones for tol (default
+    1e-6 N^{k+1}): Z = 50 (or the table size), L in [3, 64) and M in
     [3, 256) as the smallest for which the cut tail of the unpaired
-    "lattice" and "m" cells, the rule m3_term and m4_term report, meets tol/4
-    (tol defaults to 1e-6 N^{k+1}); L = 64 or M = 256 if none does.
+    "lattice" and "m" cells, the rule m3_term and m4_term report, meets
+    tol/4; L = 64 or M = 256 if none does.
 
     The paired cells' lattice/m tails carry a Z-driven amplitude that no
     cutoff can push below tol; the term evaluators report them, but they do
@@ -391,21 +394,13 @@ def default_truncation(
     N, k = float(params.N), params.k
     if tol is None:
         tol = 1e-6 * N ** (k + 1.0)
-    Z = min(50, zs.count) if Z is None else Z
-    L = _smallest_cutoff(_cells("lattice"), _lattice_tail, 3, 64, N, k, tol)
-    M = _smallest_cutoff(_cells("m"), _m_tail, 3, 256, N, k, tol)
+    if Z is None:
+        Z = min(50, zs.count)
+    if L is None:
+        L = _smallest_cutoff(_cells("lattice"), _lattice_tail, 3, 64, N, k, tol)
+    if M is None:
+        M = _smallest_cutoff(_cells("m"), _m_tail, 3, 256, N, k, tol)
     return TruncationSpec(Z=Z, L=L, M=M, tol=tol)
-
-
-def override_truncation(
-    params: CesaroParams, zs: ZeroSet, overrides: Optional[dict] = None
-) -> TruncationSpec:
-    """default_truncation at overrides["tol"] when given, so that L and M are
-    sized for that tol, then with any Z, L or M that overrides gives in place
-    of the chosen one."""
-    overrides = dict(overrides or {})
-    spec = default_truncation(params, zs, tol=overrides.pop("tol", None))
-    return replace(spec, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +534,13 @@ def threshold_probe(
     k: float,
     N: int,
     zs: ZeroSet,
-    vmax: float = 40.0,
 ) -> ProbeSeries:
     """Partial sums of the convergence-threshold series
 
         sum_{l in (Z>=1)^d} sum_{gamma>0} gamma^{-k-3/2}
             int_0^gamma e^{-N ||l||^2 v^2 / gamma^2} e^{-v} v^{k+beta} dv,
 
-    recorded after each zero (the integral is cut at min(gamma, vmax)).
+    recorded after each zero (the integral is cut at min(gamma, 40)).
 
     The lattice sum is exact: it factors as omega(a)^d with a = N v^2/gamma^2
     and omega(a) = sum_{l>=1} e^{-a l^2}. Writing omega = (c/v - 1)/2 + E
@@ -566,8 +560,6 @@ def threshold_probe(
         raise DomainError("probe supports d in {1, 2, 3}")
     if k <= 0:
         raise DomainError("probe requires k > 0")
-    if not vmax > 0:
-        raise DomainError("probe requires vmax > 0")
     beta_min = min((z.beta for z in zs.zeros), default=0.5)
     if k + beta_min <= d - 1:
         raise DomainError(
@@ -579,7 +571,7 @@ def threshold_probe(
         g = zero.gamma
         beta = zero.beta
         scale = float(N) / (g * g)
-        hi = min(g, vmax)
+        hi = min(g, _PROBE_VMAX)
         half_c = 0.5 * math.sqrt(math.pi / scale)
         # omega = p + E with p = c/(2v) - 1/2; the p^d part in closed form
         main = main_abs = 0.0
@@ -636,10 +628,11 @@ def scaling_study(
     N_list,
     k: float,
     zs: ZeroSet,
-    spec_overrides: Optional[dict] = None,
     allow_subcritical: bool = False,
+    **cutoffs,
 ) -> ScalingStudy:
-    """Run evaluate over an ascending N grid and fit the residual growth."""
+    """Run evaluate over an ascending N grid and fit the residual growth;
+    cutoffs (tol, Z, L, M) go to default_truncation at every N."""
     N_list = list(N_list)
     if len(N_list) < 3:
         raise DomainError("scaling study needs at least 3 N values")
@@ -648,7 +641,7 @@ def scaling_study(
     rows = []
     for N in N_list:
         params = CesaroParams(N=N, k=k)
-        spec = override_truncation(params, zs, spec_overrides)
+        spec = default_truncation(params, zs, **cutoffs)
         rows.append(evaluate(params, zs, spec, allow_subcritical=allow_subcritical))
     slope, excluded = fit_loglog_slope(N_list, [r.residual for r in rows])
     return ScalingStudy(rows=tuple(rows), slope=slope, excluded=excluded)

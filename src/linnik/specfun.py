@@ -563,37 +563,28 @@ def bessel_j(nu, u: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def laplace_line_integral(s, N: float, a: Optional[float] = None) -> complex:
-    """(1/2 pi i) * int over Re z = a of e^{N z} z^{-s} dz, for Re(s) > 0.
+def laplace_line_integral(s, N: float) -> complex:
+    """(1/2 pi i) * int over Re z = 1/N of e^{N z} z^{-s} dz, for Re(s) > 0.
 
     Equal to N^{s-1} / Gamma(s). The infinite vertical line is deformed to a
     bracket contour: the segment |Im z| <= T plus horizontal rays at +-iT,
     on which the integrand decays like e^{N Re z}; the deformation is exact
     for every T > 0 because the branch cut z <= 0 never crosses the contour.
-
-    a defaults to 1/N; abscissas with N a >> 1 are rejected because the
-    e^{N a} factor on the contour swamps the answer in cancellation.
+    The abscissa 1/N keeps the factor e^{N Re z} at most e on the contour,
+    so no large terms cancel.
     """
     s = complex(s)
     if s.real <= 0:
         raise DomainError("laplace_line_integral requires Re(s) > 0")
     if not (N > 0):
         raise DomainError("N must be positive")
-    if a is None:
-        a = 1.0 / N
-    if not (a > 0):
-        raise DomainError("abscissa a must be positive")
-    if N * a > 50.0:
-        raise DomainError(
-            f"abscissa a = {a} too far right for N = {N}: e^(N a) swamps the value; "
-            "use a ~ 1/N"
-        )
+    a = 1.0 / N
 
     # scale of the closed-form answer, for absolute quadrature tolerance
     scale = abs(cmath.exp((s - 1) * math.log(N) - log_gamma(s)))
     abs_tol = max(scale, 1e-290) * _REL_TOL * 0.25
 
-    T = max(4.0 / N, 1.5 * a)
+    T = 4.0 / N
 
     def integrand(z: complex) -> complex:
         return cmath.exp(N * z - s * cmath.log(z))

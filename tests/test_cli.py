@@ -111,8 +111,9 @@ class TestScanCommand:
                 separate += [[row[k] for k in fields] for row in csv.DictReader(f)]
         assert scanned == separate
 
-    def test_synthetic_selftest(self):
-        assert run(["scan", "--synthetic-selftest"]) == 0
+    def test_removed_fit_flag_is_a_usage_error(self):
+        # the fit it ran is the selftest check loglog_fit
+        assert run(["scan", "--synthetic-selftest"]) == 1
 
 
 class TestZerosCommand:
@@ -174,12 +175,19 @@ class TestProbeCommand:
         out = capsys.readouterr().out
         assert out.splitlines() == ["zeros_included,partial_sum"]
 
+    def test_removed_cut_flag_is_a_usage_error(self):
+        # the integral is always cut at v = min(gamma, 40)
+        base = ["probe", "--d", "2", "--k", "1.75", "--N", "100", "--Z", "2"]
+        assert run(base) == 0
+        assert run(base + ["--vmax", "40"]) == 1
+
 
 class TestSelftestCommand:
     def test_fresh_checkout_passes(self, capsys):
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
+        assert "PASS loglog_fit" in out
         assert "FAIL" not in out
 
     def test_json_output(self, capsys):
@@ -188,7 +196,7 @@ class TestSelftestCommand:
         assert all(c["passed"] for c in doc["checks"])
         assert {c["name"] for c in doc["checks"]} == {
             "theta_modularity", "laplace_identity", "bessel_recurrence",
-            "rq_oracle", "zeros_bundled",
+            "rq_oracle", "zeros_bundled", "loglog_fit",
         }
 
     def test_corrupted_zero_table_fails_by_name(self, tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -495,8 +496,6 @@ class TestLemma5Probe:
             threshold_probe(3, 1.0, 100, zeros100.truncated(5))
         with pytest.raises(DomainError):
             threshold_probe(2, 0.5, 100, zeros100.truncated(5))
-        with pytest.raises(DomainError):
-            threshold_probe(2, 1.75, 100, zeros100.truncated(5), vmax=0.0)
 
     @pytest.mark.parametrize("d,k", [(1, 1.0), (1, 1.75), (3, 1.75), (3, 2.5)])
     def test_terms_match_closed_form(self, zeros100, d, k):
@@ -557,3 +556,25 @@ class TestDefaultTruncation:
         assert spec.doubled("M").M == 2 * spec.M
         with pytest.raises(ValueError):
             spec.doubled("Q")
+
+    @pytest.mark.parametrize("N", [10, 500, 2000])
+    @pytest.mark.parametrize("k", [1.7, 2.0])
+    def test_given_cutoffs_are_kept_and_the_rest_chosen_for_tol(self, zeros100, N, k):
+        # each given cutoff in place of the one chosen for tol with none given
+        params = CesaroParams(N=N, k=k)
+        tol = 1e-9 * float(N) ** (k + 1.0)
+        chosen = default_truncation(params, zeros100, tol=tol)
+        for given in ({"L": 7}, {"M": 11}, {"Z": 3, "L": 5, "M": 13}):
+            assert default_truncation(params, zeros100, tol=tol, **given) == replace(
+                chosen, **given
+            )
+
+    def test_given_L_and_M_skip_the_search(self, zeros100, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("cutoff search ran for a given cutoff")
+
+        monkeypatch.setattr(formula, "_smallest_cutoff", no_search)
+        params = CesaroParams(N=500, k=2.0)
+        spec = default_truncation(params, zeros100, L=4, M=6)
+        assert (spec.Z, spec.L, spec.M) == (50, 4, 6)
+        assert spec.tol == pytest.approx(1e-6 * 500.0**3)

@@ -484,5 +484,3 @@ class TestLaplaceLineIntegral:
             laplace_line_integral(-1.0, 10.0)
         with pytest.raises(DomainError):
             laplace_line_integral(0.0 + 2.0j, 10.0)
-        with pytest.raises(DomainError):
-            laplace_line_integral(2.0, 10.0, a=100.0)
