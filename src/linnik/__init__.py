@@ -10,7 +10,6 @@ from .arithmetic import (
     omega2,
     s_tilde,
     sieve_von_mangoldt,
-    theta3,
 )
 from .errors import (
     DomainError,

@@ -24,15 +24,9 @@ truncated generating functions
 
     S(z)      = sum_{m >= 1} Lambda(m) e^{-m z}
     omega2(z) = sum_{m >= 1} e^{-m^2 z}
-    theta3(z) = 1 + 2 omega2(z)            (full integer lattice folded in)
 
 for Re z > 0, each with a computed bound on the discarded tail. Each sum is
 one exactly rounded math.fsum (one per part for complex terms).
-
-Lambda values are stored as floating log p with the underlying (n, p, j)
-prime-power structure retained, so any Lambda-weighted sum can be re-accumulated
-per prime as an exact integer-coefficient combination of log p (see
-rq_prime_counts); that audit path is what the oracle-equivalence tests compare.
 """
 
 import cmath
@@ -51,11 +45,9 @@ __all__ = [
     "TruncatedValue",
     "sieve_von_mangoldt",
     "compute_rq",
-    "rq_prime_counts",
     "cesaro_lhs",
     "s_tilde",
     "omega2",
-    "theta3",
 ]
 
 # Hard cap on sieve size; segmented sieving beyond this is out of scope.
@@ -67,21 +59,11 @@ _BLOCK = 65536
 
 @dataclass(frozen=True)
 class LambdaTable:
-    """von Mangoldt values on 1..limit plus the exact prime-power structure.
-
-    values[n] = log p when n = p^j, else 0.0; pp_n/pp_p/pp_j list every prime
-    power n = p^j <= limit in ascending n.
-    """
+    """von Mangoldt values on 0..limit: values[n] = log p when n = p^j,
+    else 0.0, so the prime powers are exactly the nonzero entries."""
 
     limit: int
     values: np.ndarray
-    pp_n: np.ndarray
-    pp_p: np.ndarray
-    pp_j: np.ndarray
-
-    def psi(self) -> float:
-        """Chebyshev psi(limit) = sum of the table."""
-        return float(np.sum(self.values))
 
 
 @dataclass(frozen=True)
@@ -146,25 +128,12 @@ def sieve_von_mangoldt(N: int) -> LambdaTable:
     values = np.zeros(N + 1, dtype=np.float64)
     values[primes] = logs
     small = primes[: np.searchsorted(primes, math.isqrt(N), side="right")]
-    pw_n, pw_p, pw_j = [], [], []
     for p, logp in zip(small.tolist(), logs):
         pk = p * p
-        j = 2
         while pk <= N:
             values[pk] = logp
-            pw_n.append(pk)
-            pw_p.append(p)
-            pw_j.append(j)
             pk *= p
-            j += 1
-
-    primes = primes.astype(np.int64)
-    pp_n = np.concatenate((primes, np.asarray(pw_n, dtype=np.int64)))
-    pp_p = np.concatenate((primes, np.asarray(pw_p, dtype=np.int64)))
-    pp_j = np.concatenate((np.ones_like(primes), np.asarray(pw_j, dtype=np.int64)))
-    order = np.argsort(pp_n, kind="stable")
-    pp_n, pp_p, pp_j = pp_n[order], pp_p[order], pp_j[order]
-    return LambdaTable(limit=N, values=values, pp_n=pp_n, pp_p=pp_p, pp_j=pp_j)
+    return LambdaTable(limit=N, values=values)
 
 
 def _lattice_norms(limit_exclusive: int):
@@ -235,31 +204,6 @@ def compute_rq(
     return LinnikTable(limit=N, values=values, one_square=one_square)
 
 
-def rq_prime_counts(lam: LambdaTable, n_max: int) -> list:
-    """Exact integer decomposition of r_Q: counts[n][p] multiplies log p.
-
-    counts[n] maps prime p to the number of (l1, l2, j) with
-    n - l1^2 - l2^2 = p^j. Summing count * log(p) over ascending p
-    re-accumulates r_Q(n) exactly; the brute-force oracle builds the same
-    structure, so the two can be compared with integer equality.
-    """
-    if lam.limit < n_max:
-        raise DomainError(f"Lambda table limit {lam.limit} < requested n_max {n_max}")
-    if n_max > 200000:
-        raise TableSizeError("exact audit path supports n_max <= 200000")
-    counts = [dict() for _ in range(n_max + 1)]
-    pp_n = lam.pp_n
-    pp_p = lam.pp_p
-    for lam2 in _lattice_norms(n_max):
-        hi = np.searchsorted(pp_n, n_max - lam2, side="right")
-        for idx in range(hi):
-            n = int(pp_n[idx]) + lam2
-            p = int(pp_p[idx])
-            c = counts[n]
-            c[p] = c.get(p, 0) + 1
-    return counts
-
-
 def cesaro_lhs(rq: LinnikTable, params: CesaroParams) -> float:
     """Cesaro-weighted sum of r_Q up to N.
 
@@ -311,9 +255,9 @@ def s_tilde(
     elif lam.limit < cutoff:
         raise DomainError("Lambda table shorter than cutoff")
 
-    hi = np.searchsorted(lam.pp_n, cutoff, side="right")
     head = fsum_complex(
-        float(lam.values[m]) * cmath.exp(-m * z) for m in map(int, lam.pp_n[:hi])
+        float(lam.values[m]) * cmath.exp(-m * z)
+        for m in np.flatnonzero(lam.values[: cutoff + 1]).tolist()
     )
 
     # sum_{m > C} m e^{-ma} = e^{-a(C+1)} * ((C+1)/(1-q) + q/(1-q)^2), q = e^{-a};
@@ -345,9 +289,3 @@ def omega2(z: complex, cutoff: Optional[int] = None) -> TruncatedValue:
     r = math.exp(-(2 * cutoff + 1) * a)
     tail = math.exp(-(cutoff + 1) ** 2 * a) / (1 - r) if r < 1 else math.inf
     return TruncatedValue(head, tail)
-
-
-def theta3(z: complex, cutoff: Optional[int] = None) -> TruncatedValue:
-    """Full theta sum over all integers: 1 + 2 * omega2(z) by m <-> -m symmetry."""
-    w = omega2(z, cutoff)
-    return TruncatedValue(1.0 + 2.0 * w.value, 2.0 * w.tail_bound)

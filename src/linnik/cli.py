@@ -87,13 +87,13 @@ def _write_rows(path, rows, fmt: str) -> None:
             ) + "}"
             out_rows.append(obj)
         payload = '{"rows": [' + ", ".join(out_rows) + "]}\n"
-    Path(path).write_text(payload, encoding="utf-8", newline="\n")
+    _emit(payload, path)
 
 
 def _emit(payload: str, out) -> None:
     """Write payload to the file out, or to stdout when out is None."""
     if out:
-        Path(out).write_text(payload, encoding="utf-8")
+        Path(out).write_text(payload, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(payload)
 
@@ -144,7 +144,7 @@ def cmd_scan(args) -> int:
                 lines.append(
                     _fmt(math.log(rep.params.N)) + "," + _fmt(math.log(abs(rep.residual)))
                 )
-        Path(args.plot_data).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _emit("\n".join(lines) + "\n", args.plot_data)
     for rep in study.rows:
         print(
             f"N={rep.params.N} residual={_fmt(rep.residual)} "
@@ -194,9 +194,9 @@ def _selftest_checks():
         for a in (0.01, 0.1, 1.0):
             for y in (-2.0, 0.0, 3.0):
                 z = complex(a, y)
-                lhs = arithmetic.theta3(z).value
+                lhs = 1.0 + 2.0 * arithmetic.omega2(z).value
                 w = math.pi ** 2 / z
-                rhs = cmath.sqrt(math.pi / z) * arithmetic.theta3(w).value
+                rhs = cmath.sqrt(math.pi / z) * (1.0 + 2.0 * arithmetic.omega2(w).value)
                 if abs(lhs - rhs) > 1e-12 * abs(lhs):
                     raise AssertionError(f"theta functional equation off at z={z}")
 
@@ -219,23 +219,17 @@ def _selftest_checks():
                     raise AssertionError(f"recurrence off at nu={nu} u={u}")
 
     def rq_oracle():
+        # compute_rq against a brute-force sum over the lattice pairs
         lam = arithmetic.sieve_von_mangoldt(200)
-        counts = arithmetic.rq_prime_counts(lam, 200)
-        pp = {int(n): (int(p), int(j)) for n, p, j in zip(lam.pp_n, lam.pp_p, lam.pp_j)}
+        rq = arithmetic.compute_rq(lam, 200)
         for n in range(1, 201):
-            brute = {}
-            for l1 in range(1, n):
-                if l1 * l1 >= n:
-                    break
-                for l2 in range(1, n):
-                    m1 = n - l1 * l1 - l2 * l2
-                    if m1 < 1:
-                        break
-                    if m1 in pp:
-                        p = pp[m1][0]
-                        brute[p] = brute.get(p, 0) + 1
-            if brute != counts[n]:
-                raise AssertionError(f"r_Q prime counts mismatch at n={n}")
+            brute = math.fsum(
+                float(lam.values[n - l1 * l1 - l2 * l2])
+                for l1 in range(1, math.isqrt(n - 1) + 1)
+                for l2 in range(1, math.isqrt(n - 1 - l1 * l1) + 1)
+            )
+            if abs(rq.values[n] - brute) > 1e-13 * brute:
+                raise AssertionError(f"r_Q mismatch at n={n}")
 
     def zeros_bundled():
         zs = zeros_mod.load_zeros(zeros_mod.bundled_zeros_path(), "bundled")

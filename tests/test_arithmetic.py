@@ -12,11 +12,10 @@ from linnik.arithmetic import (
     CesaroParams,
     cesaro_lhs,
     compute_rq,
+    fsum_complex,
     omega2,
-    rq_prime_counts,
     s_tilde,
     sieve_von_mangoldt,
-    theta3,
 )
 from linnik.errors import DomainError, TableSizeError
 
@@ -44,27 +43,20 @@ def brute_prime_powers(limit):
 
 
 def per_prime_sieve(N):
-    """Lambda table by one Python loop over every prime and its powers, the
-    arrays built from lists and ordered by a stable argsort on n."""
+    """Lambda values by one Python loop over every prime and its powers."""
     is_prime = np.ones(N + 1, dtype=bool)
     is_prime[:2] = False
     for i in range(2, math.isqrt(N) + 1):
         if is_prime[i]:
             is_prime[i * i :: i] = False
     values = np.zeros(N + 1, dtype=np.float64)
-    pp_n, pp_p, pp_j = [], [], []
     for p in np.nonzero(is_prime)[0].tolist():
         logp = math.log(p)
-        pk, j = p, 1
+        pk = p
         while pk <= N:
             values[pk] = logp
-            pp_n.append(pk)
-            pp_p.append(p)
-            pp_j.append(j)
             pk *= p
-            j += 1
-    order = np.argsort(np.asarray(pp_n, dtype=np.int64), kind="stable")
-    return (values,) + tuple(np.asarray(a, dtype=np.int64)[order] for a in (pp_n, pp_p, pp_j))
+    return values
 
 
 class TestVonMangoldt:
@@ -79,18 +71,18 @@ class TestVonMangoldt:
     def test_prime_power_detection_matches_trial_division(self):
         lam = sieve_von_mangoldt(600)
         brute = brute_prime_powers(600)
-        table = {int(n): (int(p), int(j)) for n, p, j in zip(lam.pp_n, lam.pp_p, lam.pp_j)}
-        assert table == brute
+        assert np.flatnonzero(lam.values).tolist() == sorted(brute)
+        assert all(lam.values[n] == math.log(p) for n, (p, _j) in brute.items())
 
     def test_prime_power_value_identical_float(self):
         lam = sieve_von_mangoldt(1024)
-        for n, p in zip(lam.pp_n, lam.pp_p):
+        for n, (p, _j) in brute_prime_powers(1024).items():
             assert lam.values[n] == lam.values[p]
 
     def test_psi_100_against_brute_force(self):
         lam = sieve_von_mangoldt(100)
         expected = math.fsum(math.log(p) for _, (p, _j) in brute_prime_powers(100).items())
-        assert lam.psi() == pytest.approx(expected, rel=1e-14)
+        assert float(np.sum(lam.values)) == pytest.approx(expected, rel=1e-14)
 
     def test_chebyshev_band(self):
         lam = sieve_von_mangoldt(5000)
@@ -100,16 +92,21 @@ class TestVonMangoldt:
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 1001, 65537])
     def test_same_bits_as_the_per_prime_loop(self, N):
-        lam = sieve_von_mangoldt(N)
-        for got, want in zip((lam.values, lam.pp_n, lam.pp_p, lam.pp_j), per_prime_sieve(N)):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        got, want = sieve_von_mangoldt(N).values, per_prime_sieve(N)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_prime_values_are_math_log(self):
-        lam = sieve_von_mangoldt(10**5)
-        primes = lam.pp_n[lam.pp_j == 1]
+        N = 10**5
+        lam = sieve_von_mangoldt(N)
+        # an Eratosthenes sieve on a bytearray, apart from the package's
+        is_prime = bytearray([0, 0]) + bytearray([1]) * (N - 1)
+        for i in range(2, math.isqrt(N) + 1):
+            if is_prime[i]:
+                is_prime[i * i :: i] = bytes(len(range(i * i, N + 1, i)))
+        primes = [n for n in range(N + 1) if is_prime[n]]
         assert len(primes) == 9592  # pi(10^5)
-        assert all(lam.values[p] == math.log(p) for p in primes.tolist())
+        assert all(lam.values[p] == math.log(p) for p in primes)
 
     def test_size_errors(self):
         with pytest.raises(TableSizeError):
@@ -200,13 +197,8 @@ class TestLinnikCounts:
         assert np.all(rq500.values >= 0.0)
         assert np.all(rq500.values[:4] == 0.0)
 
-    def test_exact_equivalence_with_triple_loop(self, lam500):
-        ours = rq_prime_counts(lam500, 500)
-        brute = brute_rq_counts(500)
-        assert ours == brute
-
     def test_float_table_matches_exact_counts(self, lam500, rq500):
-        counts = rq_prime_counts(lam500, 500)
+        counts = brute_rq_counts(500)
         for n in range(1, 501):
             expected = counts_to_value(counts[n])
             assert rq500.values[n] == pytest.approx(expected, rel=5e-14, abs=1e-300)
@@ -248,7 +240,7 @@ class TestLinnikCounts:
     def test_float_table_matches_exact_counts_generated(self, N):
         lam = sieve_von_mangoldt(N)
         rq = compute_rq(lam, N)
-        counts = rq_prime_counts(lam, N)
+        counts = brute_rq_counts(N)
         for n in range(N + 1):
             assert rq.values[n] == pytest.approx(counts_to_value(counts[n]), rel=5e-14, abs=1e-300)
 
@@ -321,7 +313,7 @@ class TestCesaroLhs:
         assert got == pytest.approx(math.log(2) / 2, rel=1e-15)
 
     def test_against_fsum_oracle(self, lam500, rq500):
-        pp = {int(n): float(v) for n, v in zip(lam500.pp_n, lam500.values[lam500.pp_n])}
+        pp = {n: float(lam500.values[n]) for n in np.flatnonzero(lam500.values).tolist()}
         for N in (100, 250, 500):
             for k in (2.0, 2.5):
                 terms = []
@@ -370,6 +362,13 @@ class TestGeneratingFunctions:
         assert abs(got.value.imag) == 0.0
         assert got.tail_bound <= 2 * 20 * math.exp(-200.0) / 10.0
 
+    @pytest.mark.parametrize("z", [complex(0.3, 2.0), complex(0.01, 0.0)])
+    @pytest.mark.parametrize("C", [2, 8, 9, 500])
+    def test_s_tilde_is_the_fsum_over_the_table(self, lam500, z, C):
+        # C = 8 and 9 are prime powers; 500 is the table's limit
+        want = fsum_complex(float(lam500.values[m]) * cmath.exp(-m * z) for m in range(1, C + 1))
+        assert s_tilde(z, C, lam500).value == want
+
     def test_s_tilde_decays_for_large_a(self, lam500):
         got = s_tilde(complex(50.0, 0.0), 10, lam500)
         assert abs(got.value) < 1e-21
@@ -397,12 +396,6 @@ class TestGeneratingFunctions:
         with pytest.raises(DomainError):
             omega2(complex(0.0, 1.0))
 
-    def test_theta_identity_exact(self):
-        for z in (complex(0.5, 0.3), complex(0.01, -2.0)):
-            w = omega2(z, 90)
-            t = theta3(z, 90)
-            assert t.value == 1.0 + 2.0 * w.value
-
     def test_omega2_trivial_bound(self):
         for a in (0.01, 0.1, 1.0):
             bound = math.sqrt(math.pi) / (2.0 * math.sqrt(a))
@@ -415,6 +408,6 @@ class TestGeneratingFunctions:
         for a in (0.01, 0.1, 1.0):
             for y in (-2.0, 0.0, 3.0):
                 z = complex(a, y)
-                lhs = theta3(z).value
-                rhs = cmath.sqrt(math.pi / z) * theta3(math.pi**2 / z).value
+                lhs = 1.0 + 2.0 * omega2(z).value
+                rhs = cmath.sqrt(math.pi / z) * (1.0 + 2.0 * omega2(math.pi**2 / z).value)
                 assert abs(lhs - rhs) <= 1e-12 * abs(lhs)

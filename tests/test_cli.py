@@ -1,9 +1,10 @@
 import csv
 import json
+import math
 
 import pytest
 
-from linnik import cli, formula
+from linnik import arithmetic, cli, formula
 from linnik.zeros import compute_zeros, load_zeros
 
 
@@ -210,6 +211,20 @@ class TestSelftestCommand:
         assert code == cli.EXIT_DATA
         assert "FAIL zeros_bundled" in out
         assert "first failing check: zeros_bundled" in out
+
+    def test_rq_oracle_fails_on_a_wrong_convolution(self, monkeypatch, capsys):
+        def skip_l1(src, out, first=0):
+            # every square but l = 1
+            for l in range(2, math.isqrt(max(len(out) - 2, 0)) + 1):
+                sq = l * l
+                lo = max(first, sq + 1)
+                out[lo:] += src[lo - sq : len(out) - sq]
+
+        monkeypatch.setattr(arithmetic, "_add_one_square", skip_l1)
+        code = run(["selftest"])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_NUMERIC
+        assert "FAIL rq_oracle" in out
 
 
 class TestBesselCommand:
