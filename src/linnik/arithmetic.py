@@ -136,19 +136,7 @@ def sieve_von_mangoldt(N: int) -> LambdaTable:
     return LambdaTable(limit=N, values=values)
 
 
-def _lattice_norms(limit_exclusive: int):
-    """Yield l1^2 + l2^2 over l1, l2 >= 1 in ascending (l1, l2) order."""
-    l1 = 1
-    while l1 * l1 + 1 < limit_exclusive:
-        s1 = l1 * l1
-        l2 = 1
-        while s1 + l2 * l2 < limit_exclusive:
-            yield s1 + l2 * l2
-            l2 += 1
-        l1 += 1
-
-
-def _add_one_square(src: np.ndarray, out: np.ndarray, first: int = 0) -> None:
+def _add_one_square(src: np.ndarray, out: np.ndarray, first: int) -> None:
     """out[n] += sum over l >= 1 with l^2 < n of src[n - l^2], for
     first <= n < len(out); entries below first are left as they are.
 
@@ -237,10 +225,9 @@ def _check_right_half_plane(z: complex) -> complex:
     return z
 
 
-def s_tilde(
-    z: complex, cutoff: int, lam: Optional[LambdaTable] = None
-) -> TruncatedValue:
-    """Truncated Lambda-weighted exponential sum sum_{m<=cutoff} Lambda(m) e^{-mz}.
+def s_tilde(z: complex, cutoff: int, lam: LambdaTable) -> TruncatedValue:
+    """Truncated Lambda-weighted exponential sum sum_{m<=cutoff} Lambda(m) e^{-mz},
+    over the table lam (limit >= cutoff).
 
     The tail bound uses Lambda(m) <= log m <= m and the exact geometric sum
     sum_{m>C} m e^{-ma}; it is always <= 2 * cutoff * e^{-cutoff*a} / a in the
@@ -250,9 +237,7 @@ def s_tilde(
     a = z.real
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
-    if lam is None:
-        lam = sieve_von_mangoldt(cutoff)
-    elif lam.limit < cutoff:
+    if lam.limit < cutoff:
         raise DomainError("Lambda table shorter than cutoff")
 
     head = fsum_complex(
@@ -271,19 +256,13 @@ def s_tilde(
 _THETA_EXPONENT = -math.log(1e-18)
 
 
-def default_theta_cutoff(a: float) -> int:
-    """Smallest M >= 2 with e^{-M^2 a} below 1e-18 (M^2 a above _THETA_EXPONENT)."""
-    return max(2, math.isqrt(int(_THETA_EXPONENT / a)) + 1)
-
-
-def omega2(z: complex, cutoff: Optional[int] = None) -> TruncatedValue:
-    """Truncated one-sided theta sum sum_{m=1..cutoff} e^{-m^2 z} with tail bound."""
+def omega2(z: complex) -> TruncatedValue:
+    """Truncated one-sided theta sum sum_{m=1..M} e^{-m^2 z} with tail bound,
+    M >= 2 the smallest cutoff with e^{-M^2 Re z} below 1e-18 (M^2 Re z above
+    _THETA_EXPONENT)."""
     z = _check_right_half_plane(z)
     a = z.real
-    if cutoff is None:
-        cutoff = default_theta_cutoff(a)
-    if cutoff < 1:
-        raise DomainError("cutoff must be >= 1")
+    cutoff = max(2, math.isqrt(int(_THETA_EXPONENT / a)) + 1)
     head = fsum_complex(cmath.exp(-(m * m) * z) for m in range(1, cutoff + 1))
     # |e^{-m^2 z}| = e^{-m^2 a}; for m > M, m^2 >= M^2 + (2M+1)(m - M)
     r = math.exp(-(2 * cutoff + 1) * a)

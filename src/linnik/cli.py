@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     LinnikError,
     PrecisionError,
-    QuadratureError,
     TableSizeError,
     ZeroTableError,
 )
@@ -369,7 +368,7 @@ def main(argv=None) -> int:
     except (ZeroTableError, TableSizeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (PrecisionError, QuadratureError) as exc:
+    except PrecisionError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except DomainError as exc:

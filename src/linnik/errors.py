@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Numerical routines never return silently-degraded values: when a requested
-tolerance cannot be certified they raise PrecisionError carrying the strategy
-that was attempted and the error estimate that was achieved.
+Numerical routines never return silently-degraded values: when a value
+cannot be certified they raise PrecisionError carrying the strategy that was
+attempted; the message says why.
 """
 
 
@@ -21,27 +21,21 @@ class DomainError(LinnikError, ValueError):
 class PoleError(DomainError):
     """Evaluation requested at a pole; carries the offending integer."""
 
-    def __init__(self, pole, message=None):
+    def __init__(self, pole):
         self.pole = pole
-        super().__init__(message or f"gamma pole at non-positive integer {pole}")
+        super().__init__(f"gamma pole at non-positive integer {pole}")
 
 
 class PrecisionError(LinnikError, ArithmeticError):
-    """Requested tolerance could not be certified.
+    """A value could not be certified.
 
-    Attributes:
-        strategy: evaluation strategy that was attempted
-        achieved: error estimate that the strategy could certify
-        requested: tolerance asked of the strategy: the quadrature's abs_tol,
-            or on a Bessel path ("hankel" or "series") specfun's relative
-            target 1e-10, which a value either path returns meets with a
-            wide margin
+    The attribute strategy names the evaluation strategy that was attempted
+    ("gauss-kronrod", or the Bessel path "hankel" or "series"); the message
+    gives the reason, and for the quadrature its error estimate and tolerance.
     """
 
-    def __init__(self, message, strategy=None, achieved=None, requested=None):
+    def __init__(self, message, strategy=None):
         self.strategy = strategy
-        self.achieved = achieved
-        self.requested = requested
         super().__init__(message)
 
 

@@ -3,7 +3,7 @@
 The arithmetic side sum_{n<=N} r_Q(n) (N-n)^k / Gamma(k+1) is the inverse
 Laplace transform of z^{-k-1} S(z) omega(z)^2, with S(z) = 1/z
 - sum_rho Gamma(rho) z^{-rho} + ... and omega the theta series of the two
-squares. Every main-term cell is one piece r pi^p z^{-e} of omega^2 (the
+squares. Every main-term cell is one piece r (pi/z)^e of omega^2 (the
 table _OMEGA2, per index set) times one piece of S (the table _S: 1/z, or
 -Gamma(rho) z^{-rho} summed over conjugate zero pairs); _cells forms them.
 
@@ -52,7 +52,7 @@ import numpy as np
 from mpmath import mp
 
 from . import arithmetic
-from .arithmetic import CesaroParams, _lattice_norms, fsum_complex
+from .arithmetic import CesaroParams, fsum_complex
 from .errors import DomainError, PrecisionError
 from .quadrature import adaptive_gauss_kronrod
 from .specfun import bessel_j, gamma_ratio, log_gamma, memo
@@ -154,7 +154,10 @@ def lattice_points(L: int):
     """Ascending [(lam, multiplicity)] for lam = l1^2 + l2^2 <= L^2, l1, l2 >= 1."""
     if L < 0:
         raise DomainError("lattice radius must be >= 0")
-    return tuple(sorted(Counter(_lattice_norms(L * L + 1)).items()))
+    norms = Counter(
+        l1 * l1 + l2 * l2 for l1 in range(1, L) for l2 in range(1, math.isqrt(L * L - l1 * l1) + 1)
+    )
+    return tuple(sorted(norms.items()))
 
 
 def _lattice_tail(L: int, s: float) -> float:
@@ -179,15 +182,15 @@ def _m_tail(M: int, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# The pieces r pi^p z^{-e} of omega(z)^2 = P^2 + 2PT + T^2, per index set, with
+# The pieces r (pi/z)^e of omega(z)^2 = P^2 + 2PT + T^2, per index set, with
 # P = (sqrt(pi/z) - 1)/2 the Jacobi main term of omega and T = sqrt(pi/z)
 # sum_{m>=1} e^{-pi^2 m^2/z} the rest: P^2 is index-free ("smooth"), 2PT
 # carries e^{-pi^2 m^2/z} ("m") and T^2 carries e^{-pi^2 (l1^2+l2^2)/z}
 # ("lattice").
 _OMEGA2 = {
-    "smooth": ((0.25, 1, 1), (0.25, 0, 0), (-0.5, 0.5, 0.5)),
-    "m": ((1, 1, 1), (-1, 0.5, 0.5)),
-    "lattice": ((1, 1, 1),),
+    "smooth": ((0.25, 1), (0.25, 0), (-0.5, 0.5)),
+    "m": ((1, 1), (-1, 0.5)),
+    "lattice": ((1, 1),),
 }
 
 # The pieces (sign, a, paired) of S(z), each sign z^{-a}, times Gamma(rho)
@@ -200,9 +203,9 @@ _BLOCKS = ("block1", "block2", "block3", "block4")
 def _cells(index_set: str) -> tuple:
     """The cells (coef, p, q, paired) of one index set, S piece by S piece:
     z^{-k-1} times an S piece times an omega^2 piece is coef pi^p z^{-k-1-q}
-    (times Gamma(rho) z^{-rho} if paired), coef = sign r and q = e + a."""
+    (times Gamma(rho) z^{-rho} if paired), coef = sign r, p = e and q = e + a."""
     return tuple(
-        (sign * r, p, e + a, paired) for sign, a, paired in _S for r, p, e in _OMEGA2[index_set]
+        (sign * r, e, e + a, paired) for sign, a, paired in _S for r, e in _OMEGA2[index_set]
     )
 
 
@@ -363,10 +366,10 @@ def m4_term(
 # ---------------------------------------------------------------------------
 
 
-def _smallest_cutoff(cells, tail, lo: int, hi: int, N: float, k: float, tol: float) -> int:
-    """Smallest cutoff n in [lo, hi) whose unpaired cells' _cut_tail is
+def _smallest_cutoff(cells, tail, hi: int, N: float, k: float, tol: float) -> int:
+    """Smallest cutoff n in [3, hi) whose unpaired cells' _cut_tail is
     <= tol/4; hi if there is none."""
-    for n in range(lo, hi):
+    for n in range(3, hi):
         if _cut_tail(cells, tail, n, N, k) <= tol / 4.0:
             return n
     return hi
@@ -397,9 +400,9 @@ def default_truncation(
     if Z is None:
         Z = min(50, zs.count)
     if L is None:
-        L = _smallest_cutoff(_cells("lattice"), _lattice_tail, 3, 64, N, k, tol)
+        L = _smallest_cutoff(_cells("lattice"), _lattice_tail, 64, N, k, tol)
     if M is None:
-        M = _smallest_cutoff(_cells("m"), _m_tail, 3, 256, N, k, tol)
+        M = _smallest_cutoff(_cells("m"), _m_tail, 256, N, k, tol)
     return TruncationSpec(Z=Z, L=L, M=M, tol=tol)
 
 
@@ -422,26 +425,20 @@ def _tables_for(N: int):
 @contextmanager
 def _term_context(name: str, wall: dict):
     """Time the term into wall[name]; re-raise numeric failures tagged with
-    the term they came from."""
+    the term they came from, as the same exception with its attributes."""
     t0 = time.perf_counter()
     try:
         yield
-    except PrecisionError as exc:
-        raise type(exc)(
-            f"{name}: {exc}",
-            strategy=exc.strategy,
-            achieved=exc.achieved,
-            requested=exc.requested,
-        ) from exc
-    except DomainError as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
+    except (PrecisionError, DomainError) as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
     wall[name] = time.perf_counter() - t0
 
 
 def evaluate(
     params: CesaroParams,
     zs: ZeroSet,
-    spec: Optional[TruncationSpec] = None,
+    spec: TruncationSpec,
     allow_subcritical: bool = False,
 ) -> FormulaReport:
     """Compute both sides of the explicit formula and their residual.
@@ -462,8 +459,6 @@ def evaluate(
         notes.append(f"subcritical probe: k = {k} <= 3/2")
     if k == 0.0:
         notes.append("k = 0 uses the (N-n)^0 = 1 convention at n = N")
-    if spec is None:
-        spec = default_truncation(params, zs)
 
     wall = {}
     t0 = time.perf_counter()

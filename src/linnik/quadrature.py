@@ -81,10 +81,8 @@ def adaptive_gauss_kronrod(f, a: float, b: float, abs_tol: float) -> complex:
         panels += 1
         if panels > _MAX_PANELS:
             raise QuadratureError(
-                f"panel budget exhausted on [{x0}, {x1}]",
+                f"panel budget exhausted on [{x0}, {x1}] (err {err:.3e}, tol {abs_tol:.3e})",
                 strategy="gauss-kronrod",
-                achieved=err,
-                requested=abs_tol,
             )
         # second disjunct: the estimate has hit the double-rounding floor of
         # the panel value itself and cannot contract further
@@ -95,8 +93,6 @@ def adaptive_gauss_kronrod(f, a: float, b: float, abs_tol: float) -> complex:
             raise QuadratureError(
                 f"max depth reached on [{x0}, {x1}] (err {err:.3e} > tol {tol:.3e})",
                 strategy="gauss-kronrod",
-                achieved=err,
-                requested=abs_tol,
             )
         xm = 0.5 * (x0 + x1)
         # push right first so the left half is processed next (fixed order)

@@ -61,8 +61,7 @@ __all__ = [
 ]
 
 
-# The relative accuracy the Laplace line integral asks of its quadrature, and
-# the one a Bessel path reports as requested when it raises PrecisionError.
+# The relative accuracy the Laplace line integral asks of its quadrature.
 _REL_TOL = 1e-10
 
 
@@ -179,21 +178,12 @@ _SERIES_TERMS_PER_U = 8
 
 def _range_error(nu: complex, u: float, strategy: str) -> PrecisionError:
     return PrecisionError(
-        f"J_nu(u) magnitude exceeds double range for nu = {nu}, u = {u}",
-        strategy=strategy,
-        requested=_REL_TOL,
+        f"J_nu(u) magnitude exceeds double range for nu = {nu}, u = {u}", strategy=strategy
     )
-
-
-def _require_finite(value: complex, nu: complex, u: float, strategy: str):
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise _range_error(nu, u, strategy)
 
 
 def _series_failure(msg: str) -> PrecisionError:
-    return PrecisionError(
-        f"series did not converge: {msg}", strategy="series", requested=_REL_TOL
-    )
+    return PrecisionError(f"series did not converge: {msg}", strategy="series")
 
 
 def _bessel_series(nu: complex, u: float) -> BesselEval:
@@ -270,7 +260,8 @@ def _bessel_series(nu: complex, u: float) -> BesselEval:
             lg = mp.loggamma(mp.mpc(nu) + 1)
         prefac = mp.exp(mp.mpc(nu) * mp.log(mp.ldexp(u, -1)) - lg)
         value = complex(prefac * series_val)
-    _require_finite(value, nu, u, "series")
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise _range_error(nu, u, "series")
     if nu.imag == 0.0:
         value = complex(value.real, 0.0)
     return BesselEval(value, "series", wp, n, _SERIES_REL_ERR)
@@ -329,7 +320,6 @@ class _HankelTable:
     """
 
     def __init__(self, nu: complex):
-        self.nu = nu
         self.R = R = max(_HANKEL_MIN_U, _HANKEL_NU_RATIO * abs(nu))
         self.R_ratio = R.as_integer_ratio()
         self.nu4 = 4.0 * nu * nu

@@ -387,12 +387,12 @@ class TestGeneratingFunctions:
 
     def test_pnt_form(self):
         a = 1e-3
-        got = s_tilde(complex(a, 0.0), 10**5)
+        got = s_tilde(complex(a, 0.0), 10**5, sieve_von_mangoldt(10**5))
         assert abs(a * got.value.real - 1.0) < 0.15
 
-    def test_domain_error(self):
+    def test_domain_error(self, lam500):
         with pytest.raises(DomainError):
-            s_tilde(complex(-1.0, 0.5), 10)
+            s_tilde(complex(-1.0, 0.5), 10, lam500)
         with pytest.raises(DomainError):
             omega2(complex(0.0, 1.0))
 

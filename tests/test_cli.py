@@ -252,3 +252,105 @@ class TestBesselCommand:
         base = ["bessel", "--nu-re", "3", "--nu-im", "49.77", "--u", "1192.4"]
         assert run(base + ["--strategy", "series"]) == 1
         assert run(base + ["--tol", "1e-20"]) == 1
+
+
+class TestOutputBytes:
+    """The bytes each command writes, to its files and to stdout, pinned.
+    A change that keeps every value keeps these; c10 checks only that a
+    rerun agrees with itself."""
+
+    EVALUATE_STDOUT = (
+        "N=700 k=2.2000000000000002 residual=-217107274.7085228 "
+        "normalized_residual=-0.17074997459925559\n"
+        "note: m2 tail bound 4.769e+03 exceeds tol 5.000e+01\n"
+        "note: m3 tail bound 1.537e+06 exceeds tol 5.000e+01\n"
+        "note: m4 tail bound 1.609e+06 exceeds tol 5.000e+01\n"
+    )
+    EVALUATE_FILES = {
+        "csv": (
+            "N,k,lhs,m1,m2,m3,m4,residual,normalized_residual,slope_na\n"
+            "700,2.2000000000000002,19349005383.086723,19566346464.389111,"
+            "-231439.21159356704,-2.0644796367321803,-2365.3177909270776,"
+            "-217107274.7085228,-0.17074997459925559,na\n"
+        ),
+        "json": (
+            '{"rows": [{"N": 700, "k": 2.2000000000000002, "lhs": 19349005383.086723, '
+            '"m1": 19566346464.389111, "m2": -231439.21159356704, '
+            '"m3": -2.0644796367321803, "m4": -2365.3177909270776, '
+            '"residual": -217107274.7085228, "normalized_residual": -0.17074997459925559, '
+            '"slope_na": "na"}]}\n'
+        ),
+    }
+    SCAN_STDOUT = (
+        "N=300 residual=-5689935.5852988064 normalized_residual=-0.21073835501106691\n"
+        "N=400 residual=-13753972.708876014 normalized_residual=-0.2149058235761877\n"
+        "N=500 residual=-27211478.754304171 normalized_residual=-0.21769183003443338\n"
+        "slope=3.0637635196227722\n"
+    )
+    SCAN_JSON = (
+        '{"rows": [{"N": 300, "k": 2, "lhs": 224863329.118871, "m1": 230566120.6766504, '
+        '"m2": -13163.532258967702, "m3": -3.325981579576748, "m4": 310.8857599506195, '
+        '"residual": -5689935.5852988064, "normalized_residual": -0.21073835501106691, '
+        '"slope_na": 3.0637635196227722}, '
+        '{"N": 400, "k": 2, "lhs": 729175745.82395101, "m1": 742900898.10013461, '
+        '"m2": 28632.79399048199, "m3": -43.821567706160359, "m4": 231.46026962925256, '
+        '"residual": -13753972.708876014, "normalized_residual": -0.2149058235761877, '
+        '"slope_na": 3.0637635196227722}, '
+        '{"N": 500, "k": 2, "lhs": 1810252070.690006, "m1": 1837557195.5142059, '
+        '"m2": -94264.640512825368, "m3": -77.070253205841169, "m4": 695.64087042833114, '
+        '"residual": -27211478.754304171, "normalized_residual": -0.21769183003443338, '
+        '"slope_na": 3.0637635196227722}]}\n'
+    )
+    SCAN_PLOT = (
+        "log_N,log_abs_residual\n"
+        "5.7037824746562009,15.554209485352811\n"
+        "5.9914645471079817,16.436838264628165\n"
+        "6.2146080984221914,17.119149455269664\n"
+    )
+    STDOUT = {
+        "probe": (
+            ["probe", "--d", "2", "--k", "1.75", "--N", "100", "--Z", "10"],
+            "zeros_included,partial_sum\n"
+            "1,0.00010588749943660286\n"
+            "2,0.00018908720509471042\n"
+            "3,0.00026257368000763039\n"
+            "4,0.00032561321599946407\n"
+            "5,0.00038463256928389925\n"
+            "6,0.00043726753837100617\n"
+            "7,0.00048602282655852162\n"
+            "8,0.00053227168167022066\n"
+            "9,0.00057424626549051156\n"
+            "10,0.00061478083843094305\n",
+        ),
+        "bessel": (
+            ["bessel", "--nu-re", "3.5", "--nu-im", "14.1347", "--u", "628.3"],
+            "J(3.5+14.1347i, 628.29999999999995) = 63673133.998285413 + -10792740.039449632i\n"
+            "strategy=hankel bits=90 terms=17 err_estimate=1.1102230417152761e-16\n",
+        ),
+        "zeros info": (
+            ["zeros", "info"],
+            "count=100 gamma_first=14.134725141734695 gamma_last=236.52422966581619\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(EVALUATE_FILES))
+    def test_evaluate(self, tmp_path, capsys, fmt):
+        out = tmp_path / f"r.{fmt}"
+        assert run(["evaluate", "--N", "700", "--k", "2.2", "--tol", "50", "--L", "9",
+                    "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == self.EVALUATE_FILES[fmt].encode()
+        assert capsys.readouterr().out == self.EVALUATE_STDOUT
+
+    def test_scan(self, tmp_path, capsys):
+        out, plot = tmp_path / "scan.json", tmp_path / "plot.csv"
+        assert run(["scan", "--N-list", "300,400,500", "--k", "2", "--Z", "3", "--M", "20",
+                    "--format", "json", "--out", str(out), "--plot-data", str(plot)]) == 0
+        assert out.read_bytes() == self.SCAN_JSON.encode()
+        assert plot.read_bytes() == self.SCAN_PLOT.encode()
+        assert capsys.readouterr().out == self.SCAN_STDOUT
+
+    @pytest.mark.parametrize("command", sorted(STDOUT))
+    def test_stdout(self, capsys, command):
+        argv, expected = self.STDOUT[command]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == expected

@@ -7,7 +7,7 @@ import pytest
 
 from linnik import arithmetic, formula
 from linnik.arithmetic import CesaroParams
-from linnik.errors import DomainError
+from linnik.errors import DomainError, PoleError, QuadratureError
 from linnik.formula import (
     TruncationSpec,
     default_truncation,
@@ -59,9 +59,9 @@ class TestOmega2Pieces:
             ),
         }
         got = math.fsum(
-            r * math.pi**p * x**-e * theta[index_set]
+            r * math.pi**e * x**-e * theta[index_set]
             for index_set, pieces in formula._OMEGA2.items()
-            for r, p, e in pieces
+            for r, e in pieces
         )
         expected = arithmetic.omega2(x).value.real ** 2
         return got == pytest.approx(expected, rel=1e-11)
@@ -71,11 +71,9 @@ class TestOmega2Pieces:
         assert self.matches_omega_squared(x)
 
     MUTATIONS = {
-        "flip r": lambda r, p, e: (-r, p, e),
-        "p + 1/2": lambda r, p, e: (r, p + 0.5, e),
-        "p - 1/2": lambda r, p, e: (r, p - 0.5, e),
-        "e + 1/2": lambda r, p, e: (r, p, e + 0.5),
-        "e - 1/2": lambda r, p, e: (r, p, e - 0.5),
+        "flip r": lambda r, e: (-r, e),
+        "e + 1/2": lambda r, e: (r, e + 0.5),
+        "e - 1/2": lambda r, e: (r, e - 0.5),
     }
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
@@ -353,14 +351,10 @@ class TestBlockOracle:
 
 class TestEvaluate:
     def test_theorem_range_gate(self, zeros100):
+        spec = TruncationSpec(Z=10, L=3, M=2, tol=1.0)
         with pytest.raises(DomainError):
-            evaluate(CesaroParams(N=100, k=1.2), zeros100)
-        rep = evaluate(
-            CesaroParams(N=100, k=1.2),
-            zeros100,
-            TruncationSpec(Z=10, L=3, M=2, tol=1.0),
-            allow_subcritical=True,
-        )
+            evaluate(CesaroParams(N=100, k=1.2), zeros100, spec)
+        rep = evaluate(CesaroParams(N=100, k=1.2), zeros100, spec, allow_subcritical=True)
         assert any("subcritical" in n for n in rep.notes)
 
     def test_N4_lhs_vanishes_report_well_formed(self, zeros100):
@@ -457,7 +451,7 @@ class TestEvaluate:
 
         # m3 is the first term to evaluate a Bessel function
         def uncertifiable(nu, u):
-            raise PrecisionError("uncertifiable", strategy="series", requested=1e-10)
+            raise PrecisionError("uncertifiable", strategy="series")
 
         monkeypatch.setattr("linnik.formula.bessel_j", uncertifiable)
         spec = TruncationSpec(Z=5, L=2, M=1, tol=1.0)
@@ -465,6 +459,28 @@ class TestEvaluate:
             evaluate(CesaroParams(N=100, k=2.0), zeros100, spec)
         assert str(exc.value).startswith("m3:")
         assert exc.value.strategy == "series"
+
+    @pytest.mark.parametrize("error, attr, value", [
+        (lambda: PoleError(-3), "pole", -3),
+        (lambda: QuadratureError("max depth reached", strategy="gauss-kronrod"),
+         "strategy", "gauss-kronrod"),
+    ])
+    def test_a_term_error_keeps_its_type_and_attributes(
+        self, zeros100, monkeypatch, error, attr, value
+    ):
+        raised = error()
+        message = str(raised)
+
+        def failing(nu, u):
+            raise raised
+
+        monkeypatch.setattr("linnik.formula.bessel_j", failing)
+        spec = TruncationSpec(Z=5, L=2, M=1, tol=1.0)
+        with pytest.raises(type(raised)) as exc:
+            evaluate(CesaroParams(N=100, k=2.0), zeros100, spec)
+        assert type(exc.value) is type(raised)
+        assert getattr(exc.value, attr) == value
+        assert str(exc.value) == f"m3: {message}"
 
 
 class TestLemma5Probe:
