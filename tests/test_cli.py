@@ -331,6 +331,13 @@ class TestOutputBytes:
             ["zeros", "info"],
             "count=100 gamma_first=14.134725141734695 gamma_last=236.52422966581619\n",
         ),
+        "zeros compute": (
+            ["zeros", "compute", "--count", "2"],
+            "# First 2 zeta zero ordinates from mpmath.zetazero at 80 bits, "
+            "rounded to doubles.\n"
+            "14.134725141734695\n"
+            "21.022039638771556\n",
+        ),
     }
 
     @pytest.mark.parametrize("fmt", sorted(EVALUATE_FILES))
