@@ -8,7 +8,11 @@ given is used as is, and formula.default_truncation chooses the others for
 
 All outputs are deterministic functions of the configuration and input files:
 numbers are serialized with 17 significant digits, no timestamps or wallclock
-figures are written, and reruns produce byte-identical files.
+figures are written, and reruns produce byte-identical files. Every table (the
+evaluate/scan rows, scan --plot-data, probe and zeros compute) is written by
+one CSV writer; the evaluate/scan rows have one schema, _ROW_FIELDS, shared by
+their CSV and JSON forms. evaluate and scan print each report's notes as
+"note: <text>" lines.
 
 Exit codes: 0 ok, 1 usage, 2 data/validation, 3 numeric/precision.
 """
@@ -36,7 +40,6 @@ EXIT_NUMERIC = 3
 
 _ROW_FIELDS = ("N", "k", "lhs", "m1", "m2", "m3", "m4", "residual",
                "normalized_residual", "slope_na")
-CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
 class _UsageError(Exception):
@@ -56,37 +59,31 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _report_row(rep, slope=None) -> dict:
-    return {
-        "N": rep.params.N,
-        "k": rep.params.k,
-        "lhs": rep.lhs,
-        "m1": rep.m1,
-        "m2": rep.m2,
-        "m3": rep.m3,
-        "m4": rep.m4,
-        "residual": rep.residual,
-        "normalized_residual": rep.normalized_residual,
-        "slope_na": "na" if slope is None else slope,
-    }
+def _report_row(rep, slope=None) -> tuple:
+    """The values of one report row, in the order of _ROW_FIELDS."""
+    return (rep.params.N, rep.params.k, rep.lhs, rep.m1, rep.m2, rep.m3, rep.m4,
+            rep.residual, rep.normalized_residual, "na" if slope is None else slope)
+
+
+def _write_csv(header: str, rows, out) -> None:
+    """Write the header line, then each row's values through _fmt, comma-joined,
+    one line per row, to the file out or to stdout when out is None."""
+    lines = [header] + [",".join(_fmt(x) for x in row) for row in rows]
+    _emit("\n".join(lines) + "\n", out)
 
 
 def _write_rows(path, rows, fmt: str) -> None:
+    """Write report rows (from _report_row) as the CSV table or the JSON object
+    {"rows": [...]}, whose objects pair the names of _ROW_FIELDS with the values."""
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for row in rows:
-            lines.append(",".join(_fmt(row[f]) for f in _ROW_FIELDS))
-        payload = "\n".join(lines) + "\n"
-    else:
-        out_rows = []
-        for row in rows:
-            obj = "{" + ", ".join(
-                f'"{f}": ' + (f'"{row[f]}"' if isinstance(row[f], str) else _fmt(row[f]))
-                for f in _ROW_FIELDS
-            ) + "}"
-            out_rows.append(obj)
-        payload = '{"rows": [' + ", ".join(out_rows) + "]}\n"
-    _emit(payload, path)
+        _write_csv(",".join(_ROW_FIELDS), rows, path)
+        return
+    objs = (
+        "{" + ", ".join(f'"{f}": ' + (f'"{x}"' if isinstance(x, str) else _fmt(x))
+                        for f, x in zip(_ROW_FIELDS, row)) + "}"
+        for row in rows
+    )
+    _emit('{"rows": [' + ", ".join(objs) + "]}\n", path)
 
 
 def _emit(payload: str, out) -> None:
@@ -97,10 +94,11 @@ def _emit(payload: str, out) -> None:
         sys.stdout.write(payload)
 
 
-def _load_zero_set(spec_str: str):
-    if spec_str == "bundled":
-        return zeros_mod.load_zeros(zeros_mod.bundled_zeros_path(), "bundled")
-    return zeros_mod.load_zeros(spec_str)
+def _load_zero_set(table: str):
+    """The packaged table for 'bundled', else the table file at that path."""
+    bundled = table == "bundled"
+    path = zeros_mod.bundled_zeros_path() if bundled else table
+    return zeros_mod.load_zeros(path, "bundled" if bundled else None)
 
 
 def _cutoffs(args) -> dict:
@@ -137,13 +135,12 @@ def cmd_scan(args) -> int:
     rows = [_report_row(rep, slope=study.slope) for rep in study.rows]
     _write_rows(args.out, rows, args.format)
     if args.plot_data:
-        lines = ["log_N,log_abs_residual"]
-        for rep in study.rows:
-            if rep.residual != 0.0:
-                lines.append(
-                    _fmt(math.log(rep.params.N)) + "," + _fmt(math.log(abs(rep.residual)))
-                )
-        _emit("\n".join(lines) + "\n", args.plot_data)
+        _write_csv(
+            "log_N,log_abs_residual",
+            ((math.log(rep.params.N), math.log(abs(rep.residual)))
+             for rep in study.rows if rep.residual != 0.0),
+            args.plot_data,
+        )
     for rep in study.rows:
         print(
             f"N={rep.params.N} residual={_fmt(rep.residual)} "
@@ -158,10 +155,12 @@ def cmd_scan(args) -> int:
 def cmd_zeros(args) -> int:
     if args.zeros_cmd == "compute":
         zs = zeros_mod.compute_zeros(args.count)
-        lines = [f"# First {zs.count} zeta zero ordinates from mpmath.zetazero at 80 bits, "
-                 "rounded to doubles."]
-        lines += [_fmt(g) for g in zs.gammas()]
-        _emit("\n".join(lines) + "\n", args.out)
+        _write_csv(
+            f"# First {zs.count} zeta zero ordinates from mpmath.zetazero at 80 bits, "
+            "rounded to doubles.",
+            ((g,) for g in zs.gammas()),
+            args.out,
+        )
         return EXIT_OK
     zs = _load_zero_set(args.table)
     if args.zeros_cmd == "validate":
@@ -179,10 +178,7 @@ def cmd_probe(args) -> int:
     if args.Z is not None:
         zs = zs.truncated(args.Z)
     series = formula.threshold_probe(args.d, args.k, args.N, zs)
-    lines = ["zeros_included,partial_sum"]
-    for i, p in enumerate(series.partial_sums, start=1):
-        lines.append(f"{i},{_fmt(p)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _write_csv("zeros_included,partial_sum", enumerate(series.partial_sums, start=1), args.out)
     return EXIT_OK
 
 
@@ -231,7 +227,7 @@ def _selftest_checks():
                 raise AssertionError(f"r_Q mismatch at n={n}")
 
     def zeros_bundled():
-        zs = zeros_mod.load_zeros(zeros_mod.bundled_zeros_path(), "bundled")
+        zs = _load_zero_set("bundled")
         if zs.count != 100:
             raise AssertionError(f"bundled table has {zs.count} zeros, expected 100")
 

@@ -34,7 +34,7 @@ class PrecisionError(LinnikError, ArithmeticError):
     gives the reason, and for the quadrature its error estimate and tolerance.
     """
 
-    def __init__(self, message, strategy=None):
+    def __init__(self, message, strategy):
         self.strategy = strategy
         super().__init__(message)
 

@@ -45,7 +45,7 @@ import math
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -111,9 +111,8 @@ class TermValue:
     """A main-term value with its unsigned block decomposition and tail bounds."""
 
     value: float
-    components: dict = field(default_factory=dict)
-    tail_bounds: dict = field(default_factory=dict)
-    notes: tuple = ()
+    components: dict
+    tail_bounds: dict
 
     @property
     def tail_total(self) -> float:
@@ -133,7 +132,7 @@ class FormulaReport:
     normalized_residual: float
     tail_bounds: dict
     wallclock: dict
-    notes: tuple = ()
+    notes: tuple
 
 
 @dataclass(frozen=True)
@@ -234,10 +233,6 @@ def m2_term(
     each sum without its coefficient)."""
     N, k = float(params.N), params.k
     lnN = math.log(N)
-    notes = ()
-    if k <= 0.5:
-        notes = ("m2 evaluated below its absolute-convergence range k > 1/2",)
-
     components = {}
     value = tail = 0.0
     paired_cells = [cell for cell in _cells("smooth") if cell[3]]
@@ -252,7 +247,7 @@ def m2_term(
         components[name] = b
         value += weight * b
         tail += abs(weight) * zero_tail_bound(N, offset, spec.Z, zs)
-    return TermValue(value, components, {"zeros": tail}, notes)
+    return TermValue(value, components, {"zeros": tail})
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +419,9 @@ def _tables_for(N: int):
 
 @contextmanager
 def _term_context(name: str, wall: dict):
-    """Time the term into wall[name]; re-raise numeric failures tagged with
-    the term they came from, as the same exception with its attributes."""
+    """Time one part of the formula (the left side or a term) into wall[name];
+    re-raise numeric failures tagged with that part, as the same exception
+    with its attributes."""
     t0 = time.perf_counter()
     try:
         yield
@@ -444,9 +440,12 @@ def evaluate(
     """Compute both sides of the explicit formula and their residual.
 
     k <= 3/2 (outside the theorem range) is refused unless allow_subcritical
-    is set, in which case the report is flagged. The m2/m3/m4 values are real
-    by construction (conjugate pairing); no imaginary part is ever dropped.
-    Each term whose reported tail bound exceeds spec.tol gets a note.
+    is set. The m2/m3/m4 values are real by construction (conjugate pairing);
+    no imaginary part is ever dropped. Every note of the report is written
+    here, in this order: a subcritical k, the k = 0 convention, m2 below its
+    absolute-convergence range k > 1/2, and each term whose reported tail
+    bound exceeds spec.tol. Each part is timed into wallclock under its name
+    and tags the failures it raises with that name.
     """
     N, k = params.N, params.k
     notes = []
@@ -459,38 +458,30 @@ def evaluate(
         notes.append(f"subcritical probe: k = {k} <= 3/2")
     if k == 0.0:
         notes.append("k = 0 uses the (N-n)^0 = 1 convention at n = N")
+    if k <= 0.5:
+        notes.append("m2 evaluated below its absolute-convergence range k > 1/2")
 
-    wall = {}
-    t0 = time.perf_counter()
-    lhs = arithmetic.cesaro_lhs(_tables_for(N), params)
-    wall["lhs"] = time.perf_counter() - t0
-
+    wall, values, tails = {}, {}, {}
+    with _term_context("lhs", wall):
+        lhs = arithmetic.cesaro_lhs(_tables_for(N), params)
     with _term_context("m1", wall):
-        v1 = m1_term(params)
-    with _term_context("m2", wall):
-        t2 = m2_term(params, zs, spec)
-    with _term_context("m3", wall):
-        t3 = m3_term(params, zs, spec)
-    with _term_context("m4", wall):
-        t4 = m4_term(params, zs, spec)
-
-    notes.extend(t2.notes)
-    tails = {"m2": t2.tail_total, "m3": t3.tail_total, "m4": t4.tail_total}
+        values["m1"] = m1_term(params)
+    for name, term in (("m2", m2_term), ("m3", m3_term), ("m4", m4_term)):
+        with _term_context(name, wall):
+            t = term(params, zs, spec)
+        values[name], tails[name] = t.value, t.tail_total
     notes.extend(
         f"{name} tail bound {tail:.3e} exceeds tol {spec.tol:.3e}"
         for name, tail in tails.items()
         if tail > spec.tol
     )
 
-    total = v1 + t2.value + t3.value + t4.value
+    total = sum(values.values())  # m1 + m2 + m3 + m4, in that order
     residual = lhs - total
     return FormulaReport(
         params=params,
         lhs=lhs,
-        m1=v1,
-        m2=t2.value,
-        m3=t3.value,
-        m4=t4.value,
+        **values,
         total=total,
         residual=residual,
         normalized_residual=residual / float(N) ** (k + 1.0),
@@ -601,7 +592,7 @@ def threshold_probe(
 class ScalingStudy:
     rows: tuple
     slope: float
-    excluded: tuple = ()
+    excluded: tuple
 
 
 def fit_loglog_slope(ns, values):

@@ -127,10 +127,6 @@ class TestM2:
         )
         assert abs(t.value) <= 3.0 * N ** (k + 1.5) * ratio_sum
 
-    def test_subcritical_flagged(self, zeros100, spec50):
-        t = m2_term(CesaroParams(N=100, k=0.4), zeros100, spec50)
-        assert any("k > 1/2" in note for note in t.notes)
-
     def test_block_assembly(self, zeros100, spec50):
         t = m2_term(CesaroParams(N=500, k=2.0), zeros100, spec50)
         c = t.components
@@ -356,6 +352,19 @@ class TestEvaluate:
             evaluate(CesaroParams(N=100, k=1.2), zeros100, spec)
         rep = evaluate(CesaroParams(N=100, k=1.2), zeros100, spec, allow_subcritical=True)
         assert any("subcritical" in n for n in rep.notes)
+
+    def test_subcritical_m2_flagged_in_note_order(self, zeros100, spec50):
+        rep = evaluate(CesaroParams(N=100, k=0.4), zeros100, spec50, allow_subcritical=True)
+        assert any("k > 1/2" in note for note in rep.notes)
+        # subcritical, then the m2 range note, then the tail notes
+        assert rep.notes[0].startswith("subcritical probe")
+        assert "k > 1/2" in rep.notes[1]
+        assert rep.notes[2:] and all("exceeds tol" in n for n in rep.notes[2:])
+
+    def test_lhs_error_is_tagged_like_the_terms(self, zeros100, spec50):
+        with pytest.raises(DomainError) as exc:
+            evaluate(CesaroParams(N=100, k=-0.5), zeros100, spec50, allow_subcritical=True)
+        assert str(exc.value).startswith("lhs:")
 
     def test_N4_lhs_vanishes_report_well_formed(self, zeros100):
         spec = TruncationSpec(Z=10, L=2, M=1, tol=1.0)
