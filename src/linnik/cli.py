@@ -106,6 +106,11 @@ def _cutoffs(args) -> dict:
     return {n: getattr(args, n) for n in ("Z", "L", "M", "tol")}
 
 
+def _print_notes(rep) -> None:
+    for note in rep.notes:
+        print(f"note: {note}")
+
+
 def cmd_evaluate(args) -> int:
     zs = _load_zero_set(args.zeros)
     params = CesaroParams(N=args.N, k=args.k)
@@ -116,8 +121,7 @@ def cmd_evaluate(args) -> int:
         f"N={rep.params.N} k={_fmt(rep.params.k)} residual={_fmt(rep.residual)} "
         f"normalized_residual={_fmt(rep.normalized_residual)}"
     )
-    for note in rep.notes:
-        print(f"note: {note}")
+    _print_notes(rep)
     return EXIT_OK
 
 
@@ -146,6 +150,7 @@ def cmd_scan(args) -> int:
             f"N={rep.params.N} residual={_fmt(rep.residual)} "
             f"normalized_residual={_fmt(rep.normalized_residual)}"
         )
+        _print_notes(rep)
     print(f"slope={_fmt(study.slope)}")
     if study.excluded:
         print(f"note: zero-residual rows excluded from fit: {list(study.excluded)}")

@@ -283,8 +283,17 @@ class TestOutputBytes:
     }
     SCAN_STDOUT = (
         "N=300 residual=-5689935.5852988064 normalized_residual=-0.21073835501106691\n"
+        "note: m2 tail bound 1.206e+04 exceeds tol 2.700e+01\n"
+        "note: m3 tail bound 1.283e+05 exceeds tol 2.700e+01\n"
+        "note: m4 tail bound 1.768e+06 exceeds tol 2.700e+01\n"
         "N=400 residual=-13753972.708876014 normalized_residual=-0.2149058235761877\n"
+        "note: m2 tail bound 3.146e+04 exceeds tol 6.400e+01\n"
+        "note: m3 tail bound 2.382e+05 exceeds tol 6.400e+01\n"
+        "note: m4 tail bound 3.198e+06 exceeds tol 6.400e+01\n"
         "N=500 residual=-27211478.754304171 normalized_residual=-0.21769183003443338\n"
+        "note: m2 tail bound 6.642e+04 exceeds tol 1.250e+02\n"
+        "note: m3 tail bound 3.115e+05 exceeds tol 1.250e+02\n"
+        "note: m4 tail bound 5.064e+06 exceeds tol 1.250e+02\n"
         "slope=3.0637635196227722\n"
     )
     SCAN_JSON = (
