@@ -8,11 +8,9 @@ given is used as is, and formula.default_truncation chooses the others for
 
 All outputs are deterministic functions of the configuration and input files:
 numbers are serialized with 17 significant digits, no timestamps or wallclock
-figures are written, and reruns produce byte-identical files. Every table (the
-evaluate/scan rows, scan --plot-data, probe and zeros compute) is written by
-one CSV writer; the evaluate/scan rows have one schema, _ROW_FIELDS, shared by
-their CSV and JSON forms. evaluate and scan print each report's notes as
-"note: <text>" lines.
+figures are written, and reruns produce byte-identical files. One CSV writer
+writes every table; the evaluate/scan rows have one schema, _ROW_FIELDS, in CSV
+and JSON. evaluate and scan print each report's notes as "note: <text>" lines.
 
 Exit codes: 0 ok, 1 usage, 2 data/validation, 3 numeric/precision.
 """
@@ -66,15 +64,13 @@ def _report_row(rep, slope=None) -> tuple:
 
 
 def _write_csv(header: str, rows, out) -> None:
-    """Write the header line, then each row's values through _fmt, comma-joined,
-    one line per row, to the file out or to stdout when out is None."""
+    """Write the header line and one line of comma-joined _fmt values per row."""
     lines = [header] + [",".join(_fmt(x) for x in row) for row in rows]
     _emit("\n".join(lines) + "\n", out)
 
 
 def _write_rows(path, rows, fmt: str) -> None:
-    """Write report rows (from _report_row) as the CSV table or the JSON object
-    {"rows": [...]}, whose objects pair the names of _ROW_FIELDS with the values."""
+    """Write _report_row rows as CSV, or as JSON objects keyed by _ROW_FIELDS."""
     if fmt == "csv":
         _write_csv(",".join(_ROW_FIELDS), rows, path)
         return
@@ -106,11 +102,6 @@ def _cutoffs(args) -> dict:
     return {n: getattr(args, n) for n in ("Z", "L", "M", "tol")}
 
 
-def _print_notes(rep) -> None:
-    for note in rep.notes:
-        print(f"note: {note}")
-
-
 def cmd_evaluate(args) -> int:
     zs = _load_zero_set(args.zeros)
     params = CesaroParams(N=args.N, k=args.k)
@@ -121,7 +112,8 @@ def cmd_evaluate(args) -> int:
         f"N={rep.params.N} k={_fmt(rep.params.k)} residual={_fmt(rep.residual)} "
         f"normalized_residual={_fmt(rep.normalized_residual)}"
     )
-    _print_notes(rep)
+    for note in rep.notes:
+        print(f"note: {note}")
     return EXIT_OK
 
 
@@ -150,7 +142,8 @@ def cmd_scan(args) -> int:
             f"N={rep.params.N} residual={_fmt(rep.residual)} "
             f"normalized_residual={_fmt(rep.normalized_residual)}"
         )
-        _print_notes(rep)
+        for note in rep.notes:
+            print(f"note: {note}")
     print(f"slope={_fmt(study.slope)}")
     if study.excluded:
         print(f"note: zero-residual rows excluded from fit: {list(study.excluded)}")
