@@ -19,8 +19,8 @@ powers. The Cesaro-weighted left-hand side
 
     sum_{n <= N} r_Q(n) (N - n)^k / Gamma(k + 1)
 
-is one exactly rounded sum (math.fsum over the weighted array's buffer); and the
-truncated generating functions
+is one exactly rounded math.fsum, fed one block of weighted terms at a time;
+and the truncated generating functions
 
     S(z)      = sum_{m >= 1} Lambda(m) e^{-m z}
     omega2(z) = sum_{m >= 1} e^{-m^2 z}
@@ -30,6 +30,7 @@ one exactly rounded math.fsum (one per part for complex terms).
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -109,7 +110,11 @@ def sieve_von_mangoldt(N: int) -> LambdaTable:
     """Tabulate Lambda(n) for 1 <= n <= N by sieving.
 
     Prime powers are detected with exact integer arithmetic (repeated
-    multiplication, no floating-point root finding).
+    multiplication, no floating-point root finding). log p is math.log of
+    each prime, filled straight into a float64 array (no list of floats).
+    The table is 8 (N + 1) bytes; compute_rq drops it after its first pass,
+    which frees it only when the caller passes it in holding no reference of
+    its own (see compute_rq).
     """
     if N < 1:
         raise TableSizeError(f"table limit must be >= 1, got {N}")
@@ -124,11 +129,11 @@ def sieve_von_mangoldt(N: int) -> LambdaTable:
     primes = np.nonzero(is_prime)[0]
 
     # Every prime at once; only p <= sqrt(N) has a power p^j <= N with j >= 2.
-    logs = [math.log(p) for p in primes.tolist()]
+    logs = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=len(primes))
     values = np.zeros(N + 1, dtype=np.float64)
     values[primes] = logs
     small = primes[: np.searchsorted(primes, math.isqrt(N), side="right")]
-    for p, logp in zip(small.tolist(), logs):
+    for p, logp in zip(small.tolist(), logs[: len(small)].tolist()):
         pk = p * p
         while pk <= N:
             values[pk] = logp
@@ -174,42 +179,66 @@ def compute_rq(
     A prefix, a table an earlier call built at a smaller limit N1 < N, is
     grown: its two passes are copied and both passes run over N1 < n <= N
     only, (4/3)(N^{3/2} - N1^{3/2}) adds, with the same bits as a fresh build.
-    A prefix at or past N is refused.
+    A prefix at or past N is refused; the prefix itself is never written.
+
+    The inputs are dropped as soon as they are done with: the prefix once its
+    first pass is copied (its values are held until the r_Q output exists),
+    Lambda after the first pass, and only then is the r_Q output allocated,
+    so the four arrays are never alive at once. Dropping frees an input only
+    when the caller holds no reference of its own: CPython 3.11 moves call
+    arguments into the callee, so an argument passed as an expression
+    (formula._tables_for passes both so) is freed here. A name kept by the
+    caller, or a wrapper that keeps its *args, keeps it to the end.
     """
     if lam.limit < N:
         raise DomainError(f"Lambda table limit {lam.limit} < requested N {N}")
     if prefix is not None and prefix.limit >= N:
         raise DomainError(f"prefix limit {prefix.limit} >= requested N {N}")
     one_square = np.zeros(N + 1, dtype=np.float64)
-    values = np.zeros(N + 1, dtype=np.float64)
-    first = 0
+    first, held = 0, None
     if prefix is not None:
         first = prefix.limit + 1
         one_square[:first] = prefix.one_square
-        values[:first] = prefix.values
+        held = prefix.values
+    del prefix
     _add_one_square(lam.values, one_square, first)
+    del lam
+    values = np.zeros(N + 1, dtype=np.float64)
+    if held is not None:
+        values[:first] = held
+        del held
     _add_one_square(one_square, values, first)
     return LinnikTable(limit=N, values=values, one_square=one_square)
+
+
+def _weighted_block(r: np.ndarray, N: int, k: float, lo: int) -> memoryview:
+    """(N - n)^k r[n] for lo <= n < min(lo + _BLOCK, N + 1), as a buffer."""
+    hi = min(lo + _BLOCK, N + 1)
+    w = np.arange(N - lo, N - hi, -1, dtype=np.float64)
+    np.power(w, k, out=w)
+    w *= r[lo:hi]
+    return memoryview(w)
 
 
 def cesaro_lhs(rq: LinnikTable, params: CesaroParams) -> float:
     """Cesaro-weighted sum of r_Q up to N.
 
-    The weights (N - n)^k for n = 1..N are one float64 array, multiplied in
-    place by r_Q and summed with math.fsum over its buffer (a memoryview, so
-    no numpy scalar is made per element), which is exactly rounded; the
-    n = N term carries weight 0 for k > 0. k = 0 uses the 0^0 = 1
-    convention; k < 0 is rejected because the weight is undefined at n = N.
+    The products (N - n)^k r_Q(n), n = 1..N, are formed one _BLOCK of float64
+    at a time, and every block is fed to a single math.fsum through its
+    buffer (a memoryview, chained, so no numpy scalar is made per element).
+    The sum is exactly rounded, so it is the same float as one fsum over the
+    whole weighted array, while the weights take one block instead of a
+    second N-sized array. The n = N term carries weight 0 for k > 0. k = 0
+    uses the 0^0 = 1 convention; k < 0 is rejected because the weight is
+    undefined at n = N.
     """
     N, k = params.N, params.k
     if rq.limit < N:
         raise DomainError(f"r_Q table limit {rq.limit} < N {N}")
     if k < 0:
         raise DomainError("k < 0 leaves the n = N weight (N-n)^k undefined")
-    w = np.arange(N - 1, -1, -1, dtype=np.float64)
-    np.power(w, k, out=w)
-    w *= rq.values[1 : N + 1]
-    return math.fsum(memoryview(w)) / math.gamma(k + 1)
+    blocks = (_weighted_block(rq.values, N, k, lo) for lo in range(1, N + 1, _BLOCK))
+    return math.fsum(itertools.chain.from_iterable(blocks)) / math.gamma(k + 1)
 
 
 def fsum_complex(terms) -> complex:

@@ -410,11 +410,20 @@ def default_truncation(
 # evaluate and a repeated run reuse the slot as it is. r_Q(n) does not depend
 # on N, so a new N past the held table's limit grows that table (compute_rq
 # with it as the prefix); a new N below it is built fresh. r_Q and its first
-# pass at N = 10^6 take about 16 MB.
+# pass take 16 bytes per entry: 16 MB at N = 10^6, 160 MB at MAX_SIEVE.
+#
+# A miss takes the held table out of the slot, and it and the sieve go
+# straight into compute_rq with no name here, so that the build frees Lambda
+# and the old passes as it goes (see compute_rq): the left side peaks at one
+# r_Q table plus one N-sized array. A build that raises leaves the slot empty.
 @memo(1)
 def _tables_for(N: int):
-    prefix = next((held for held in _tables_for.cache.values() if held.limit < N), None)
-    return arithmetic.compute_rq(arithmetic.sieve_von_mangoldt(N), N, prefix)
+    slot = _tables_for.cache
+    if any(held.limit >= N for held in slot.values()):
+        slot.clear()  # built fresh, so the larger table goes first
+    return arithmetic.compute_rq(
+        arithmetic.sieve_von_mangoldt(N), N, slot.popitem()[1] if slot else None
+    )
 
 
 @contextmanager

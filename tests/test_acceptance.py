@@ -10,6 +10,10 @@ separate the two sides.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from frozen_values import FROZEN_SONINE
 from test_arithmetic import brute_rq_counts, counts_to_value
 
 EPS = 2.220446049250313e-16
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -283,26 +288,34 @@ def test_c09_truncation_containment(grid_runs, doubled_runs):
     assert ok
 
 
-def test_c10_determinism(tmp_path, monkeypatch, grid_runs):
-    out1, out2, out3 = (tmp_path / f"r{i}.csv" for i in range(3))
+def _evaluate_in_subprocess(hash_seed: str, out) -> bytes:
+    """stdout and output file of `linnik evaluate` in a fresh interpreter
+    under one PYTHONHASHSEED."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "linnik.cli", "evaluate", "--N", "700", "--k", "2.2",
+            "--Z", "20", "--L", "9", "--M", "20", "--format", "json", "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=300, check=True)
+    return proc.stdout + out.read_bytes()
+
+
+def test_c10_determinism(tmp_path, grid_runs):
+    out1, out2 = (tmp_path / f"r{i}.csv" for i in range(2))
     argv = ["evaluate", "--N", "500", "--k", "2", "--zeros", "bundled", "--out"]
-    monkeypatch.setenv("LINNIK_THREADS", "1")
     assert cli.main(argv + [str(out1)]) == 0
     assert cli.main(argv + [str(out2)]) == 0
-    monkeypatch.setenv("LINNIK_THREADS", "4")
-    assert cli.main(argv + [str(out3)]) == 0
     same_rerun = out1.read_bytes() == out2.read_bytes()
-    same_threads = out1.read_bytes() == out3.read_bytes()
+    # set and dict order of str keys moves with the hash seed; the bytes must not
+    same_hash_seed = (_evaluate_in_subprocess("0", tmp_path / "h0.json")
+                      == _evaluate_in_subprocess("12345", tmp_path / "h12345.json"))
 
     p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
     probe_argv = ["probe", "--d", "2", "--k", "1.75", "--N", "100", "--Z", "10"]
     assert cli.main(probe_argv + ["--out", str(p1)]) == 0
-    monkeypatch.setenv("LINNIK_THREADS", "2")
     assert cli.main(probe_argv + ["--out", str(p2)]) == 0
     same_probe = p1.read_bytes() == p2.read_bytes()
 
-    ok = same_rerun and same_threads and same_probe
+    ok = same_rerun and same_hash_seed and same_probe
     _report(10, "determinism", ok,
-            f"rerun identical: {same_rerun}; thread-count independent: {same_threads}; "
+            f"rerun identical: {same_rerun}; hash-seed independent: {same_hash_seed}; "
             f"probe identical: {same_probe}")
     assert ok

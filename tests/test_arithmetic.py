@@ -270,6 +270,10 @@ class TestGrownTable:
     def lam140k(self):
         return sieve_von_mangoldt(140000)
 
+    @pytest.fixture(scope="class")
+    def rq140k(self, lam140k):
+        return compute_rq(lam140k, 140000)
+
     @staticmethod
     def same_bits(a, b):
         assert a.limit == b.limit
@@ -301,6 +305,18 @@ class TestGrownTable:
     def test_a_prefix_at_or_past_n_is_refused(self, lam500, N):
         with pytest.raises(DomainError):
             compute_rq(lam500, N, compute_rq(lam500, 200))
+
+    @pytest.mark.parametrize("k", [0.0, 2.0, 2.5])
+    @pytest.mark.parametrize("N", [65536, 65537, 140000])
+    def test_the_blocked_cesaro_sum_is_one_fsum(self, rq140k, N, k):
+        # cesaro_lhs sums the weighted terms one _BLOCK at a time; the 140000
+        # table spans three blocks, and the sum must be the float of one fsum
+        # over the whole weighted array
+        w = np.arange(N - 1, -1, -1, dtype=np.float64)
+        np.power(w, k, out=w)
+        w *= rq140k.values[1 : N + 1]
+        whole = math.fsum(memoryview(w)) / math.gamma(k + 1)
+        assert cesaro_lhs(rq140k, CesaroParams(N=N, k=k)) == whole
 
 
 class TestCesaroLhs:

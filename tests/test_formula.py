@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import mpmath
@@ -416,6 +417,55 @@ class TestEvaluate:
         assert again is not first
         assert np.array_equal(again.values, first.values)
         assert list(tables_for.cache) == [(600,)]
+
+    def test_a_grown_build_frees_lambda_and_the_old_passes(self, cold_memos, monkeypatch):
+        # the held table leaves the slot and the sieve's table goes straight
+        # into compute_rq, so by the grown build's second (r_Q) pass Lambda
+        # and the old table's arrays are freed: the peak is one r_Q table
+        # plus one N-sized array
+        tables_for = formula._tables_for
+        cold_memos(tables_for)
+        old = tables_for(3000)
+        old_arrays = [weakref.ref(old.one_square), weakref.ref(old.values)]
+        del old
+        lams, alive = [], []
+        add, sieve = arithmetic._add_one_square, arithmetic.sieve_von_mangoldt
+
+        def spy_sieve(N):
+            lam = sieve(N)
+            lams.append(weakref.ref(lam.values))
+            return lam
+
+        def spy_add(src, out, first=0):
+            alive.append([ref() is not None for ref in lams + old_arrays])
+            add(src, out, first)
+
+        monkeypatch.setattr(arithmetic, "sieve_von_mangoldt", spy_sieve)
+        monkeypatch.setattr(arithmetic, "_add_one_square", spy_add)
+        tables_for(6000)
+        # pass 1 reads Lambda; the prefix's first pass is gone, its values
+        # are held until the r_Q output exists
+        assert alive == [[True, False, True], [False, False, False]]
+
+    def test_a_failed_build_leaves_the_slot_empty(self, cold_memos, monkeypatch):
+        tables_for = formula._tables_for
+        cold_memos(tables_for)
+        tables_for(3000)
+        build = arithmetic.compute_rq
+
+        def failing(lam, N, prefix=None):
+            raise MemoryError
+
+        monkeypatch.setattr(arithmetic, "compute_rq", failing)
+        with pytest.raises(MemoryError):
+            tables_for(6000)
+        assert tables_for.cache == {}
+        prefixes = []
+        monkeypatch.setattr(arithmetic, "compute_rq",
+                            lambda lam, N, prefix=None: prefixes.append(prefix) or
+                            build(lam, N, prefix))
+        assert tables_for(6000).limit == 6000
+        assert prefixes == [None]  # built fresh
 
     def test_any_n_order_gives_the_cold_bits(self, zeros100, cold_memos, monkeypatch):
         # a grown table gives each N the bits of an evaluate whose table was
