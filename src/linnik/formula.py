@@ -29,9 +29,10 @@ radius L, single-index cutoff M. Every term carries computed tail bounds:
   * zero tails from zeros.zero_tail, the one model of the zeros past Z: m2
     weighs a zero by its Stirling Gamma ratio ~ gamma^-c; m3 and m4 by the
     cancellation of |Gamma(rho)| against the J growth, at most
-    ~ sqrt(2 pi) gamma^{beta-1/2} sqrt(2/(pi u)) times its lattice weight
-    while gamma <~ u/2, decaying like (u/2 / gamma)^{k+3/2} beyond. Zeros
-    past the loaded table are counted by the density log(gamma/2pi)/(2pi).
+    ~ sqrt(2 pi) sqrt(2/(pi u)) times its lattice weight (constant in gamma,
+    since every zero is 1/2 + i gamma) while gamma <~ u/2, decaying like
+    (u/2 / gamma)^{k+3/2} beyond. Zeros past the loaded table are counted by
+    the density log(gamma/2pi)/(2pi).
 
 Sums over points, zeros and probe terms are exactly rounded (math.fsum).
 
@@ -297,14 +298,15 @@ def _bessel_term(cells, names, points, tail, tail_key, cutoff, params, zs, spec)
     """The cells of one index set summed over its points (root, log root,
     mult), one component per name, with tail bounds from _cut_tail. Past the
     cutoff a paired cell carries the amplitude of the zeros kept, with
-    s = (k+q+beta_max)/2 + 1/4; zeros past Z are weighed over all points by
-    zeros.zero_tail, with the plateau edge u_ref/2 and decay k + 3/2.
+    s = (k+q+1/2)/2 + 1/4 (every zero is 1/2 + i gamma); zeros past Z are
+    weighed over all points by zeros.zero_tail, with the plateau edge u_ref/2
+    and decay k + 3/2.
     """
     N, k = float(params.N), params.k
     lnN = math.log(N)
     sqrtN = math.sqrt(N)
-    amp = zero_amp(N)
-    amp_in = sum(2.0 * C * z.gamma**A for z in zs.zeros[: spec.Z] for C, A in [amp(z.beta)])
+    C = zero_amp(N)
+    amp_in = sum(2.0 * C for _ in zs.zeros[: spec.Z])
     components = {}
     value = zero_weight = 0.0
     paired_tails = []
@@ -317,7 +319,7 @@ def _bessel_term(cells, names, points, tail, tail_key, cutoff, params, zs, spec)
                 return w * _bessel_sum(k + q + rho, points, sqrtN)
 
             block = pref * paired_zero_sum(f, zs, spec.Z)
-            s = (k + q + zs.beta_max) / 2.0 + 0.25
+            s = (k + q + 0.5) / 2.0 + 0.25
             paired_tails.append(pref * amp_in * tail(cutoff, s))
             head = sum(mult * root ** (-2.0 * s) for root, _, mult in points)
             zero_weight += pref * (head + tail(cutoff, s))
@@ -327,7 +329,7 @@ def _bessel_term(cells, names, points, tail, tail_key, cutoff, params, zs, spec)
         value += coef * block
     cut_tail = _cut_tail(cells, tail, cutoff, N, k, paired_tails)
     edge = math.pi * max(cutoff, 1) * sqrtN  # u_ref/2 for u_ref = 2 pi cutoff sqrt N
-    past_z = _envelope(N) * zero_weight * zero_tail(zs, spec.Z, amp, edge, k + 1.5)
+    past_z = _envelope(N) * zero_weight * zero_tail(zs, spec.Z, C, 0.0, edge, k + 1.5)
     return TermValue(value, components, {tail_key: cut_tail, "zeros": past_z})
 
 
@@ -533,9 +535,10 @@ def threshold_probe(
     """Partial sums of the convergence-threshold series
 
         sum_{l in (Z>=1)^d} sum_{gamma>0} gamma^{-k-3/2}
-            int_0^gamma e^{-N ||l||^2 v^2 / gamma^2} e^{-v} v^{k+beta} dv,
+            int_0^gamma e^{-N ||l||^2 v^2 / gamma^2} e^{-v} v^{k+1/2} dv,
 
-    recorded after each zero (the integral is cut at min(gamma, 40)).
+    recorded after each zero 1/2 + i gamma (the integral is cut at
+    min(gamma, 40)).
 
     The lattice sum is exact: it factors as omega(a)^d with a = N v^2/gamma^2
     and omega(a) = sum_{l>=1} e^{-a l^2}. Writing omega = (c/v - 1)/2 + E
@@ -544,27 +547,26 @@ def threshold_probe(
     e^{-pi^2 gamma^2/(N v^2)}, smooth at v = 0, and is integrated by
     Gauss-Kronrod. For gamma >> sqrt(N) each term is therefore
 
-        gamma^{-k-3/2} sum_j C(d,j) (c/2)^j (-1/2)^{d-j} Gamma(k+beta+1-j)
+        gamma^{-k-3/2} sum_j C(d,j) (c/2)^j (-1/2)^{d-j} Gamma(k+3/2-j)
 
     up to terms of that exponential order; its leading power
     gamma^{d-k-3/2}, against the zero density, makes the series converge
-    iff k > d - 1/2. The main part needs k + beta > d - 1 (else the
-    integral diverges at v = 0), which raises DomainError.
+    iff k > d - 1/2. The main part needs k + 1/2 > d - 1 (else the
+    integral diverges at v = 0); that, N <= 0, k <= 0 or d outside
+    {1, 2, 3} raises DomainError.
     """
     if d not in (1, 2, 3):
         raise DomainError("probe supports d in {1, 2, 3}")
     if k <= 0:
         raise DomainError("probe requires k > 0")
-    beta_min = min((z.beta for z in zs.zeros), default=0.5)
-    if k + beta_min <= d - 1:
-        raise DomainError(
-            f"probe integral diverges at v = 0: k + beta = {k + beta_min} <= d - 1"
-        )
+    if N <= 0:
+        raise DomainError(f"probe requires N > 0, got {N}")
+    if k + 0.5 <= d - 1:
+        raise DomainError(f"probe integral diverges at v = 0: k + 1/2 = {k + 0.5} <= d - 1")
     terms = []
     partials = []
     for zero in zs.zeros:
         g = zero.gamma
-        beta = zero.beta
         scale = float(N) / (g * g)
         hi = min(g, _PROBE_VMAX)
         half_c = 0.5 * math.sqrt(math.pi / scale)
@@ -572,7 +574,7 @@ def threshold_probe(
         main = main_abs = 0.0
         for j in range(d + 1):
             part = math.comb(d, j) * half_c**j * 0.5 ** (d - j)
-            part *= _lower_gamma(k + beta + 1.0 - j, hi)
+            part *= _lower_gamma(k + 0.5 + 1.0 - j, hi)
             main += (-1) ** (d - j) * part
             main_abs += part
 
@@ -581,7 +583,7 @@ def threshold_probe(
             p = half_c / v - 0.5
             e = _omega_remainder(scale * v * v)
             r = sum(math.comb(d, i) * p ** (d - i) * e**i for i in range(1, d + 1))
-            return r * math.exp(-v) * v ** (k + beta)
+            return r * math.exp(-v) * v ** (k + 0.5)
 
         # omega <= c/(2v) and |p| <= c/(2v) + 1/2, so |omega^d - p^d| integrates
         # to at most 2 main_abs

@@ -37,6 +37,10 @@ two paths, chosen from (u, nu) alone:
 Every path returns an error estimate and never returns a value it cannot
 certify: the fixed-point kernel hands such a call to the series, and the
 series raises PrecisionError.
+
+No main term calls laplace_line_integral; it stays in the package because
+`linnik selftest` checks the Laplace pair with it, a user's only check of
+the package without pytest.
 """
 
 import cmath

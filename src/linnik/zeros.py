@@ -1,8 +1,7 @@
 """Nontrivial zeta-zero tables: ingestion, computation, paired sums, tail bounds.
 
-Zero ordinates are served from plain text files (one ascending ordinate per
-line, '#' comments allowed, optional second column for the real part beta).
-A bundled table of the first 100 zeros ships with the package so everything
+Every zero is 1/2 + i gamma, so a table holds ordinates only: plain text,
+one ascending ordinate per line, '#' comments allowed. A bundled table of the first 100 zeros ships with the package so everything
 runs offline; compute_zeros gives any number of them from mpmath.zetazero.
 
 Weighted sums over zeros always run over conjugate pairs: for weights f with
@@ -11,7 +10,8 @@ returns an exactly real number by construction. Its one math.fsum is exactly
 rounded, so the value is reproducible bit for bit.
 
 zero_tail is the one model of the zeros a sum leaves out past Z, for M2's
-Gamma ratios (zero_tail_bound) and M3/M4's Bessel cells (zero_amp) alike.
+Gamma ratios (zero_tail_bound) and M3/M4's Bessel cells (zero_amp) alike:
+a weight C gamma^A with constants C and A.
 """
 
 import math
@@ -48,20 +48,17 @@ _SAFETY = 2.0
 
 @dataclass(frozen=True)
 class ZetaZero:
-    """One nontrivial zero beta + i gamma with gamma > 0."""
+    """One nontrivial zero 1/2 + i gamma with gamma > 0."""
 
     gamma: float
-    beta: float = 0.5
 
     def __post_init__(self):
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise DomainError(f"zero ordinate must be positive, got {self.gamma}")
-        if not (0.0 < self.beta < 1.0):
-            raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
 
     @property
     def rho(self) -> complex:
-        return complex(self.beta, self.gamma)
+        return complex(0.5, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -76,12 +73,9 @@ class ZeroSet:
     def gammas(self) -> list:
         return [z.gamma for z in self.zeros]
 
-    @property
-    def beta_max(self) -> float:
-        """The largest beta of the table, 1/2 for an empty one."""
-        return max((z.beta for z in self.zeros), default=0.5)
-
     def truncated(self, Z: int) -> "ZeroSet":
+        if Z < 0:
+            raise DomainError(f"Z must be >= 0, got {Z}")
         if Z > self.count:
             raise DomainError(f"requested {Z} zeros, table has {self.count}")
         return ZeroSet(self.zeros[:Z], self.source_id)
@@ -90,8 +84,9 @@ class ZeroSet:
 def load_zeros(path, source_id: Optional[str] = None) -> ZeroSet:
     """Parse and validate a zero table file.
 
-    Raises ZeroTableError naming the offending line on parse failures,
-    non-monotonic ordinates, or a first ordinate outside the sanity window.
+    Raises ZeroTableError naming the offending line on parse failures, a
+    line of more than one column, non-monotonic ordinates, or a first
+    ordinate outside the sanity window.
     """
     path = Path(path)
     zeros = []
@@ -102,15 +97,14 @@ def load_zeros(path, source_id: Optional[str] = None) -> ZeroSet:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) > 2:
-                raise ZeroTableError(f"expected 1 or 2 columns, got {len(parts)}", line=lineno)
+            if len(parts) > 1:
+                raise ZeroTableError(f"expected 1 column, got {len(parts)}", line=lineno)
             try:
                 gamma = float(parts[0])
-                beta = float(parts[1]) if len(parts) == 2 else 0.5
             except ValueError as exc:
                 raise ZeroTableError(f"unparseable number: {exc}", line=lineno) from None
             try:
-                zero = ZetaZero(gamma=gamma, beta=beta)
+                zero = ZetaZero(gamma)
             except DomainError as exc:
                 raise ZeroTableError(str(exc), line=lineno) from None
             if prev is not None and gamma <= prev:
@@ -168,47 +162,42 @@ def _density_integral(c: float, lo: float, hi: float = math.inf) -> float:
     return -antiderivative(lo) if c < -1.0 else math.inf
 
 
-def zero_tail(zs: ZeroSet, Z: int, amp, edge: float = math.inf, decay: float = 0.0) -> float:
+def zero_tail(
+    zs: ZeroSet, Z: int, C: float, A: float, edge: float = math.inf, decay: float = 0.0
+) -> float:
     """Bound for the paired zeros j >= Z of a weight that is at most
-    C gamma^A min(1, (edge/gamma)^decay) at beta + i gamma, (C, A) = amp(beta).
+    C gamma^A min(1, (edge/gamma)^decay) at 1/2 + i gamma.
 
     The table zeros past Z are summed one by one; the zeros past the table's
-    last ordinate gamma_T take the weight at the table's largest beta against
-    the counting density log(gamma/2pi)/(2pi), integrated in closed form.
-    Conjugate pairs count twice; the caller adds the safety factor.
+    last ordinate gamma_T take the same weight against the counting density
+    log(gamma/2pi)/(2pi), integrated in closed form. Conjugate pairs count
+    twice; the caller adds the safety factor.
     """
     if Z < 0:
         raise DomainError("Z must be >= 0")
 
-    def weight(beta, gamma):
-        C, A = amp(beta)
+    def weight(gamma):
         return C * gamma**A * (1.0 if gamma <= edge else (edge / gamma) ** decay)
 
-    head = [weight(z.beta, z.gamma) for z in zs.zeros[Z:]]
+    head = [weight(z.gamma) for z in zs.zeros[Z:]]
     gamma_T = zs.zeros[-1].gamma if zs.count else _FIRST_ZERO_WINDOW[0]
-    C, A = amp(zs.beta_max)
     past = _density_integral(A, gamma_T, max(gamma_T, edge))
     if edge < math.inf:
         past += edge**decay * _density_integral(A - decay, max(gamma_T, edge))
     return 2.0 * math.fsum(head + [C * past])
 
 
-def zero_amp(N: float) -> Callable[[float], tuple]:
-    """zero_tail's amp for the paired Bessel cells of M3 and M4: by Stirling,
+def zero_amp(N: float) -> float:
+    """zero_tail's C for the paired Bessel cells of M3 and M4: by Stirling,
     |Gamma(rho) pi^-rho N^{rho/2}| e^{pi gamma/2} <= C gamma^A with
-    C = RATIO_SLACK sqrt(2 pi) pi^-beta N^{beta/2} and A = beta - 1/2."""
-
-    def amp(beta):
-        C = _RATIO_SLACK * math.sqrt(2.0 * math.pi) * math.pi ** (-beta) * N ** (beta / 2.0)
-        return C, beta - 0.5
-
-    return amp
+    C = RATIO_SLACK sqrt(2 pi) pi^-1/2 N^{1/4} and A = beta - 1/2 = 0."""
+    return _RATIO_SLACK * math.sqrt(2.0 * math.pi) * math.pi ** (-0.5) * N ** (0.5 / 2.0)
 
 
 def zero_tail_bound(N: float, power: float, Z: int, zs: ZeroSet) -> float:
     """Upper bound for the discarded zero tail |sum_{j >= Z} Gamma(rho)/Gamma(rho+power) N^{power-1+rho}|.
 
-    Each term is bounded by RATIO_SLACK * gamma^-power * N^{power-1+beta}
+    Each term is bounded by RATIO_SLACK * gamma^-power * N^{power-1/2}
     (Stirling: the e^{-pi gamma/2} factors of numerator and denominator
     cancel, leaving polynomial decay), summed by zero_tail with no plateau
     edge, times the safety factor. Returns inf when power is too small for
@@ -217,6 +206,4 @@ def zero_tail_bound(N: float, power: float, Z: int, zs: ZeroSet) -> float:
     if power <= 1.1:
         return math.inf
     N = float(N)
-    return _SAFETY * zero_tail(
-        zs, Z, lambda beta: (_RATIO_SLACK * N ** (power - 1.0 + beta), -power)
-    )
+    return _SAFETY * zero_tail(zs, Z, _RATIO_SLACK * N ** (power - 1.0 + 0.5), -power)

@@ -146,6 +146,12 @@ class TestZerosCommand:
         bad.write_text("14.2\n13.0\n")
         assert run(["zeros", "validate", str(bad)]) == cli.EXIT_DATA
 
+    def test_validate_two_column_file_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "beta.txt"
+        bad.write_text("14.134725141\n21.022039638 0.5\n")
+        assert run(["zeros", "validate", str(bad)]) == cli.EXIT_DATA
+        assert "data error: line 2: expected 1 column, got 2" in capsys.readouterr().err
+
 
 class TestProbeCommand:
     def test_probe_csv(self, tmp_path):
@@ -181,6 +187,18 @@ class TestProbeCommand:
         base = ["probe", "--d", "2", "--k", "1.75", "--N", "100", "--Z", "2"]
         assert run(base) == 0
         assert run(base + ["--vmax", "40"]) == 1
+
+    def test_negative_zero_count_is_a_validation_error(self, capsys):
+        base = ["probe", "--d", "2", "--k", "1.75", "--N", "100"]
+        assert run(base + ["--Z", "-1"]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error" in captured.err
+
+    def test_nonpositive_N_is_a_validation_error(self, capsys):
+        for N in ("0", "-5"):
+            assert run(["probe", "--d", "2", "--k", "1.75", "--N", N, "--Z", "2"]) == cli.EXIT_DATA
+            assert "validation error" in capsys.readouterr().err
 
 
 class TestSelftestCommand:

@@ -23,7 +23,7 @@ from linnik.formula import (
     m4_term,
 )
 from linnik.specfun import gamma_ratio
-from linnik.zeros import _SAFETY, ZeroSet, ZetaZero, zero_amp, zero_tail, zero_tail_bound
+from linnik.zeros import _SAFETY, ZeroSet, zero_amp, zero_tail, zero_tail_bound
 
 
 class TestLatticePoints:
@@ -211,20 +211,20 @@ class TestZeroTailModel:
         # (edge/gamma)^{k+3/2} decay; N = 300 at cutoff 3 has its edge below
         # the last table zero, N = 4000 at cutoff 6 above it
         gamma_T = zeros100.zeros[-1].gamma
-        C, A = zero_amp(N)(0.5)
+        C = zero_amp(N)
         for cutoff in (3, 4, 6):
             edge = math.pi * cutoff * math.sqrt(N)
             for k in (1.7, 2.0, 2.5):
                 decay = k + 1.5
                 model = _past_table_model(
-                    lambda g: C * g**A * min(1, (edge / g) ** decay), gamma_T, edge
+                    lambda g: C * min(1, (edge / g) ** decay), gamma_T, edge
                 )
-                past = zero_tail(zeros100, zeros100.count, zero_amp(N), edge, decay)
+                past = zero_tail(zeros100, zeros100.count, C, 0.0, edge, decay)
                 assert past == pytest.approx(model, rel=1e-12), (N, cutoff, k, past / model)
 
     @pytest.mark.parametrize("N", [300, 2000, 4000])
     def test_m2_past_table_part_is_its_model(self, zeros100, N):
-        # M2's weight: the Stirling ratio model 1.25 gamma^-power N^{power-1+beta}
+        # M2's weight: the Stirling ratio model 1.25 gamma^-power N^{power-1/2}
         gamma_T = zeros100.zeros[-1].gamma
         for power in (2.5, 3.0, 4.5):
             model = _past_table_model(
@@ -232,21 +232,6 @@ class TestZeroTailModel:
             )
             past = zero_tail_bound(N, power, zeros100.count, zeros100) / _SAFETY
             assert past == pytest.approx(model, rel=1e-12), (N, power, past / model)
-
-    @pytest.mark.parametrize("edge", [100.0, 1000.0, 1e4])
-    def test_past_table_amplitude_grows_like_gamma_to_beta_minus_half(self, zeros100, edge):
-        # a two-column table whose last zero has beta = 0.6: past the table
-        # the zeros take that beta, so their amplitude grows like gamma^0.1
-        # over the plateau and on into the decay
-        last = zeros100.zeros[-1]
-        zs = ZeroSet(zeros100.zeros[:-1] + (ZetaZero(last.gamma, 0.6),))
-        N, decay = 2000, 3.5
-        C = zero_amp(N)(0.6)[0]
-        model = _past_table_model(
-            lambda g: C * g**0.1 * min(1, (edge / g) ** decay), last.gamma, edge
-        )
-        past = zero_tail(zs, zs.count, zero_amp(N), edge, decay)
-        assert past == pytest.approx(model, rel=1e-12), (edge, past / model)
 
 
 class TestBlockOracle:
@@ -298,7 +283,7 @@ class TestBlockOracle:
         terms = {"m3": m3_term(params, zeros100, spec), "m4": m4_term(params, zeros100, spec)}
         zero = zeros100.zeros[0]
         with mpmath.workdps(30):
-            rho = mpmath.mpc(zero.beta, zero.gamma)
+            rho = mpmath.mpc(zero.rho)
             for term, blocks in self.BLOCKS.items():
                 t = terms[term]
                 expected = {
@@ -330,7 +315,7 @@ class TestBlockOracle:
         t2 = m2_term(params, zeros100, spec)
         zero = zeros100.zeros[0]
         with mpmath.workdps(30):
-            rho = mpmath.mpc(zero.beta, zero.gamma)
+            rho = mpmath.mpc(zero.rho)
             kk = mpmath.mpf(k)
             pieces = self.smooth_pieces()
             # the 1/z piece of S: coef z^{-(k+2+e)}
@@ -569,7 +554,9 @@ class TestLemma5Probe:
             threshold_probe(4, 2.0, 100, zeros100.truncated(5))
         with pytest.raises(DomainError):
             threshold_probe(2, -1.0, 100, zeros100.truncated(5))
-        # k + beta <= d - 1: the per-zero integral diverges at v = 0
+        with pytest.raises(DomainError):
+            threshold_probe(2, 1.75, 0, zeros100.truncated(5))
+        # k + 1/2 <= d - 1: the per-zero integral diverges at v = 0
         with pytest.raises(DomainError):
             threshold_probe(3, 1.0, 100, zeros100.truncated(5))
         with pytest.raises(DomainError):
@@ -579,7 +566,7 @@ class TestLemma5Probe:
     def test_terms_match_closed_form(self, zeros100, d, k):
         # for gamma >> sqrt(N) each term is, up to O(e^{-pi^2 gamma^2/(N v^2)}),
         # gamma^{-k-3/2} sum_j C(d,j) (sqrt(pi) gamma/(2 sqrt N))^j (-1/2)^{d-j}
-        # Gamma(k+beta+1-j)
+        # Gamma(k+3/2-j)
         N = 25
         zs = zeros100.truncated(50)
         ps = threshold_probe(d, k, N, zs).partial_sums
@@ -587,7 +574,7 @@ class TestLemma5Probe:
             zero = zs.zeros[j]
             x = math.sqrt(math.pi) * zero.gamma / (2.0 * math.sqrt(N))
             closed = zero.gamma ** (-k - 1.5) * sum(
-                math.comb(d, i) * x**i * (-0.5) ** (d - i) * math.gamma(k + zero.beta + 1 - i)
+                math.comb(d, i) * x**i * (-0.5) ** (d - i) * math.gamma(k + 0.5 + 1 - i)
                 for i in range(d + 1)
             )
             assert ps[j] - ps[j - 1] == pytest.approx(closed, rel=1e-8)

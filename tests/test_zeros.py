@@ -30,7 +30,7 @@ class TestLoadZeros:
         zs = load_zeros(p)
         assert zs.count == 3
         assert zs.gammas() == [14.134725141, 21.022039638, 25.010857580]
-        assert all(z.beta == 0.5 for z in zs.zeros)
+        assert [z.rho for z in zs.zeros] == [complex(0.5, g) for g in zs.gammas()]
 
     def test_empty_file_is_valid(self, tmp_path):
         p = tmp_path / "empty.txt"
@@ -64,17 +64,13 @@ class TestLoadZeros:
         with pytest.raises(ZeroTableError):
             load_zeros(p)
 
-    def test_two_column_beta(self, tmp_path):
+    def test_second_column_names_line(self, tmp_path):
+        # every zero is 1/2 + i gamma: a table holds ordinates only
         p = tmp_path / "z.txt"
-        p.write_text("14.134725141 0.5\n21.022039638 0.6\n")
-        zs = load_zeros(p)
-        assert zs.zeros[1].beta == 0.6
-
-    def test_beta_out_of_strip(self, tmp_path):
-        p = tmp_path / "z.txt"
-        p.write_text("14.134725141 1.5\n")
-        with pytest.raises(ZeroTableError):
+        p.write_text("# gamma\n14.134725141\n21.022039638 0.5\n")
+        with pytest.raises(ZeroTableError) as exc:
             load_zeros(p)
+        assert exc.value.line == 3
 
     def test_bundled_table(self, zeros100):
         assert zeros100.count == 100
@@ -87,8 +83,6 @@ class TestLoadZeros:
     def test_zeta_zero_validation(self):
         with pytest.raises(DomainError):
             ZetaZero(gamma=-3.0)
-        with pytest.raises(DomainError):
-            ZetaZero(gamma=14.1, beta=0.0)
 
 
 class TestComputeZeros:
@@ -174,6 +168,8 @@ class TestZeroTailBound:
         assert sub.count == 10
         with pytest.raises(DomainError):
             zeros100.truncated(101)
+        with pytest.raises(DomainError):
+            zeros100.truncated(-1)
 
 
 def test_import_loads_no_network_modules():
