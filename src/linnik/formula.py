@@ -306,7 +306,7 @@ def _bessel_term(cells, names, points, tail, tail_key, cutoff, params, zs, spec)
     lnN = math.log(N)
     sqrtN = math.sqrt(N)
     C = zero_amp(N)
-    amp_in = sum(2.0 * C for _ in zs.zeros[: spec.Z])
+    amp_in = sum(2.0 * C for _ in zs.zeros[: spec.Z])  # zero by zero: 2 C Z rounds apart
     components = {}
     value = zero_weight = 0.0
     paired_tails = []

@@ -1,8 +1,9 @@
 """Nontrivial zeta-zero tables: ingestion, computation, paired sums, tail bounds.
 
 Every zero is 1/2 + i gamma, so a table holds ordinates only: plain text,
-one ascending ordinate per line, '#' comments allowed. A bundled table of the first 100 zeros ships with the package so everything
-runs offline; compute_zeros gives any number of them from mpmath.zetazero.
+one ascending ordinate per line, '#' comments allowed. A bundled table of
+the first 100 zeros ships with the package so everything runs offline;
+compute_zeros gives any number of them from mpmath.zetazero.
 
 Weighted sums over zeros always run over conjugate pairs: for weights f with
 f(conj rho) = conj f(rho) the pair sum is 2 Re f(rho), so paired_zero_sum
