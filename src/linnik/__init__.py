@@ -22,7 +22,6 @@ from .errors import (
 )
 from .formula import (
     FormulaReport,
-    ProbeSeries,
     TruncationSpec,
     default_truncation,
     evaluate,

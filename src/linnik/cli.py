@@ -175,8 +175,8 @@ def cmd_probe(args) -> int:
     zs = _load_zero_set(args.zeros)
     if args.Z is not None:
         zs = zs.truncated(args.Z)
-    series = formula.threshold_probe(args.d, args.k, args.N, zs)
-    _write_csv("zeros_included,partial_sum", enumerate(series.partial_sums, start=1), args.out)
+    partials = formula.threshold_probe(args.d, args.k, args.N, zs)
+    _write_csv("zeros_included,partial_sum", enumerate(partials, start=1), args.out)
     return EXIT_OK
 
 

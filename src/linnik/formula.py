@@ -63,7 +63,6 @@ __all__ = [
     "TruncationSpec",
     "TermValue",
     "FormulaReport",
-    "ProbeSeries",
     "default_truncation",
     "lattice_points",
     "m1_term",
@@ -115,10 +114,6 @@ class TermValue:
     components: dict
     tail_bounds: dict
 
-    @property
-    def tail_total(self) -> float:
-        return float(sum(self.tail_bounds.values()))
-
 
 @dataclass(frozen=True)
 class FormulaReport:
@@ -134,16 +129,6 @@ class FormulaReport:
     tail_bounds: dict
     wallclock: dict
     notes: tuple
-
-
-@dataclass(frozen=True)
-class ProbeSeries:
-    """Partial sums of the threshold series, one entry per zero included."""
-
-    d: int
-    k: float
-    N: int
-    partial_sums: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +465,7 @@ def evaluate(
     for name, term in (("m2", m2_term), ("m3", m3_term), ("m4", m4_term)):
         with _term_context(name, wall):
             t = term(params, zs, spec)
-        values[name], tails[name] = t.value, t.tail_total
+        values[name], tails[name] = t.value, sum(t.tail_bounds.values())
     notes.extend(
         f"{name} tail bound {tail:.3e} exceeds tol {spec.tol:.3e}"
         for name, tail in tails.items()
@@ -531,8 +516,8 @@ def threshold_probe(
     k: float,
     N: int,
     zs: ZeroSet,
-) -> ProbeSeries:
-    """Partial sums of the convergence-threshold series
+) -> tuple:
+    """The partial sums of the convergence-threshold series
 
         sum_{l in (Z>=1)^d} sum_{gamma>0} gamma^{-k-3/2}
             int_0^gamma e^{-N ||l||^2 v^2 / gamma^2} e^{-v} v^{k+1/2} dv,
@@ -591,7 +576,7 @@ def threshold_probe(
         integral = main + adaptive_gauss_kronrod(rem, 0.0, hi, abs_tol=tol).real
         terms.append(g ** (-k - 1.5) * integral)
         partials.append(math.fsum(terms))
-    return ProbeSeries(d=d, k=k, N=N, partial_sums=tuple(partials))
+    return tuple(partials)
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_c08_threshold_probe(zeros100):
     gammas = [z.gamma for z in zs.zeros[24:50]]
     devs, slopes, partials = {}, {}, {}
     for k in (1.75, 1.5, 1.0):
-        ps = threshold_probe(2, k, N, zs).partial_sums
+        ps = threshold_probe(2, k, N, zs)
         terms = [b - a for a, b in zip(ps[23:49], ps[24:50])]
         devs[k] = max(
             abs(t / _probe_closed_form_d2(g, k, N) - 1.0) for t, g in zip(terms, gammas)

@@ -533,20 +533,18 @@ class TestEvaluate:
 class TestLemma5Probe:
     def test_empty_zero_set(self):
         empty = ZeroSet(())
-        series = threshold_probe(2, 1.75, 100, empty)
-        assert series.partial_sums == ()
+        assert threshold_probe(2, 1.75, 100, empty) == ()
 
     def test_partial_sums_nonnegative_nondecreasing(self, zeros100):
-        series = threshold_probe(2, 1.75, 100, zeros100.truncated(30))
-        ps = series.partial_sums
+        ps = threshold_probe(2, 1.75, 100, zeros100.truncated(30))
         assert len(ps) == 30
         assert all(p >= 0.0 for p in ps)
         assert all(b >= a for a, b in zip(ps, ps[1:]))
 
     def test_divergent_grows_faster_than_convergent(self, zeros100):
         zs = zeros100.truncated(50)
-        conv = threshold_probe(2, 1.75, 100, zs).partial_sums
-        div = threshold_probe(2, 1.0, 100, zs).partial_sums
+        conv = threshold_probe(2, 1.75, 100, zs)
+        div = threshold_probe(2, 1.0, 100, zs)
         assert div[49] / div[24] > conv[49] / conv[24]
 
     def test_dimension_validation(self, zeros100):
@@ -569,7 +567,7 @@ class TestLemma5Probe:
         # Gamma(k+3/2-j)
         N = 25
         zs = zeros100.truncated(50)
-        ps = threshold_probe(d, k, N, zs).partial_sums
+        ps = threshold_probe(d, k, N, zs)
         for j in range(24, 50):
             zero = zs.zeros[j]
             x = math.sqrt(math.pi) * zero.gamma / (2.0 * math.sqrt(N))
