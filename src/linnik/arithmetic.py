@@ -230,7 +230,7 @@ def cesaro_lhs(rq: LinnikTable, params: CesaroParams) -> float:
     whole weighted array, while the weights take one block instead of a
     second N-sized array. The n = N term carries weight 0 for k > 0. k = 0
     uses the 0^0 = 1 convention; k < 0 is rejected because the weight is
-    undefined at n = N.
+    undefined at n = N. A weight or sum past double range raises OverflowError.
     """
     N, k = params.N, params.k
     if rq.limit < N:
@@ -238,7 +238,12 @@ def cesaro_lhs(rq: LinnikTable, params: CesaroParams) -> float:
     if k < 0:
         raise DomainError("k < 0 leaves the n = N weight (N-n)^k undefined")
     blocks = (_weighted_block(rq.values, N, k, lo) for lo in range(1, N + 1, _BLOCK))
-    return math.fsum(itertools.chain.from_iterable(blocks)) / math.gamma(k + 1)
+    # an inf or nan weight is refused below; fsum raises on a finite overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = math.fsum(itertools.chain.from_iterable(blocks)) / math.gamma(k + 1)
+    if not math.isfinite(lhs):
+        raise OverflowError(f"a weight (N - n)^k r_Q(n) exceeds double range at k = {k}")
+    return lhs
 
 
 def fsum_complex(terms) -> complex:

@@ -30,8 +30,9 @@ class PrecisionError(LinnikError, ArithmeticError):
     """A value could not be certified.
 
     The attribute strategy names the evaluation strategy that was attempted
-    ("gauss-kronrod", or the Bessel path "hankel" or "series"); the message
-    gives the reason, and for the quadrature its error estimate and tolerance.
+    ("gauss-kronrod", the Bessel path "hankel" or "series", or "double" for a
+    part of the formula whose value leaves double range); the message gives
+    the reason, and for the quadrature its error estimate and tolerance.
     """
 
     def __init__(self, message, strategy):

@@ -374,17 +374,23 @@ def default_truncation(
     The paired cells' lattice/m tails carry a Z-driven amplitude that no
     cutoff can push below tol; the term evaluators report them, but they do
     not drive the choice. evaluate notes every term whose reported tail
-    exceeds tol, including one whose cutoff search ran into its cap.
+    exceeds tol, including one whose cutoff search ran into its cap. A
+    default tol or a cutoff rule past double range raises DomainError.
     """
     N, k = float(params.N), params.k
-    if tol is None:
-        tol = 1e-6 * N ** (k + 1.0)
+    try:
+        if tol is None:
+            tol = 1e-6 * N ** (k + 1.0)
+        if L is None:
+            L = _smallest_cutoff(_cells("lattice"), _lattice_tail, 64, N, k, tol)
+        if M is None:
+            M = _smallest_cutoff(_cells("m"), _m_tail, 256, N, k, tol)
+    except OverflowError:
+        raise DomainError(
+            f"the default tol or cutoff rule exceeds double range at N = {params.N}, k = {k}"
+        ) from None
     if Z is None:
         Z = min(50, zs.count)
-    if L is None:
-        L = _smallest_cutoff(_cells("lattice"), _lattice_tail, 64, N, k, tol)
-    if M is None:
-        M = _smallest_cutoff(_cells("m"), _m_tail, 256, N, k, tol)
     return TruncationSpec(Z=Z, L=L, M=M, tol=tol)
 
 
@@ -417,13 +423,17 @@ def _tables_for(N: int):
 def _term_context(name: str, wall: dict):
     """Time one part of the formula (the left side or a term) into wall[name];
     re-raise numeric failures tagged with that part, as the same exception
-    with its attributes."""
+    with its attributes, and an OverflowError as a PrecisionError."""
     t0 = time.perf_counter()
     try:
         yield
     except (PrecisionError, DomainError) as exc:
         exc.args = (f"{name}: {exc}",)
         raise
+    except OverflowError as exc:
+        raise PrecisionError(
+            f"{name}: a value exceeds double range ({exc})", strategy="double"
+        ) from None
     wall[name] = time.perf_counter() - t0
 
 
@@ -537,8 +547,8 @@ def threshold_probe(
     up to terms of that exponential order; its leading power
     gamma^{d-k-3/2}, against the zero density, makes the series converge
     iff k > d - 1/2. The main part needs k + 1/2 > d - 1 (else the
-    integral diverges at v = 0); that, N <= 0, k <= 0 or d outside
-    {1, 2, 3} raises DomainError.
+    integral diverges at v = 0); that, N <= 0, k <= 0, d outside {1, 2, 3}
+    or a term past double range raises DomainError.
     """
     if d not in (1, 2, 3):
         raise DomainError("probe supports d in {1, 2, 3}")
@@ -573,7 +583,12 @@ def threshold_probe(
         # omega <= c/(2v) and |p| <= c/(2v) + 1/2, so |omega^d - p^d| integrates
         # to at most 2 main_abs
         tol = 1e-12 * main_abs
-        integral = main + adaptive_gauss_kronrod(rem, 0.0, hi, abs_tol=tol).real
+        try:
+            if not math.isfinite(tol):
+                raise OverflowError
+            integral = main + adaptive_gauss_kronrod(rem, 0.0, hi, abs_tol=tol).real
+        except OverflowError:  # the closed-form part, or v^{k+1/2} in rem
+            raise DomainError(f"probe term at gamma = {g} exceeds double range at k = {k}") from None
         terms.append(g ** (-k - 1.5) * integral)
         partials.append(math.fsum(terms))
     return tuple(partials)
@@ -600,8 +615,8 @@ def fit_loglog_slope(ns, values):
             continue
         xs.append(math.log(float(n)))
         ys.append(math.log(abs(v)))
-    if len(xs) < 2:
-        raise DomainError("need at least 2 nonzero points to fit a slope")
+    if len(set(xs)) < 2:
+        raise DomainError("need at least 2 distinct N among the nonzero points to fit a slope")
     slope = float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
     return slope, tuple(excluded)
 
@@ -618,8 +633,8 @@ def scaling_study(
     N_list = list(N_list)
     if len(N_list) < 3:
         raise DomainError("scaling study needs at least 3 N values")
-    if sorted(N_list) != N_list:
-        raise DomainError("N_list must be ascending")
+    if any(a >= b for a, b in zip(N_list, N_list[1:])):
+        raise DomainError("N_list must be strictly ascending")
     rows = []
     for N in N_list:
         params = CesaroParams(N=N, k=k)

@@ -365,6 +365,15 @@ class TestCesaroLhs:
         assert v == pytest.approx(direct, rel=1e-14)
         with pytest.raises(DomainError):
             cesaro_lhs(rq500, CesaroParams(N=10, k=-0.5))
+        # and a table shorter than N, N < 4 and a non-finite k
+        with pytest.raises(DomainError):
+            cesaro_lhs(rq500, CesaroParams(N=501, k=2.0))
+        for N, k in ((3, 2.0), (10, math.inf), (10, math.nan)):
+            with pytest.raises(DomainError):
+                CesaroParams(N=N, k=k)
+        # weights past double range: inf times r_Q(1) = 0 made the sum nan
+        with pytest.raises(OverflowError):
+            cesaro_lhs(rq500, CesaroParams(N=500, k=137.0))
 
 
 class TestGeneratingFunctions:
@@ -409,6 +418,10 @@ class TestGeneratingFunctions:
     def test_domain_error(self, lam500):
         with pytest.raises(DomainError):
             s_tilde(complex(-1.0, 0.5), 10, lam500)
+        with pytest.raises(DomainError):
+            s_tilde(complex(1.0, 0.5), 0, lam500)
+        with pytest.raises(DomainError):
+            s_tilde(complex(1.0, 0.5), 501, lam500)
         with pytest.raises(DomainError):
             omega2(complex(0.0, 1.0))
 

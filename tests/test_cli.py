@@ -54,6 +54,20 @@ class TestEvaluateCommand:
         assert run(base) == cli.EXIT_DATA
         assert run(base + ["--allow-subcritical"]) == 0
 
+    @pytest.mark.parametrize("opts, code, message", [
+        (["--k", "114"], cli.EXIT_DATA, "validation error: the default tol"),
+        (["--k", "400", "--tol", "1"], cli.EXIT_DATA, "validation error: the default tol"),
+        (["--k", "113"], cli.EXIT_NUMERIC, "numeric error: m2: "),
+        (["--k", "400", "--tol", "1", "--Z", "0", "--L", "3", "--M", "3"], cli.EXIT_NUMERIC,
+         "numeric error: lhs: "),
+    ], ids=["tol", "cutoff_rule", "m2", "lhs"])
+    def test_k_past_double_range_is_a_typed_error(self, tmp_path, capsys, opts, code, message):
+        # --k 112 still evaluates at N = 500
+        out = tmp_path / "r.csv"
+        assert run(["evaluate", "--N", "500", *opts, "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
 
 class TestScanCommand:
     def test_three_point_scan_with_plot_data(self, tmp_path):
@@ -73,6 +87,15 @@ class TestScanCommand:
 
     def test_single_N_is_usage_error(self, tmp_path):
         assert run(["scan", "--N-list", "500", "--out", str(tmp_path / "s.csv")]) == 1
+
+    @pytest.mark.parametrize("n_list, k", [("500,1000,2000", "400"), ("500,500,500", "2")])
+    def test_k_past_double_range_or_a_repeated_N_is_a_validation_error(
+        self, tmp_path, capsys, n_list, k
+    ):
+        out = tmp_path / "s.csv"
+        assert run(["scan", "--N-list", n_list, "--k", k, "--out", str(out)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("validation error:")
+        assert not out.exists()
 
     def test_malformed_N_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -201,6 +224,16 @@ class TestProbeCommand:
             assert "validation error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("k", ["200", "400"])
+    def test_k_past_double_range_is_a_validation_error(self, capsys, k):
+        # at k = 400 the closed-form part overflows at the first zero; at
+        # k = 200 v^{k+1/2} does inside the integrand, at gamma = 37.6
+        assert run(["probe", "--d", "2", "--k", k, "--N", "100", "--Z", "10"]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: probe term at gamma")
+
+
 class TestSelftestCommand:
     def test_fresh_checkout_passes(self, capsys):
         assert run(["selftest"]) == 0
@@ -263,6 +296,12 @@ class TestBesselCommand:
         out = capsys.readouterr().out
         assert "J(4+0i, 1405) = -0.021231720412482707 + 0i" in out
         assert "strategy=hankel bits=90 terms=9" in out
+
+    def test_magnitude_past_double_range_is_a_numeric_error(self, capsys):
+        assert run(["bessel", "--nu-re", "2.5", "--nu-im", "460", "--u", "5000"]) == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: J_nu(u) magnitude exceeds double range")
 
     def test_usage_error_exit_code(self):
         assert run(["bessel", "--u", "10"]) == 1

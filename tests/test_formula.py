@@ -16,6 +16,7 @@ from linnik.formula import (
     evaluate,
     fit_loglog_slope,
     lattice_points,
+    scaling_study,
     threshold_probe,
     m1_term,
     m2_term,
@@ -32,6 +33,8 @@ class TestLatticePoints:
         assert lattice_points(1) == ()
         assert lattice_points(2) == ((2, 1),)
         assert dict(lattice_points(3)) == {2: 1, 5: 2, 8: 1}
+        with pytest.raises(DomainError):
+            lattice_points(-1)
 
     def test_counts_match_direct_enumeration(self):
         pts = dict(lattice_points(12))
@@ -347,6 +350,10 @@ class TestEvaluate:
         assert rep.notes[0].startswith("subcritical probe")
         assert "k > 1/2" in rep.notes[1]
         assert rep.notes[2:] and all("exceeds tol" in n for n in rep.notes[2:])
+        # k = 0 adds its convention between the two
+        rep = evaluate(CesaroParams(N=100, k=0.0), zeros100, spec50, allow_subcritical=True)
+        assert rep.notes[1] == "k = 0 uses the (N-n)^0 = 1 convention at n = N"
+        assert "k > 1/2" in rep.notes[2]
 
     def test_lhs_error_is_tagged_like_the_terms(self, zeros100, spec50):
         with pytest.raises(DomainError) as exc:
@@ -594,6 +601,14 @@ class TestScalingFit:
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
             fit_loglog_slope([10, 20], [0.0, 5.0])
+        # three rows at one N are one point
+        with pytest.raises(DomainError):
+            fit_loglog_slope([500, 500, 500], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("N_list", [[500, 1000], [2000, 1000, 500], [500, 500, 500]])
+    def test_study_needs_three_strictly_ascending_N(self, zeros100, N_list):
+        with pytest.raises(DomainError):
+            scaling_study(N_list, 2.0, zeros100)
 
 
 class TestDefaultTruncation:
@@ -611,6 +626,11 @@ class TestDefaultTruncation:
         assert tight.L >= loose.L
         assert tight.M >= loose.M
         assert tight.L > 3 or tight.M > 3
+
+    @pytest.mark.parametrize("bad", [{"Z": -1}, {"L": -1}, {"M": -1}, {"tol": 0.0}, {"tol": -1.0}])
+    def test_spec_refuses_negative_cutoffs_and_tol(self, bad):
+        with pytest.raises(DomainError):
+            TruncationSpec(**{"Z": 2, "L": 3, "M": 3, "tol": 1.0, **bad})
 
     def test_doubling_helper(self, zeros100):
         spec = default_truncation(CesaroParams(N=500, k=2.0), zeros100)

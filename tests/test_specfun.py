@@ -5,10 +5,11 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from linnik.errors import DomainError, PoleError, PrecisionError
+from linnik.errors import DomainError, PoleError, PrecisionError, QuadratureError
 from linnik import specfun
 from linnik.arithmetic import CesaroParams
 from linnik.formula import TruncationSpec, evaluate
+from linnik.quadrature import adaptive_gauss_kronrod
 from linnik.specfun import (
     _bessel_hankel,
     _bessel_series,
@@ -75,6 +76,9 @@ class TestLogGamma:
             with pytest.raises(PoleError) as exc:
                 log_gamma(s)
             assert exc.value.pole == int(s)
+        for s in (math.inf, complex(1.0, math.nan)):
+            with pytest.raises(DomainError):
+                log_gamma(s)
 
 
 class TestGammaRatio:
@@ -115,6 +119,9 @@ class TestBesselJ:
             bessel_j(-0.5, 0.0)
         with pytest.raises(DomainError):
             bessel_j(1.0j, 0.0)
+        for nu, u in ((2.0, math.inf), (complex(2.0, math.nan), 1.0), (-3.0, 1.0)):
+            with pytest.raises(DomainError):
+                bessel_j(nu, u)
 
     def test_half_integer_closed_form(self):
         for u in (1.0, 10.0):
@@ -484,3 +491,20 @@ class TestLaplaceLineIntegral:
             laplace_line_integral(-1.0, 10.0)
         with pytest.raises(DomainError):
             laplace_line_integral(0.0 + 2.0j, 10.0)
+        for N in (0.0, -10.0):
+            with pytest.raises(DomainError):
+                laplace_line_integral(2.0, N)
+
+
+class TestAdaptiveGaussKronrod:
+    @pytest.mark.parametrize("abs_tol", [0.0, -1e-12, math.inf, math.nan])
+    def test_tolerance_must_be_positive_and_finite(self, abs_tol):
+        with pytest.raises(ValueError):
+            adaptive_gauss_kronrod(math.exp, 0.0, 1.0, abs_tol)
+
+    def test_a_step_hits_the_depth_limit(self):
+        # no panel straddling the step at 1/3 meets 1e-20
+        with pytest.raises(QuadratureError) as exc:
+            adaptive_gauss_kronrod(lambda x: float(x > 1.0 / 3.0), 0.0, 1.0, 1e-20)
+        assert "max depth" in str(exc.value)
+        assert exc.value.strategy == "gauss-kronrod"

@@ -17,6 +17,7 @@ from linnik.zeros import (
     compute_zeros,
     load_zeros,
     paired_zero_sum,
+    zero_tail,
     zero_tail_bound,
 )
 
@@ -63,6 +64,11 @@ class TestLoadZeros:
         p.write_text("15.5\n21.0\n")
         with pytest.raises(ZeroTableError):
             load_zeros(p)
+        for first in ("0.0", "-14.134725141"):
+            p.write_text(f"{first}\n21.0\n")
+            with pytest.raises(ZeroTableError) as exc:
+                load_zeros(p)
+            assert exc.value.line == 1
 
     def test_second_column_names_line(self, tmp_path):
         # every zero is 1/2 + i gamma: a table holds ordinates only
@@ -170,6 +176,8 @@ class TestZeroTailBound:
             zeros100.truncated(101)
         with pytest.raises(DomainError):
             zeros100.truncated(-1)
+        with pytest.raises(DomainError):
+            zero_tail(zeros100, -1, 1.0, 0.0, 100.0, 3.5)
 
 
 def test_import_loads_no_network_modules():
