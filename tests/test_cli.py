@@ -223,7 +223,6 @@ class TestProbeCommand:
             assert run(["probe", "--d", "2", "--k", "1.75", "--N", N, "--Z", "2"]) == cli.EXIT_DATA
             assert "validation error" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("k", ["200", "400"])
     def test_k_past_double_range_is_a_validation_error(self, capsys, k):
         # at k = 400 the closed-form part overflows at the first zero; at
