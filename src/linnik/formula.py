@@ -4,28 +4,29 @@ The arithmetic side sum_{n<=N} r_Q(n) (N-n)^k / Gamma(k+1) is the inverse
 Laplace transform of z^{-k-1} S(z) omega(z)^2, with S(z) = 1/z
 - sum_rho Gamma(rho) z^{-rho} + ... and omega the theta series of the two
 squares. Every main-term cell is one piece r (pi/z)^e of omega^2 (the
-table _OMEGA2, per index set) times one piece of S (the table _S: 1/z, or
--Gamma(rho) z^{-rho} summed over conjugate zero pairs); _cells forms them.
+table _OMEGA2, indexed by the dimension j of the piece's index set
+lattice_points(j, .)) times one piece of S (the table _S: 1/z, or
+-Gamma(rho) z^{-rho} summed over conjugate zero pairs); _cells(j) forms them.
 
-  m1, m2: the index-free ("smooth") pieces pi/(4z), 1/4 and -sqrt(pi/z)/2
+  m1, m2: the index-free (j = 0) pieces pi/(4z), 1/4 and -sqrt(pi/z)/2
       times 1/z (m1, a closed form in N and k) or -Gamma(rho) z^{-rho} (m2,
       Gamma-ratio weights), each inverted by
       (1/2 pi i) int e^{Nz} z^{-s} dz = N^{s-1}/Gamma(s);
   m3, m4: Bessel blocks, the pieces of omega^2 that carry e^{-c/z} (pi/z
-      over the "lattice" for m3; pi/z and -sqrt(pi/z) over "m" for m4) times
-      either S piece. The pair
+      over the j = 2 norms for m3; pi/z and -sqrt(pi/z) over the j = 1
+      squares for m4) times either S piece. The pair
       (1/2 pi i) int e^{Nz - c/z} z^{-s} dz = (N/c)^{(s-1)/2} J_{s-1}(2 sqrt(cN))
-      with c = pi^2 root^2 inverts each one, all by one kernel, _bessel_term.
-      m3 sums over the lattice root = sqrt(l1^2 + l2^2), m4 over a single
-      index root = m.
+      with c = pi^2 lam inverts each one, all by one kernel, _bessel_term(j),
+      over the points lam = |l|^2 <= cutoff^2 of l in (Z>=1)^j.
 
 All infinite sums are truncated under a TruncationSpec: Z zeros, lattice
 radius L, single-index cutoff M. Every term carries computed tail bounds:
 
   * lattice/m tails from |J_nu(u)| <~ sqrt(2/(pi u)): a point past the cutoff
-    weighs root^{-2s}, s = Re nu/2 + 1/4, summed past the cutoff with a safety
-    factor 2 (_cut_tail). default_truncation picks L and M by the same rule,
-    as the smallest cutoffs whose unpaired cells' tail meets tol/4;
+    weighs lam^{-s}, s = Re nu/2 + 1/4, summed past the cutoff by one density
+    bound for every j, with a safety factor 2 for the lattice (_lattice_tail,
+    _cut_tail). default_truncation picks L and M by the same rule, as the
+    smallest cutoffs whose unpaired cells' tail meets tol/4;
   * zero tails from zeros.zero_tail, the one model of the zeros past Z: m2
     weighs a zero by its Stirling Gamma ratio ~ gamma^-c; m3 and m4 by the
     cancellation of |Gamma(rho)| against the J growth, at most
@@ -47,6 +48,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -135,31 +137,27 @@ class FormulaReport:
 # Lattice helpers
 # ---------------------------------------------------------------------------
 
-def lattice_points(L: int):
-    """Ascending [(lam, multiplicity)] for lam = l1^2 + l2^2 <= L^2, l1, l2 >= 1."""
-    if L < 0:
+def lattice_points(j: int, cutoff: int):
+    """Ascending ((lam, multiplicity), ...) for lam = |l|^2 <= cutoff^2 over
+    l in (Z>=1)^j: j = 0 is the single lam = 0, j = 1 the squares m^2 and
+    j = 2 the norms l1^2 + l2^2."""
+    if cutoff < 0:
         raise DomainError("lattice radius must be >= 0")
-    norms = Counter(
-        l1 * l1 + l2 * l2 for l1 in range(1, L) for l2 in range(1, math.isqrt(L * L - l1 * l1) + 1)
-    )
-    return tuple(sorted(norms.items()))
+    norms = Counter(sum(x * x for x in l) for l in product(range(1, cutoff + 1), repeat=j))
+    return tuple(sorted(item for item in norms.items() if item[0] <= cutoff * cutoff))
 
 
-def _lattice_tail(L: int, s: float) -> float:
-    """Bound for the sum of r2(lam) lam^-s over lam > max(L^2, 2), the m3
-    points past radius L (r2 over positive pairs)."""
-    if s <= 1.0:
+def _lattice_tail(j: int, cutoff: int, s: float) -> float:
+    """Bound for the sum of mult lam^-s over the points of dimension j >= 1
+    past lam = max(cutoff^2, j), from their density
+    pi^{j/2} lam^{j/2-1} / (2^j Gamma(j/2)) (1/2 lam^{-1/2} for the squares,
+    pi/4 for the norms, with _LATTICE_FLUCT head room from j = 2 on)."""
+    if s <= j / 2:
         return math.inf
-    X = max(L * L, 2)
-    return _LATTICE_FLUCT * (math.pi / 4.0) * X ** (1.0 - s) / (s - 1.0)
-
-
-def _m_tail(M: int, s: float) -> float:
-    """Bound for sum_{m > M} m^{-2s}, the m4 points past M."""
-    t = 2.0 * s
-    if t <= 1.0:
-        return math.inf
-    return max(M, 1) ** (1.0 - t) / (t - 1.0)
+    X = max(cutoff * cutoff, j)
+    coef = math.pi ** (j / 2) / (2**j * math.gamma(j / 2))
+    fluct = _LATTICE_FLUCT if j >= 2 else 1.0
+    return fluct * coef * X ** (j / 2 - s) / (s - j / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +165,16 @@ def _m_tail(M: int, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# The pieces r (pi/z)^e of omega(z)^2 = P^2 + 2PT + T^2, per index set, with
-# P = (sqrt(pi/z) - 1)/2 the Jacobi main term of omega and T = sqrt(pi/z)
-# sum_{m>=1} e^{-pi^2 m^2/z} the rest: P^2 is index-free ("smooth"), 2PT
-# carries e^{-pi^2 m^2/z} ("m") and T^2 carries e^{-pi^2 (l1^2+l2^2)/z}
-# ("lattice").
-_OMEGA2 = {
-    "smooth": ((0.25, 1), (0.25, 0), (-0.5, 0.5)),
-    "m": ((1, 1), (-1, 0.5)),
-    "lattice": ((1, 1),),
-}
+# The pieces r (pi/z)^e of omega(z)^2 = P^2 + 2PT + T^2, by the dimension j
+# of their index set, with P = (sqrt(pi/z) - 1)/2 the Jacobi main term of
+# omega and T = sqrt(pi/z) sum_{m>=1} e^{-pi^2 m^2/z} the rest: P^2 is
+# index-free ("smooth", j = 0), 2PT carries e^{-pi^2 m^2/z} ("m", j = 1) and
+# T^2 carries e^{-pi^2 (l1^2+l2^2)/z} ("lattice", j = 2).
+_OMEGA2 = (
+    ((0.25, 1), (0.25, 0), (-0.5, 0.5)),
+    ((1, 1), (-1, 0.5)),
+    ((1, 1),),
+)
 
 # The pieces (sign, a, paired) of S(z), each sign z^{-a}, times Gamma(rho)
 # z^{-rho} summed over conjugate zero pairs if paired: 1/z and -Gamma(rho) z^{-rho}.
@@ -185,12 +183,12 @@ _S = ((1, 1, False), (-1, 0, True))
 _BLOCKS = ("block1", "block2", "block3", "block4")
 
 
-def _cells(index_set: str) -> tuple:
-    """The cells (coef, p, q, paired) of one index set, S piece by S piece:
+def _cells(j: int) -> tuple:
+    """The cells (coef, p, q, paired) of dimension j, S piece by S piece:
     z^{-k-1} times an S piece times an omega^2 piece is coef pi^p z^{-k-1-q}
     (times Gamma(rho) z^{-rho} if paired), coef = sign r, p = e and q = e + a."""
     return tuple(
-        (sign * r, e, e + a, paired) for sign, a, paired in _S for r, e in _OMEGA2[index_set]
+        (sign * r, e, e + a, paired) for sign, a, paired in _S for r, e in _OMEGA2[j]
     )
 
 
@@ -202,7 +200,7 @@ def m1_term(params: CesaroParams) -> float:
         raise DomainError("m1_term requires k > -1")
     lnN = math.log(N)
     value = 0.0
-    for coef, p, q, paired in _cells("smooth"):
+    for coef, p, q, paired in _cells(0):
         if not paired:
             g = log_gamma(complex(k + (1 + q), 0.0)).real
             value += coef * math.pi**p * math.exp((k + q) * lnN - g)
@@ -221,7 +219,7 @@ def m2_term(
     lnN = math.log(N)
     components = {}
     value = tail = 0.0
-    paired_cells = [cell for cell in _cells("smooth") if cell[3]]
+    paired_cells = [cell for cell in _cells(0) if cell[3]]
     for name, (coef, p, q, _) in zip(_BLOCKS, paired_cells):
         weight = coef * math.pi**p
         offset = k + (1 + q)
@@ -240,12 +238,12 @@ def m2_term(
 # Bessel blocks of m3 and m4
 # ---------------------------------------------------------------------------
 
-# A cell (coef, p, q, paired) of the "m" or "lattice" index set is the block
+# A cell (coef, p, q, paired) of dimension j = 1 ("m") or 2 ("lattice") is
 #
 #   coef * N^{k/2+q/2} pi^{-(k+q-p)} sum_i mult_i J_nu(2 pi root_i sqrt N) / root_i^nu
 #
-# with nu = k + q, over the points of the index set; a paired cell has
-# nu = k + q + rho and is summed over zeros with the weight
+# with nu = k + q, over the points lam_i = root_i^2 of lattice_points(j, .); a
+# paired cell has nu = k + q + rho and is summed over zeros with the weight
 # 2 Re Gamma(rho) pi^-rho N^{rho/2}. Components keep the block without coef.
 
 
@@ -259,15 +257,15 @@ def _envelope(N: float) -> float:
     return _SAFETY * N**-0.25 / math.pi
 
 
-def _cut_tail(cells, tail, cutoff: int, N: float, k: float, paired_tails=()) -> float:
-    """Tail bound past the cutoff of the unpaired cells: a point there weighs
-    root^{-2s}, s = (k+q)/2 + 1/4, and tail(cutoff, s) bounds their sum. The
-    caller's paired_tails (already in these units) are added after them."""
+def _cut_tail(j: int, cutoff: int, N: float, k: float, paired_tails=()) -> float:
+    """Tail bound past the cutoff of the unpaired cells of dimension j: a point
+    there weighs lam^{-s}, s = (k+q)/2 + 1/4, and _lattice_tail bounds their
+    sum. The caller's paired_tails (already in these units) follow them."""
     lnN = math.log(N)
     total = 0.0
-    for _, p, q, paired in cells:
+    for _, p, q, paired in _cells(j):
         if not paired:
-            total += _pref(p, q, k, lnN) * tail(cutoff, (k + q) / 2.0 + 0.25)
+            total += _pref(p, q, k, lnN) * _lattice_tail(j, cutoff, (k + q) / 2.0 + 0.25)
     return _envelope(N) * sum(paired_tails, total)
 
 
@@ -279,23 +277,26 @@ def _bessel_sum(nu: complex, points, sqrtN: float) -> complex:
     )
 
 
-def _bessel_term(cells, names, points, tail, tail_key, cutoff, params, zs, spec) -> TermValue:
-    """The cells of one index set summed over its points (root, log root,
-    mult), one component per name, with tail bounds from _cut_tail. Past the
-    cutoff a paired cell carries the amplitude of the zeros kept, with
-    s = (k+q+1/2)/2 + 1/4 (every zero is 1/2 + i gamma); zeros past Z are
-    weighed over all points by zeros.zero_tail, with the plateau edge u_ref/2
-    and decay k + 3/2.
+def _bessel_term(j: int, names, tail_key: str, cutoff: int, params, zs, spec) -> TermValue:
+    """The cells of dimension j summed over lattice_points(j, cutoff) as
+    (root, log root, mult) = (sqrt(lam), log(lam)/2, mult), one component per
+    name, with tail bounds from _cut_tail. Past the cutoff a paired cell
+    carries the amplitude of the zeros kept, with s = (k+q+1/2)/2 + 1/4
+    (every zero is 1/2 + i gamma); zeros past Z are weighed over all points
+    by zeros.zero_tail, with the plateau edge u_ref/2 and decay k + 3/2.
     """
     N, k = float(params.N), params.k
     lnN = math.log(N)
     sqrtN = math.sqrt(N)
+    points = tuple(
+        (math.sqrt(lam), 0.5 * math.log(lam), mult) for lam, mult in lattice_points(j, cutoff)
+    )
     C = zero_amp(N)
     amp_in = sum(2.0 * C for _ in zs.zeros[: spec.Z])  # zero by zero: 2 C Z rounds apart
     components = {}
     value = zero_weight = 0.0
     paired_tails = []
-    for name, (coef, p, q, paired) in zip(names, cells):
+    for name, (coef, p, q, paired) in zip(names, _cells(j)):
         pref = _pref(p, q, k, lnN)
         if paired:
 
@@ -305,14 +306,15 @@ def _bessel_term(cells, names, points, tail, tail_key, cutoff, params, zs, spec)
 
             block = pref * paired_zero_sum(f, zs, spec.Z)
             s = (k + q + 0.5) / 2.0 + 0.25
-            paired_tails.append(pref * amp_in * tail(cutoff, s))
+            tail = _lattice_tail(j, cutoff, s)
+            paired_tails.append(pref * amp_in * tail)
             head = sum(mult * root ** (-2.0 * s) for root, _, mult in points)
-            zero_weight += pref * (head + tail(cutoff, s))
+            zero_weight += pref * (head + tail)
         else:
             block = pref * _bessel_sum(complex(k + q), points, sqrtN).real
         components[name] = block
         value += coef * block
-    cut_tail = _cut_tail(cells, tail, cutoff, N, k, paired_tails)
+    cut_tail = _cut_tail(j, cutoff, N, k, paired_tails)
     edge = math.pi * max(cutoff, 1) * sqrtN  # u_ref/2 for u_ref = 2 pi cutoff sqrt N
     past_z = _envelope(N) * zero_weight * zero_tail(zs, spec.Z, C, 0.0, edge, k + 1.5)
     return TermValue(value, components, {tail_key: cut_tail, "zeros": past_z})
@@ -323,13 +325,10 @@ def m3_term(
     zs: ZeroSet,
     spec: TruncationSpec,
 ) -> TermValue:
-    """Two-squares lattice term (the "lattice" cells): J_{k+2} lattice sum
-    minus the paired zero sum of J_{k+1+rho} lattice sums, over root = sqrt(lam)."""
-    pts = tuple((math.sqrt(lam), 0.5 * math.log(lam), m) for lam, m in lattice_points(spec.L))
-    return _bessel_term(
-        _cells("lattice"), ("lattice", "zeros"), pts, _lattice_tail, "lattice", spec.L,
-        params, zs, spec,
-    )
+    """Two-squares lattice term (the "lattice" cells, j = 2): J_{k+2} lattice
+    sum minus the paired zero sum of J_{k+1+rho} lattice sums, over
+    root = sqrt(l1^2 + l2^2) <= L."""
+    return _bessel_term(2, ("lattice", "zeros"), "lattice", spec.L, params, zs, spec)
 
 
 def m4_term(
@@ -337,10 +336,9 @@ def m4_term(
     zs: ZeroSet,
     spec: TruncationSpec,
 ) -> TermValue:
-    """Single-index theta term (the "m" cells): four m-sum blocks, signs
-    +, -, -, +; the paired blocks carry N^{rho/2}."""
-    pts = tuple((m, math.log(m), 1) for m in range(1, spec.M + 1))
-    return _bessel_term(_cells("m"), _BLOCKS, pts, _m_tail, "msum", spec.M, params, zs, spec)
+    """Single-index theta term (the "m" cells, j = 1): four m-sum blocks,
+    signs +, -, -, +, over root = m <= M; the paired blocks carry N^{rho/2}."""
+    return _bessel_term(1, _BLOCKS, "msum", spec.M, params, zs, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +346,11 @@ def m4_term(
 # ---------------------------------------------------------------------------
 
 
-def _smallest_cutoff(cells, tail, hi: int, N: float, k: float, tol: float) -> int:
-    """Smallest cutoff n in [3, hi) whose unpaired cells' _cut_tail is
-    <= tol/4; hi if there is none."""
+def _smallest_cutoff(j: int, hi: int, N: float, k: float, tol: float) -> int:
+    """Smallest cutoff n in [3, hi) whose unpaired cells of dimension j have a
+    _cut_tail <= tol/4; hi if there is none."""
     for n in range(3, hi):
-        if _cut_tail(cells, tail, n, N, k) <= tol / 4.0:
+        if _cut_tail(j, n, N, k) <= tol / 4.0:
             return n
     return hi
 
@@ -382,9 +380,9 @@ def default_truncation(
         if tol is None:
             tol = 1e-6 * N ** (k + 1.0)
         if L is None:
-            L = _smallest_cutoff(_cells("lattice"), _lattice_tail, 64, N, k, tol)
+            L = _smallest_cutoff(2, 64, N, k, tol)
         if M is None:
-            M = _smallest_cutoff(_cells("m"), _m_tail, 256, N, k, tol)
+            M = _smallest_cutoff(1, 256, N, k, tol)
     except OverflowError:
         raise DomainError(
             f"the default tol or cutoff rule exceeds double range at N = {params.N}, k = {k}"

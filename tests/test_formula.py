@@ -29,15 +29,15 @@ from linnik.zeros import _SAFETY, ZeroSet, zero_amp, zero_tail, zero_tail_bound
 
 class TestLatticePoints:
     def test_small_radii(self):
-        assert lattice_points(0) == ()
-        assert lattice_points(1) == ()
-        assert lattice_points(2) == ((2, 1),)
-        assert dict(lattice_points(3)) == {2: 1, 5: 2, 8: 1}
+        assert lattice_points(2, 0) == ()
+        assert lattice_points(2, 1) == ()
+        assert lattice_points(2, 2) == ((2, 1),)
+        assert dict(lattice_points(2, 3)) == {2: 1, 5: 2, 8: 1}
         with pytest.raises(DomainError):
-            lattice_points(-1)
+            lattice_points(2, -1)
 
     def test_counts_match_direct_enumeration(self):
-        pts = dict(lattice_points(12))
+        pts = dict(lattice_points(2, 12))
         direct = {}
         for l1 in range(1, 13):
             for l2 in range(1, 13):
@@ -46,6 +46,28 @@ class TestLatticePoints:
                     direct[s] = direct.get(s, 0) + 1
         assert pts == direct
 
+    def test_squares_and_the_index_free_set(self):
+        # j = 1 is the squares m^2 of m4, j = 0 the single lam = 0 of m1 and m2
+        for M in (0, 1, 3, 256):
+            assert lattice_points(1, M) == tuple((m * m, 1) for m in range(1, M + 1))
+        assert lattice_points(0, 5) == ((0, 1),)
+
+    def test_squares_give_the_doubles_of_the_single_index(self):
+        # m4 summed over root = m with log m and bounded its tail by
+        # max(M, 1)^{1-2s}/(2s-1); the squares' sqrt(lam), log(lam)/2 and
+        # density bound are the same doubles
+        for m in range(1, 257):
+            assert (math.sqrt(m * m).hex(), (0.5 * math.log(m * m)).hex()) == (
+                float(m).hex(), math.log(m).hex()
+            )
+        for k in (1.7, 2.0, 2.5):
+            for _, _, q, paired in formula._cells(1):
+                s = (k + q + 0.5) / 2.0 + 0.25 if paired else (k + q) / 2.0 + 0.25
+                t = 2.0 * s
+                for M in range(257):
+                    single = max(M, 1) ** (1.0 - t) / (t - 1.0)
+                    assert formula._lattice_tail(1, M, s).hex() == single.hex(), (k, q, M)
+
 
 class TestOmega2Pieces:
     """formula._OMEGA2, each piece times the theta sum of its index set, adds
@@ -53,19 +75,17 @@ class TestOmega2Pieces:
     wrong e."""
 
     XS = (2.0, 3.0, 5.0)
+    DIMENSION = {"smooth": 0, "m": 1, "lattice": 2}
 
     @staticmethod
     def matches_omega_squared(x):
-        theta = {
-            "smooth": 1.0,
-            "m": math.fsum(math.exp(-math.pi**2 * m * m / x) for m in range(1, 13)),
-            "lattice": math.fsum(
-                mult * math.exp(-math.pi**2 * lam / x) for lam, mult in lattice_points(12)
-            ),
-        }
+        theta = [
+            math.fsum(mult * math.exp(-math.pi**2 * lam / x) for lam, mult in lattice_points(j, 12))
+            for j in range(3)
+        ]
         got = math.fsum(
-            r * math.pi**e * x**-e * theta[index_set]
-            for index_set, pieces in formula._OMEGA2.items()
+            r * math.pi**e * x**-e * theta[j]
+            for j, pieces in enumerate(formula._OMEGA2)
             for r, e in pieces
         )
         expected = arithmetic.omega2(x).value.real ** 2
@@ -87,9 +107,10 @@ class TestOmega2Pieces:
         [("smooth", 0), ("smooth", 1), ("smooth", 2), ("m", 0), ("m", 1), ("lattice", 0)],
     )
     def test_a_mutated_piece_fails(self, monkeypatch, index_set, i, mutation):
-        pieces = list(formula._OMEGA2[index_set])
+        omega2 = [list(pieces) for pieces in formula._OMEGA2]
+        pieces = omega2[self.DIMENSION[index_set]]
         pieces[i] = self.MUTATIONS[mutation](*pieces[i])
-        monkeypatch.setitem(formula._OMEGA2, index_set, tuple(pieces))
+        monkeypatch.setattr(formula, "_OMEGA2", tuple(map(tuple, omega2)))
         assert not all(self.matches_omega_squared(x) for x in self.XS)
 
 
@@ -282,7 +303,7 @@ class TestBlockOracle:
     def test_blocks_match_inverse_laplace_pieces(self, zeros100, N, k):
         spec = TruncationSpec(Z=1, L=2, M=1, tol=1.0)
         params = CesaroParams(N=N, k=k)
-        norms = {"m3": lattice_points(2), "m4": ((1, 1),)}
+        norms = {"m3": lattice_points(2, 2), "m4": ((1, 1),)}
         terms = {"m3": m3_term(params, zeros100, spec), "m4": m4_term(params, zeros100, spec)}
         zero = zeros100.zeros[0]
         with mpmath.workdps(30):
