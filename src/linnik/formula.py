@@ -546,7 +546,10 @@ def threshold_probe(
     gamma^{d-k-3/2}, against the zero density, makes the series converge
     iff k > d - 1/2. The main part needs k + 1/2 > d - 1 (else the
     integral diverges at v = 0); that, N <= 0, k <= 0, d outside {1, 2, 3}
-    or a term past double range raises DomainError.
+    or a term past double range raises DomainError. A term's integral that
+    is not above the quadrature's absolute tolerance 1e-12 main_abs (at
+    large k the two parts cancel below it) raises PrecisionError, once every
+    term has been checked against double range.
     """
     if d not in (1, 2, 3):
         raise DomainError("probe supports d in {1, 2, 3}")
@@ -558,6 +561,7 @@ def threshold_probe(
         raise DomainError(f"probe integral diverges at v = 0: k + 1/2 = {k + 0.5} <= d - 1")
     terms = []
     partials = []
+    uncertified = None
     for zero in zs.zeros:
         g = zero.gamma
         scale = float(N) / (g * g)
@@ -587,8 +591,16 @@ def threshold_probe(
             integral = main + adaptive_gauss_kronrod(rem, 0.0, hi, abs_tol=tol).real
         except OverflowError:  # the closed-form part, or v^{k+1/2} in rem
             raise DomainError(f"probe term at gamma = {g} exceeds double range at k = {k}") from None
+        if uncertified is None and not integral > tol:
+            uncertified = PrecisionError(
+                f"probe term at gamma = {g} is not above the quadrature tolerance at "
+                f"k = {k}: integral {integral:.3e} <= tol {tol:.3e}",
+                strategy="gauss-kronrod",
+            )
         terms.append(g ** (-k - 1.5) * integral)
         partials.append(math.fsum(terms))
+    if uncertified is not None:
+        raise uncertified
     return tuple(partials)
 
 

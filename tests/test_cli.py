@@ -223,14 +223,23 @@ class TestProbeCommand:
             assert run(["probe", "--d", "2", "--k", "1.75", "--N", N, "--Z", "2"]) == cli.EXIT_DATA
             assert "validation error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k", ["200", "400"])
-    def test_k_past_double_range_is_a_validation_error(self, capsys, k):
+    @pytest.mark.parametrize("d, k, code, message", [
+        ("2", "200", cli.EXIT_DATA, "validation error: probe term at gamma"),
+        ("2", "400", cli.EXIT_DATA, "validation error: probe term at gamma"),
+        ("1", "50", cli.EXIT_NUMERIC, "numeric error: probe term at gamma = 14.13"),
+        ("2", "20", cli.EXIT_NUMERIC, "numeric error: probe term at gamma = 14.13"),
+    ], ids=["200", "400", "d1-k50", "d2-k20"])
+    def test_k_past_double_range_is_a_validation_error(self, capsys, d, k, code, message):
         # at k = 400 the closed-form part overflows at the first zero; at
-        # k = 200 v^{k+1/2} does inside the integrand, at gamma = 37.6
-        assert run(["probe", "--d", "2", "--k", k, "--N", "100", "--Z", "10"]) == cli.EXIT_DATA
+        # k = 200 v^{k+1/2} does inside the integrand, at gamma = 37.6, after
+        # terms the quadrature cannot resolve. Below double range, at d = 1,
+        # k = 50 and d = 2, k = 20, the closed-form part and the remainder
+        # cancel below the quadrature's tolerance at the first zero: a term
+        # there is a numeric error, not a value
+        assert run(["probe", "--d", d, "--k", k, "--N", "100", "--Z", "10"]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("validation error: probe term at gamma")
+        assert captured.err.startswith(message)
 
 
 class TestSelftestCommand:
