@@ -75,7 +75,7 @@ class TestOmega2Pieces:
     wrong e."""
 
     XS = (2.0, 3.0, 5.0)
-    DIMENSION = {"smooth": 0, "m": 1, "lattice": 2}
+    DIMENSION = {"smooth": 0, "m": 1, "lattice": 2}  # the ids name the index sets
 
     @staticmethod
     def matches_omega_squared(x):
