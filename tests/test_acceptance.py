@@ -27,13 +27,14 @@ from linnik.arithmetic import (
     s_tilde,
     sieve_von_mangoldt,
 )
-from linnik.formula import fit_loglog_slope, threshold_probe
+from linnik.formula import TruncationSpec, fit_loglog_slope, m2_term, threshold_probe
 from linnik.specfun import bessel_j, laplace_line_integral, log_gamma
-from linnik.zeros import load_zeros
+from linnik.zeros import load_zeros, zero_tail_bound
 
 from conftest import ACCEPTANCE_GRID
 from frozen_values import FROZEN_SONINE
 from test_arithmetic import brute_rq_counts, counts_to_value
+from zero_oracle import all_zero_sum
 
 EPS = 2.220446049250313e-16
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -319,3 +320,46 @@ def test_c10_determinism(tmp_path, grid_runs):
             f"rerun identical: {same_rerun}; hash-seed independent: {same_hash_seed}; "
             f"probe identical: {same_probe}")
     assert ok
+
+
+# m2's components and their q: a component is the paired zero sum of
+# Gamma(rho)/Gamma(rho+s) N^{s-1+rho} with s = k + 1 + q
+M2_ORDERS = {"block1": 1.0, "block2": 0.0, "block3": 0.5}
+
+
+@pytest.fixture(scope="module")
+def m2_oracle_rows(zeros100):
+    """(N, k, Z, component, exact, value, tail): the component summed over
+    every zero (zero_oracle, no zero used), over the first Z zeros (m2_term),
+    and its reported zero tail bound."""
+    rows = []
+    for N in (500, 2000, 10**4, 10**5, 10**6):
+        for k in (2.0, 2.5):
+            exact = {name: all_zero_sum(N, k + 1.0 + q) for name, q in M2_ORDERS.items()}
+            for Z in (50, 100):
+                spec = TruncationSpec(Z=Z, L=3, M=3, tol=1.0)
+                t = m2_term(CesaroParams(N=N, k=k), zeros100, spec)
+                rows.extend(
+                    (N, k, Z, name, exact[name], t.components[name],
+                     zero_tail_bound(N, k + 1.0 + q, Z, zeros100))
+                    for name, q in M2_ORDERS.items()
+                )
+    return rows
+
+
+def test_c11_m2_zero_truncation(m2_oracle_rows):
+    ok = all(abs(exact - value) <= tail for *_, exact, value, tail in m2_oracle_rows)
+    ratios = [tail / abs(exact - value) for *_, exact, value, tail in m2_oracle_rows
+              if exact != value]
+    _report(11, "m2 zero truncation", ok,
+            f"tail/|exact - value| = {min(ratios):.1f}..{max(ratios):.1f} (>=1) over "
+            f"{len(m2_oracle_rows)} components, N = 500..10^6, k = 2, 2.5, Z = 50, 100")
+    assert ok
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0], ids=["dropped", "flipped"])
+def test_c11_fails_when_m2_is_dropped_or_flipped(m2_oracle_rows, scale):
+    # the smallest |exact|/tail over the grid is 1.89 (block2, N = 500, k = 2, Z = 50)
+    missed = [row[:4] for row in m2_oracle_rows
+              if abs(row[4] - scale * row[5]) <= row[6]]
+    assert missed == []
