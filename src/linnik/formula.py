@@ -8,16 +8,16 @@ table _OMEGA2, indexed by the dimension j of the piece's index set
 lattice_points(j, .)) times one piece of S (the table _S: 1/z, or
 -Gamma(rho) z^{-rho} summed over conjugate zero pairs); _cells(j) forms them.
 
-  m1, m2: the index-free (j = 0) pieces pi/(4z), 1/4 and -sqrt(pi/z)/2
-      times 1/z (m1, a closed form in N and k) or -Gamma(rho) z^{-rho} (m2,
-      Gamma-ratio weights), each inverted by
-      (1/2 pi i) int e^{Nz} z^{-s} dz = N^{s-1}/Gamma(s);
+One kernel, _bessel_term(j), inverts every cell at the points
+lam = |l|^2 <= cutoff^2 of l in (Z>=1)^j by the pair
+(1/2 pi i) int e^{Nz - c/z} z^{-s} dz = (N/c)^{(s-1)/2} J_{s-1}(2 sqrt(cN)), c = pi^2 lam:
+
   m3, m4: Bessel blocks, the pieces of omega^2 that carry e^{-c/z} (pi/z
       over the j = 2 norms for m3; pi/z and -sqrt(pi/z) over the j = 1
-      squares for m4) times either S piece. The pair
-      (1/2 pi i) int e^{Nz - c/z} z^{-s} dz = (N/c)^{(s-1)/2} J_{s-1}(2 sqrt(cN))
-      with c = pi^2 lam inverts each one, all by one kernel, _bessel_term(j),
-      over the points lam = |l|^2 <= cutoff^2 of l in (Z>=1)^j.
+      squares for m4) times either S piece;
+  m1, m2: the j = 0 point of the same kernel, lam = 0, where the pair tends to
+      N^{s-1}/Gamma(s): the index-free pieces pi/(4z), 1/4 and -sqrt(pi/z)/2
+      times 1/z (m1) or -Gamma(rho) z^{-rho} (m2, Gamma-ratio weights).
 
 All infinite sums are truncated under a TruncationSpec: Z zeros, lattice
 radius L, single-index cutoff M. Every term carries computed tail bounds:
@@ -148,10 +148,13 @@ def lattice_points(j: int, cutoff: int):
 
 
 def _lattice_tail(j: int, cutoff: int, s: float) -> float:
-    """Bound for the sum of mult lam^-s over the points of dimension j >= 1
-    past lam = max(cutoff^2, j), from their density
+    """Bound for the sum of mult lam^-s over the points of dimension j past
+    lam = max(cutoff^2, j), from their density
     pi^{j/2} lam^{j/2-1} / (2^j Gamma(j/2)) (1/2 lam^{-1/2} for the squares,
-    pi/4 for the norms, with _LATTICE_FLUCT head room from j = 2 on)."""
+    pi/4 for the norms, with _LATTICE_FLUCT head room from j = 2 on); exactly
+    0.0 at j = 0, whose single point lam = 0 lies inside every cutoff."""
+    if j == 0:
+        return 0.0
     if s <= j / 2:
         return math.inf
     X = max(cutoff * cutoff, j)
@@ -183,68 +186,25 @@ _S = ((1, 1, False), (-1, 0, True))
 _BLOCKS = ("block1", "block2", "block3", "block4")
 
 
-def _cells(j: int) -> tuple:
-    """The cells (coef, p, q, paired) of dimension j, S piece by S piece:
-    z^{-k-1} times an S piece times an omega^2 piece is coef pi^p z^{-k-1-q}
-    (times Gamma(rho) z^{-rho} if paired), coef = sign r, p = e and q = e + a."""
+def _cells(j: int, s_pieces=_S) -> tuple:
+    """The cells (coef, p, q, paired) of dimension j, S piece by S piece of
+    s_pieces: z^{-k-1} times an S piece times an omega^2 piece is coef pi^p
+    z^{-k-1-q} (times Gamma(rho) z^{-rho} if paired), coef = sign r, p = e, q = e + a."""
     return tuple(
-        (sign * r, e, e + a, paired) for sign, a, paired in _S for r, e in _OMEGA2[j]
+        (sign * r, e, e + a, paired) for sign, a, paired in s_pieces for r, e in _OMEGA2[j]
     )
 
 
-def m1_term(params: CesaroParams) -> float:
-    """Smooth leading term: sum over the plain smooth cells of
-    coef pi^p N^{k+q} / Gamma(k+1+q)."""
-    N, k = float(params.N), params.k
-    if k <= -1:
-        raise DomainError("m1_term requires k > -1")
-    lnN = math.log(N)
-    value = 0.0
-    for coef, p, q, paired in _cells(0):
-        if not paired:
-            g = log_gamma(complex(k + (1 + q), 0.0)).real
-            value += coef * math.pi**p * math.exp((k + q) * lnN - g)
-    return value
-
-
-def m2_term(
-    params: CesaroParams,
-    zs: ZeroSet,
-    spec: TruncationSpec,
-) -> TermValue:
-    """Zero-sum term: sum over the paired smooth cells of coef pi^p times the
-    paired sum of Gamma(rho)/Gamma(rho+k+1+q) N^{k+q+rho} (components keep
-    each sum without its coefficient)."""
-    N, k = float(params.N), params.k
-    lnN = math.log(N)
-    components = {}
-    value = tail = 0.0
-    paired_cells = [cell for cell in _cells(0) if cell[3]]
-    for name, (coef, p, q, _) in zip(_BLOCKS, paired_cells):
-        weight = coef * math.pi**p
-        offset = k + (1 + q)
-
-        def f(rho, offset=offset):
-            return gamma_ratio(rho, offset) * cmath.exp((offset - 1.0 + rho) * lnN)
-
-        b = paired_zero_sum(f, zs, spec.Z)
-        components[name] = b
-        value += weight * b
-        tail += abs(weight) * zero_tail_bound(N, offset, spec.Z, zs)
-    return TermValue(value, components, {"zeros": tail})
-
-
-# ---------------------------------------------------------------------------
-# Bessel blocks of m3 and m4
-# ---------------------------------------------------------------------------
-
-# A cell (coef, p, q, paired) of dimension j = 1 ("m") or 2 ("lattice") is
+# A cell (coef, p, q, paired) of dimension j is
 #
 #   coef * N^{k/2+q/2} pi^{-(k+q-p)} sum_i mult_i J_nu(2 pi root_i sqrt N) / root_i^nu
 #
 # with nu = k + q, over the points lam_i = root_i^2 of lattice_points(j, .); a
 # paired cell has nu = k + q + rho and is summed over zeros with the weight
 # 2 Re Gamma(rho) pi^-rho N^{rho/2}. Components keep the block without coef.
+# At j = 0 the one point lam = 0 takes the limit root -> 0, where
+# J_nu(u) ~ (u/2)^nu / Gamma(nu+1): the cell is coef pi^p N^{k+q} / Gamma(k+1+q),
+# times Gamma(rho) N^rho Gamma(k+1+q) / Gamma(rho+k+1+q) if paired.
 
 
 def _pref(p: float, q: float, k: float, lnN: float) -> float:
@@ -277,47 +237,83 @@ def _bessel_sum(nu: complex, points, sqrtN: float) -> complex:
     )
 
 
-def _bessel_term(j: int, names, tail_key: str, cutoff: int, params, zs, spec) -> TermValue:
-    """The cells of dimension j summed over lattice_points(j, cutoff) as
-    (root, log root, mult) = (sqrt(lam), log(lam)/2, mult), one component per
-    name, with tail bounds from _cut_tail. Past the cutoff a paired cell
-    carries the amplitude of the zeros kept, with s = (k+q+1/2)/2 + 1/4
-    (every zero is 1/2 + i gamma); zeros past Z are weighed over all points
-    by zeros.zero_tail, with the plateau edge u_ref/2 and decay k + 3/2.
+def _bessel_term(j: int, s_pieces, names, tail_key, cutoff: int, params, zs, spec) -> TermValue:
+    """The cells of dimension j and S pieces s_pieces, summed over
+    lattice_points(j, cutoff) as (root, log root, mult) = (sqrt(lam), log(lam)/2,
+    mult), one component per name, with tail bounds from _cut_tail (under
+    tail_key). Past the cutoff a paired cell carries the amplitude of the
+    zeros kept, with s = (k+q+1/2)/2 + 1/4 (every zero is 1/2 + i gamma);
+    zeros past Z are weighed over all points by zeros.zero_tail, with the
+    plateau edge u_ref/2 and decay k + 3/2.
+
+    j = 0 is lam = 0 alone, at its limit in m1's and m2's operation order:
+    pref reduces to pi^p, kept with coef (a component is the bare sum); its
+    cut tail is 0 and not reported, and zeros past Z are weighed cell by cell
+    by M2's zero_tail_bound. zs and spec may be None if no piece is paired.
     """
     N, k = float(params.N), params.k
     lnN = math.log(N)
     sqrtN = math.sqrt(N)
-    points = tuple(
-        (math.sqrt(lam), 0.5 * math.log(lam), mult) for lam, mult in lattice_points(j, cutoff)
+    points = tuple(  # j = 0's lam = 0 is taken by its limit
+        (math.sqrt(lam), 0.5 * math.log(lam), mult)
+        for lam, mult in lattice_points(j, cutoff) if lam
     )
     C = zero_amp(N)
-    amp_in = sum(2.0 * C for _ in zs.zeros[: spec.Z])  # zero by zero: 2 C Z rounds apart
+
+    def point_sum(q, rho=None):
+        # the cell's sum over its points, over pref, times the paired weight at rho
+        if j == 0:
+            offset = k + (1 + q)
+            if rho is not None:
+                return gamma_ratio(rho, offset) * cmath.exp((offset - 1.0 + rho) * lnN)
+            if k <= -1:
+                raise DomainError("the 1/z cells at lam = 0 (m1) require k > -1")
+            return math.exp((k + q) * lnN - log_gamma(complex(offset, 0.0)).real)
+        if rho is None:
+            return _bessel_sum(complex(k + q), points, sqrtN).real
+        w = cmath.exp(log_gamma(rho) - rho * _LN_PI + 0.5 * rho * lnN)
+        return w * _bessel_sum(k + q + rho, points, sqrtN)
+
     components = {}
     value = zero_weight = 0.0
     paired_tails = []
-    for name, (coef, p, q, paired) in zip(names, _cells(j)):
-        pref = _pref(p, q, k, lnN)
+    for name, (coef, p, q, paired) in zip(names, _cells(j, s_pieces)):
+        weight, pref = (coef * math.pi**p, 1.0) if j == 0 else (coef, _pref(p, q, k, lnN))
         if paired:
-
-            def f(rho, q=q):
-                w = cmath.exp(log_gamma(rho) - rho * _LN_PI + 0.5 * rho * lnN)
-                return w * _bessel_sum(k + q + rho, points, sqrtN)
-
-            block = pref * paired_zero_sum(f, zs, spec.Z)
+            block = pref * paired_zero_sum(lambda rho, q=q: point_sum(q, rho), zs, spec.Z)
             s = (k + q + 0.5) / 2.0 + 0.25
             tail = _lattice_tail(j, cutoff, s)
+            amp_in = sum(2.0 * C for _ in zs.zeros[: spec.Z])  # zero by zero: 2 C Z rounds apart
             paired_tails.append(pref * amp_in * tail)
             head = sum(mult * root ** (-2.0 * s) for root, _, mult in points)
-            zero_weight += pref * (head + tail)
+            zero_weight += pref * (head + tail) if j else (
+                abs(weight) * zero_tail_bound(N, k + (1 + q), spec.Z, zs))
         else:
-            block = pref * _bessel_sum(complex(k + q), points, sqrtN).real
+            block = pref * point_sum(q)
         components[name] = block
-        value += coef * block
+        value += weight * block
+    if j == 0:
+        return TermValue(value, components, {"zeros": zero_weight})
     cut_tail = _cut_tail(j, cutoff, N, k, paired_tails)
     edge = math.pi * max(cutoff, 1) * sqrtN  # u_ref/2 for u_ref = 2 pi cutoff sqrt N
     past_z = _envelope(N) * zero_weight * zero_tail(zs, spec.Z, C, 0.0, edge, k + 1.5)
     return TermValue(value, components, {tail_key: cut_tail, "zeros": past_z})
+
+
+def m1_term(params: CesaroParams) -> float:
+    """Smooth leading term (the 1/z cells, j = 0):
+    sum of coef pi^p N^{k+q} / Gamma(k+1+q); k > -1."""
+    return _bessel_term(0, _S[:1], _BLOCKS, None, 0, params, None, None).value
+
+
+def m2_term(
+    params: CesaroParams,
+    zs: ZeroSet,
+    spec: TruncationSpec,
+) -> TermValue:
+    """Zero-sum term (the paired cells, j = 0): coef pi^p times the paired sum
+    of Gamma(rho)/Gamma(rho+k+1+q) N^{k+q+rho}, each a component."""
+    return _bessel_term(0, _S[1:], _BLOCKS, None, 0, params, zs, spec)
 
 
 def m3_term(
@@ -328,7 +324,7 @@ def m3_term(
     """Two-squares lattice term (the "lattice" cells, j = 2): J_{k+2} lattice
     sum minus the paired zero sum of J_{k+1+rho} lattice sums, over
     root = sqrt(l1^2 + l2^2) <= L."""
-    return _bessel_term(2, ("lattice", "zeros"), "lattice", spec.L, params, zs, spec)
+    return _bessel_term(2, _S, ("lattice", "zeros"), "lattice", spec.L, params, zs, spec)
 
 
 def m4_term(
@@ -338,7 +334,7 @@ def m4_term(
 ) -> TermValue:
     """Single-index theta term (the "m" cells, j = 1): four m-sum blocks,
     signs +, -, -, +, over root = m <= M; the paired blocks carry N^{rho/2}."""
-    return _bessel_term(1, _BLOCKS, "msum", spec.M, params, zs, spec)
+    return _bessel_term(1, _S, _BLOCKS, "msum", spec.M, params, zs, spec)
 
 
 # ---------------------------------------------------------------------------
