@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import weakref
@@ -23,7 +24,7 @@ from linnik.formula import (
     m3_term,
     m4_term,
 )
-from linnik.specfun import gamma_ratio
+from linnik.specfun import bessel_j, gamma_ratio, log_gamma
 from linnik.zeros import _SAFETY, ZeroSet, zero_amp, zero_tail, zero_tail_bound
 
 
@@ -67,6 +68,10 @@ class TestLatticePoints:
                 for M in range(257):
                     single = max(M, 1) ** (1.0 - t) / (t - 1.0)
                     assert formula._lattice_tail(1, M, s).hex() == single.hex(), (k, q, M)
+                    # j = 0: the one point lam = 0 lies inside every cutoff
+                    assert formula._lattice_tail(0, M, s) == 0.0, (k, q, M)
+        assert formula._cut_tail(0, 3, 500.0, 2.0) == 0.0
+        assert formula._smallest_cutoff(0, 64, 500.0, 2.0, 1.0) == 3
 
 
 class TestOmega2Pieces:
@@ -354,6 +359,39 @@ class TestBlockOracle:
                 expected[name] = float(-coef * paired)
         scale = sum(abs(v) for v in expected.values())
         assert abs(t2.value - sum(expected.values())) <= 1e-12 * scale
+
+
+class TestIndexFreeLimit:
+    """A j = 0 cell of m1 or m2 is the lam -> 0 limit of the Bessel cell the
+    kernel sums at j >= 1: coef pref J_nu(2 pi root sqrt N) / root^nu with
+    pref = N^{(k+q)/2} pi^{p-k-q}, times 2 Re Gamma(rho) pi^-rho N^{rho/2} at
+    a zero if paired (nu = k + q + rho). As J_nu(u) (u/2)^-nu Gamma(nu+1)
+    = 1 - (u/2)^2/(nu+1) + O(u^4), at a small root the two differ by about
+    pi^2 root^2 N / |nu+1| of the cell."""
+
+    ROOT = 1e-4
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["one", "zeros"])
+    @pytest.mark.parametrize("piece", range(3))
+    @pytest.mark.parametrize("k", [2.0, 2.5])
+    def test_each_cell_is_the_limit_of_its_bessel_form(
+        self, zeros100, monkeypatch, k, piece, paired
+    ):
+        N, root = 500, self.ROOT
+        monkeypatch.setattr(formula, "_OMEGA2", ((formula._OMEGA2[0][piece],),))
+        s_piece = next(sp for sp in formula._S if sp[2] == paired)
+        ((coef, p, q, _),) = formula._cells(0, (s_piece,))
+        spec = TruncationSpec(Z=1, L=0, M=0, tol=1.0)
+        params = CesaroParams(N=N, k=k)
+        got = formula._bessel_term(0, (s_piece,), ("cell",), None, 0, params, zeros100, spec)
+        rho = zeros100.zeros[0].rho if paired else 0.0
+        nu = k + q + rho
+        form = (coef * N ** ((k + q) / 2) * math.pi ** (p - k - q)
+                * bessel_j(nu, 2 * math.pi * root * math.sqrt(N)) * cmath.exp(-nu * math.log(root)))
+        if paired:
+            form *= 2 * cmath.exp(log_gamma(rho) - rho * math.log(math.pi) + 0.5 * rho * math.log(N))
+        first_order = math.pi**2 * root**2 * N / abs(nu + 1)
+        assert abs(got.value - form.real) <= 2 * first_order * abs(form)
 
 
 class TestEvaluate:
