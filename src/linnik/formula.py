@@ -261,13 +261,13 @@ def _bessel_term(j: int, s_pieces, names, tail_key, cutoff: int, params, zs, spe
     C = zero_amp(N)
 
     def point_sum(q, rho=None):
-        # the cell's sum over its points, over pref, times the paired weight at rho
+        # the cell's point sum without pref, times the paired weight at a zero rho
         if j == 0:
             offset = k + (1 + q)
             if rho is not None:
                 return gamma_ratio(rho, offset) * cmath.exp((offset - 1.0 + rho) * lnN)
             if k <= -1:
-                raise DomainError("the 1/z cells at lam = 0 (m1) require k > -1")
+                raise DomainError("m1_term requires k > -1")
             return math.exp((k + q) * lnN - log_gamma(complex(offset, 0.0)).real)
         if rho is None:
             return _bessel_sum(complex(k + q), points, sqrtN).real
