@@ -47,7 +47,7 @@ import math
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional
 
@@ -99,13 +99,9 @@ class TruncationSpec:
             raise DomainError("tol must be positive")
 
     def doubled(self, which: str) -> "TruncationSpec":
-        if which == "Z":
-            return TruncationSpec(2 * self.Z, self.L, self.M, self.tol)
-        if which == "L":
-            return TruncationSpec(self.Z, 2 * self.L, self.M, self.tol)
-        if which == "M":
-            return TruncationSpec(self.Z, self.L, 2 * self.M, self.tol)
-        raise ValueError(f"unknown cutoff {which!r}")
+        if which not in ("Z", "L", "M"):
+            raise ValueError(f"unknown cutoff {which!r}")
+        return replace(self, **{which: 2 * getattr(self, which)})
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,6 @@ class FormulaReport:
     m2: float
     m3: float
     m4: float
-    total: float
     residual: float
     normalized_residual: float
     tail_bounds: dict
@@ -476,13 +471,11 @@ def evaluate(
         if tail > spec.tol
     )
 
-    total = sum(values.values())  # m1 + m2 + m3 + m4, in that order
-    residual = lhs - total
+    residual = lhs - sum(values.values())  # m1 + m2 + m3 + m4, in that order
     return FormulaReport(
         params=params,
         lhs=lhs,
         **values,
-        total=total,
         residual=residual,
         normalized_residual=residual / float(N) ** (k + 1.0),
         tail_bounds=tails,

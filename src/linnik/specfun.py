@@ -89,8 +89,8 @@ def memo(cap: int):
     every N and every doubled cutoff), and least recently used would drop
     each key before its turn came back (304 Hankel table builds on the
     containment workload against 227). A call that raises stores nothing.
-    The wrapper exposes .cache, .cap (read on each miss), .hits and .misses
-    (one miss per call of the function).
+    The wrapper exposes .cache, .hits and .misses (one miss per call of the
+    function).
     """
 
     def decorate(fn):
@@ -107,12 +107,12 @@ def memo(cap: int):
                 return value
             wrapper.misses += 1
             value = fn(*args)
-            if len(cache) >= wrapper.cap:
+            if len(cache) >= cap:
                 cache.popitem()
             cache[args] = value
             return value
 
-        wrapper.cache, wrapper.cap, wrapper.hits, wrapper.misses = cache, cap, 0, 0
+        wrapper.cache, wrapper.hits, wrapper.misses = cache, 0, 0
         return wrapper
 
     return decorate
@@ -127,6 +127,12 @@ def _loggamma_mp(s: complex):
         return mp.loggamma(s)
 
 
+def _refuse_pole(s: complex) -> None:
+    """Raise PoleError at a pole of Gamma, an integer <= 0."""
+    if s.imag == 0.0 and s.real <= 0.0 and s.real == math.floor(s.real):
+        raise PoleError(int(s.real))
+
+
 def log_gamma(s) -> complex:
     """log Gamma(s): mpmath.loggamma at 80 bits, rounded to a double.
 
@@ -138,8 +144,7 @@ def log_gamma(s) -> complex:
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError("log_gamma argument must be finite")
-    if s.imag == 0.0 and s.real <= 0.0 and s.real == math.floor(s.real):
-        raise PoleError(int(s.real))
+    _refuse_pole(s)
     return complex(_loggamma_mp(s))
 
 
@@ -156,9 +161,8 @@ def gamma_ratio(rho, offset) -> complex:
     """
     rho = complex(rho)
     off = complex(offset)
-    for arg in (rho, rho + off):
-        if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
-            raise PoleError(int(arg.real))
+    _refuse_pole(rho)
+    _refuse_pole(rho + off)
     with mp.workprec(_LG_PREC):
         return complex(mp.exp(_loggamma_mp(rho) - _loggamma_mp(rho + off)))
 

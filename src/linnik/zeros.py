@@ -65,7 +65,7 @@ class ZetaZero:
 @dataclass(frozen=True)
 class ZeroSet:
     zeros: tuple
-    source_id: str = "unknown"
+    source_id: str
 
     @property
     def count(self) -> int:

@@ -423,8 +423,7 @@ class TestEvaluate:
         spec = TruncationSpec(Z=10, L=2, M=1, tol=1.0)
         rep = evaluate(CesaroParams(N=4, k=2.0), zeros100, spec)
         assert rep.lhs == 0.0
-        assert rep.total == rep.m1 + rep.m2 + rep.m3 + rep.m4
-        assert rep.residual == rep.lhs - rep.total
+        assert rep.residual == rep.lhs - (rep.m1 + rep.m2 + rep.m3 + rep.m4)
         assert math.isfinite(rep.normalized_residual)
         assert set(rep.tail_bounds) == {"m2", "m3", "m4"}
 
@@ -598,7 +597,7 @@ class TestEvaluate:
 
 class TestLemma5Probe:
     def test_empty_zero_set(self):
-        empty = ZeroSet(())
+        empty = ZeroSet((), "empty")
         assert threshold_probe(2, 1.75, 100, empty) == ()
 
     def test_partial_sums_nonnegative_nondecreasing(self, zeros100):

@@ -354,10 +354,16 @@ class TestHankelKernel:
         self._reset(cold_memos, warm_u=True)
         warm = {c: _hex(_bessel_hankel(*c).value) for c in calls[::-1]}
         self._reset(cold_memos, warm_u=True)
-        monkeypatch.setattr(specfun._hankel_table, "cap", 1)
+        self._cap_tables(monkeypatch, 1)
         one_slot = {c: _hex(_bessel_hankel(*c).value) for c in calls}
         assert len(specfun._hankel_table.cache) == 1
         assert cold == warm == one_slot == alone
+
+    @staticmethod
+    def _cap_tables(monkeypatch, cap):
+        """Hold the Hankel tables in a memo of cap orders for one test."""
+        capped = specfun.memo(cap)(specfun._hankel_table.__wrapped__)
+        monkeypatch.setattr(specfun, "_hankel_table", capped)
 
     @staticmethod
     def _doubled_run(monkeypatch, cold_memos, zeros100):
@@ -393,7 +399,7 @@ class TestHankelKernel:
         assert len(built) >= 8
         assert len(built) == len(set(built))
         # past the cap, tables are dropped and rebuilt; no value moves
-        monkeypatch.setattr(specfun._hankel_table, "cap", 3)
+        self._cap_tables(monkeypatch, 3)
         rebuilt, kept, capped = self._doubled_run(monkeypatch, cold_memos, zeros100)
         assert kept <= 3
         assert len(rebuilt) > len(built)
