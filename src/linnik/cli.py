@@ -276,7 +276,8 @@ def cmd_bessel(args) -> int:
     d = specfun.bessel_j_detailed(complex(args.nu_re, args.nu_im), args.u)
     print(
         f"J({_fmt(args.nu_re)}{'+' if args.nu_im >= 0 else '-'}{_fmt(abs(args.nu_im))}i, "
-        f"{_fmt(args.u)}) = {_fmt(d.value.real)} + {_fmt(d.value.imag)}i"
+        f"{_fmt(args.u)}) = {_fmt(d.value.real)} {'+' if d.value.imag >= 0 else '-'} "
+        f"{_fmt(abs(d.value.imag))}i"
     )
     print(f"strategy={d.strategy} bits={d.bits} terms={d.terms} err_estimate={_fmt(d.err_estimate)}")
     return EXIT_OK

@@ -398,7 +398,12 @@ class TestOutputBytes:
         ),
         "bessel": (
             ["bessel", "--nu-re", "3.5", "--nu-im", "14.1347", "--u", "628.3"],
-            "J(3.5+14.1347i, 628.29999999999995) = 63673133.998285413 + -10792740.039449632i\n"
+            "J(3.5+14.1347i, 628.29999999999995) = 63673133.998285413 - 10792740.039449632i\n"
+            "strategy=hankel bits=90 terms=17 err_estimate=1.1102230417152761e-16\n",
+        ),
+        "bessel negative order": (
+            ["bessel", "--nu-re", "3.5", "--nu-im", "-14.1347", "--u", "628.3"],
+            "J(3.5-14.1347i, 628.29999999999995) = 63673133.998285413 + 10792740.039449632i\n"
             "strategy=hankel bits=90 terms=17 err_estimate=1.1102230417152761e-16\n",
         ),
         "zeros info": (
