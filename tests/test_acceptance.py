@@ -9,6 +9,7 @@ separate the two sides.
 """
 
 import cmath
+import functools
 import math
 import os
 import subprocess
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linnik import cli
+from linnik import cli, formula
 from linnik.arithmetic import (
     CesaroParams,
     cesaro_lhs,
@@ -27,12 +28,22 @@ from linnik.arithmetic import (
     s_tilde,
     sieve_von_mangoldt,
 )
-from linnik.formula import TruncationSpec, fit_loglog_slope, m2_term, threshold_probe
+from linnik.formula import (
+    TruncationSpec,
+    default_truncation,
+    fit_loglog_slope,
+    m1_term,
+    m2_term,
+    m3_term,
+    m4_term,
+    threshold_probe,
+)
 from linnik.specfun import bessel_j, laplace_line_integral, log_gamma
 from linnik.zeros import load_zeros, zero_tail_bound
 
 from conftest import ACCEPTANCE_GRID
 from frozen_values import FROZEN_SONINE
+from lattice_oracle import paired_blocks, unpaired_blocks
 from test_arithmetic import brute_rq_counts, counts_to_value
 from zero_oracle import all_zero_sum
 
@@ -322,29 +333,39 @@ def test_c10_determinism(tmp_path, grid_runs):
     assert ok
 
 
-# m2's components and their q: a component is the paired zero sum of
-# Gamma(rho)/Gamma(rho+s) N^{s-1+rho} with s = k + 1 + q
-M2_ORDERS = {"block1": 1.0, "block2": 0.0, "block3": 0.5}
+# P^2 = (pi/z)/4 - sqrt(pi/z)/2 + 1/4, as (coefficient, power e of pi/z) by
+# m2's component: with S's piece -Gamma(rho) z^{-rho}, a component is the
+# paired zero sum of Gamma(rho)/Gamma(rho+s) N^{s-1+rho} with s = k + 1 + e,
+# and m2 is minus the sum of coefficient pi^e component
+P_SQUARED = {"block1": (0.25, 1.0), "block2": (0.25, 0.0), "block3": (-0.5, 0.5)}
+
+_all_zero_sum = functools.cache(all_zero_sum)
+
+
+def _m2_rows(zs, N: int, k: float, Z: int) -> list:
+    """(N, k, Z, component, exact, value, tail) for each m2 component: summed
+    over every zero (zero_oracle, no zero used), over the first Z zeros
+    (m2_term), and its reported zero tail bound."""
+    t = m2_term(CesaroParams(N=N, k=k), zs, TruncationSpec(Z=Z, L=3, M=3, tol=1.0))
+    return [(N, k, Z, name, _all_zero_sum(N, k + 1.0 + e), t.components.get(name, math.nan),
+             zero_tail_bound(N, k + 1.0 + e, Z, zs))
+            for name, (_, e) in P_SQUARED.items()]
+
+
+def _m2_value_row(zs, N: int, k: float, Z: int) -> list:
+    """(N, k, Z, "m2", exact, value, tail) for m2's value, assembled from
+    P_SQUARED and the all-zeros sums, within the components' summed tails."""
+    value = m2_term(CesaroParams(N=N, k=k), zs, TruncationSpec(Z=Z, L=3, M=3, tol=1.0)).value
+    parts = [(c * math.pi**e, _all_zero_sum(N, k + 1.0 + e), zero_tail_bound(N, k + 1.0 + e, Z, zs))
+             for c, e in P_SQUARED.values()]
+    return [(N, k, Z, "m2", -math.fsum(w * exact for w, exact, _ in parts), value,
+             math.fsum(abs(w) * tail for w, _, tail in parts))]
 
 
 @pytest.fixture(scope="module")
 def m2_oracle_rows(zeros100):
-    """(N, k, Z, component, exact, value, tail): the component summed over
-    every zero (zero_oracle, no zero used), over the first Z zeros (m2_term),
-    and its reported zero tail bound."""
-    rows = []
-    for N in (500, 2000, 10**4, 10**5, 10**6):
-        for k in (2.0, 2.5):
-            exact = {name: all_zero_sum(N, k + 1.0 + q) for name, q in M2_ORDERS.items()}
-            for Z in (50, 100):
-                spec = TruncationSpec(Z=Z, L=3, M=3, tol=1.0)
-                t = m2_term(CesaroParams(N=N, k=k), zeros100, spec)
-                rows.extend(
-                    (N, k, Z, name, exact[name], t.components[name],
-                     zero_tail_bound(N, k + 1.0 + q, Z, zeros100))
-                    for name, q in M2_ORDERS.items()
-                )
-    return rows
+    return [row for N in (500, 2000, 10**4, 10**5, 10**6) for k in (2.0, 2.5)
+            for Z in (50, 100) for row in _m2_rows(zeros100, N, k, Z)]
 
 
 def test_c11_m2_zero_truncation(m2_oracle_rows):
@@ -363,3 +384,160 @@ def test_c11_fails_when_m2_is_dropped_or_flipped(m2_oracle_rows, scale):
     missed = [row[:4] for row in m2_oracle_rows
               if abs(row[4] - scale * row[5]) <= row[6]]
     assert missed == []
+
+
+# Criterion 12: M3's and M4's rows against Hardy's exact sums (lattice_oracle)
+
+C12_GRID = tuple((N, k) for N in ACCEPTANCE_GRID for k in (1.7, 2.0, 2.5))
+PAIRED_Z = 3
+# each unpaired component exceeds twice its cut tail on one of these rows
+MUTATION_GRID = ((1000, 1.7), (1000, 2.5), (2000, 1.7), (2000, 2.5))
+
+_unpaired_blocks = functools.cache(unpaired_blocks)
+_paired_blocks = functools.cache(paired_blocks)
+
+
+def _outside(rows, scale: float = 1.0) -> list:
+    """The labels of the rows (..., exact, value, tail) whose value, times
+    scale, lies farther than tail from exact; a missing value (nan) does."""
+    return [row[:-3] for row in rows if not abs(row[-3] - scale * row[-2]) <= row[-1]]
+
+
+def _c12_rows(zs, N: int, k: float, spec) -> list:
+    """(N, k, component, exact, value, tail) for each unpaired M3/M4 component
+    at Z = 0 and spec's cutoffs, against its Hardy sum, within the unpaired
+    cut tail of its index set (the rule default_truncation uses)."""
+    params, at0 = CesaroParams(N=N, k=k), TruncationSpec(0, spec.L, spec.M, spec.tol)
+    exact = _unpaired_blocks(N, k)
+    rows = []
+    for term, j, cutoff, names in ((m3_term, 2, spec.L, ("lattice",)),
+                                   (m4_term, 1, spec.M, ("block1", "block2"))):
+        t, tail = term(params, zs, at0), formula._cut_tail(j, cutoff, N, k)
+        rows += [(N, k, name, exact[name], t.components.get(name, math.nan), tail)
+                 for name in names]
+    return rows
+
+
+def _identity_row(zs, N: int, k: float, spec) -> list:
+    """(N, k, "m1+m3+m4", exact, value, tail): the terms' values at Z = 0
+    (M3 = lattice, M4 = block1 - block2) against IL_{k+2}[omega^2], within
+    the two unpaired cut tails."""
+    params, at0 = CesaroParams(N=N, k=k), TruncationSpec(0, spec.L, spec.M, spec.tol)
+    value = m1_term(params) + m3_term(params, zs, at0).value + m4_term(params, zs, at0).value
+    tail = formula._cut_tail(2, spec.L, N, k) + formula._cut_tail(1, spec.M, N, k)
+    return [(N, k, "m1+m3+m4", _unpaired_blocks(N, k)["omega2"], value, tail)]
+
+
+def _paired_rows(zs, N: int, k: float, spec) -> list:
+    """(N, k, term, exact, value, tail) for the paired part of m3 and m4 over
+    the first PAIRED_Z zeros, taken as value(Z) - value(0) so that each cell's
+    sign counts, against the Hardy sums with M3 = lattice - zeros and
+    M4 = block1 - block2 - block3 + block4, within the term's reported cut tail."""
+    params = CesaroParams(N=N, k=k)
+    at_z, at0 = (TruncationSpec(Z, spec.L, spec.M, spec.tol) for Z in (PAIRED_Z, 0))
+    exact = _paired_blocks(N, k, tuple(zs.gammas()[:PAIRED_Z]))
+    rows = []
+    for term, key, want in ((m3_term, "lattice", -exact["zeros"]),
+                            (m4_term, "msum", exact["block4"] - exact["block3"])):
+        t = term(params, zs, at_z)
+        rows.append((N, k, key, want, t.value - term(params, zs, at0).value, t.tail_bounds[key]))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def c12_specs(zeros100):
+    return {(N, k): default_truncation(CesaroParams(N=N, k=k), zeros100) for N, k in C12_GRID}
+
+
+@pytest.fixture(scope="module")
+def c12_rows(zeros100, c12_specs):
+    return [row for (N, k), spec in c12_specs.items() for row in _c12_rows(zeros100, N, k, spec)]
+
+
+def _ratios(rows) -> str:
+    r = [tail / abs(exact - value) for *_, exact, value, tail in rows if exact != value]
+    return f"{min(r):.1f}..{max(r):.1f}"
+
+
+def test_c12_m3_m4_unpaired_rows(zeros100, c12_specs, c12_rows):
+    identity = [row for (N, k), spec in c12_specs.items()
+                for row in _identity_row(zeros100, N, k, spec)]
+    ok = not _outside(c12_rows) and not _outside(identity)
+    _report(12, "m3/m4 unpaired rows", ok,
+            f"tail/|exact - value| = {_ratios(c12_rows)} over {len(c12_rows)} components, "
+            f"{_ratios(identity)} for m1 + m3 + m4 at Z = 0; N = 500..4000, k = 1.7, 2, 2.5")
+    assert ok
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0], ids=["dropped", "flipped"])
+def test_c12_fails_when_an_unpaired_component_is_dropped_or_flipped(c12_rows, scale):
+    # a component whose |exact| is below its cut tail passes dropped: lattice
+    # at N = 4000, k = 2 and 2.5, block1 at N = 500, k = 2, block2 at
+    # N = 500, k = 2.5 and N = 4000, k = 2
+    assert {name for _, _, name in _outside(c12_rows, scale)} == {"lattice", "block1", "block2"}
+
+
+def test_c12_m3_m4_paired_rows(zeros100, c12_specs):
+    rows = [row for N in (500, 2000) for row in _paired_rows(zeros100, N, 2.0, c12_specs[N, 2.0])]
+    ok = not _outside(rows)
+    _report(12, "m3/m4 paired rows", ok,
+            f"tail/|exact - value| = {_ratios(rows)} over m3 and m4 at Z = {PAIRED_Z}, "
+            "N = 500, 2000, k = 2")
+    assert ok
+
+
+def _failed_checks(zs, specs) -> dict:
+    """{check: labels of the rows it fails} over MUTATION_GRID, for the checks
+    that compare M1-M4 with an exact sum. A check whose terms raise fails."""
+    checks = {
+        "c12": _c12_rows,
+        "identity": _identity_row,
+        "paired": _paired_rows,
+        "c11": lambda zs, N, k, spec: _m2_rows(zs, N, k, 50),
+        "m2 value": lambda zs, N, k, spec: _m2_value_row(zs, N, k, 50),
+    }
+    failed = {}
+    for name, rows_of in checks.items():
+        try:
+            missed = [m for N, k in MUTATION_GRID for m in _outside(rows_of(zs, N, k, specs[N, k]))]
+        except Exception as exc:  # a mutated table may break a term outright
+            missed = [type(exc).__name__]
+        if missed:
+            failed[name] = missed
+    return failed
+
+
+def test_the_mutation_checks_pass_on_the_table(zeros100, c12_specs):
+    assert _failed_checks(zeros100, c12_specs) == {}
+
+
+_PIECE_MUTATIONS = {
+    "flip": lambda sign, x, *rest: (-sign, x, *rest),
+    "+1/2": lambda sign, x, *rest: (sign, x + 0.5, *rest),
+    "-1/2": lambda sign, x, *rest: (sign, x - 0.5, *rest),
+    "drop": None,
+}
+_PIECES = [("_OMEGA2", j, i) for j, pieces in enumerate(formula._OMEGA2)
+           for i in range(len(pieces))] + [("_S", None, i) for i in range(len(formula._S))]
+
+
+def _mutated(pieces: tuple, i: int, mutation: str) -> tuple:
+    """pieces with piece i changed by _PIECE_MUTATIONS[mutation], or dropped."""
+    change = _PIECE_MUTATIONS[mutation]
+    return pieces[:i] + (() if change is None else (change(*pieces[i]),)) + pieces[i + 1:]
+
+
+@pytest.mark.parametrize("mutation", sorted(_PIECE_MUTATIONS))
+@pytest.mark.parametrize("table, j, i", _PIECES,
+                         ids=[f"{t}[{i}]" if j is None else f"{t}[{j}][{i}]" for t, j, i in _PIECES])
+def test_a_mutated_cell_piece_fails_a_check(zeros100, c12_specs, monkeypatch,
+                                            table, j, i, mutation):
+    # flip r or an S sign; move e (an omega^2 piece's power of pi/z) or a (an
+    # S piece's power of 1/z) by 1/2; or drop the piece
+    if j is None:
+        patched = _mutated(formula._S, i, mutation)
+    else:
+        omega2 = formula._OMEGA2
+        patched = omega2[:j] + (_mutated(omega2[j], i, mutation),) + omega2[j + 1:]
+    monkeypatch.setattr(formula, table, patched)
+    assert _failed_checks(zeros100, c12_specs)
