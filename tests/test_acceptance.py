@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -407,7 +408,7 @@ def _c12_rows(zs, N: int, k: float, spec) -> list:
     """(N, k, component, exact, value, tail) for each unpaired M3/M4 component
     at Z = 0 and spec's cutoffs, against its Hardy sum, within the unpaired
     cut tail of its index set (the rule default_truncation uses)."""
-    params, at0 = CesaroParams(N=N, k=k), TruncationSpec(0, spec.L, spec.M, spec.tol)
+    params, at0 = CesaroParams(N=N, k=k), replace(spec, Z=0)
     exact = _unpaired_blocks(N, k)
     rows = []
     for term, j, cutoff, names in ((m3_term, 2, spec.L, ("lattice",)),
@@ -422,7 +423,7 @@ def _identity_row(zs, N: int, k: float, spec) -> list:
     """(N, k, "m1+m3+m4", exact, value, tail): the terms' values at Z = 0
     (M3 = lattice, M4 = block1 - block2) against IL_{k+2}[omega^2], within
     the two unpaired cut tails."""
-    params, at0 = CesaroParams(N=N, k=k), TruncationSpec(0, spec.L, spec.M, spec.tol)
+    params, at0 = CesaroParams(N=N, k=k), replace(spec, Z=0)
     value = m1_term(params) + m3_term(params, zs, at0).value + m4_term(params, zs, at0).value
     tail = formula._cut_tail(2, spec.L, N, k) + formula._cut_tail(1, spec.M, N, k)
     return [(N, k, "m1+m3+m4", _unpaired_blocks(N, k)["omega2"], value, tail)]
@@ -434,7 +435,7 @@ def _paired_rows(zs, N: int, k: float, spec) -> list:
     sign counts, against the Hardy sums with M3 = lattice - zeros and
     M4 = block1 - block2 - block3 + block4, within the term's reported cut tail."""
     params = CesaroParams(N=N, k=k)
-    at_z, at0 = (TruncationSpec(Z, spec.L, spec.M, spec.tol) for Z in (PAIRED_Z, 0))
+    at_z, at0 = replace(spec, Z=PAIRED_Z), replace(spec, Z=0)
     exact = _paired_blocks(N, k, tuple(zs.gammas()[:PAIRED_Z]))
     rows = []
     for term, key, want in ((m3_term, "lattice", -exact["zeros"]),
