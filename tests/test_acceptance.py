@@ -529,8 +529,10 @@ def _mutated(pieces: tuple, i: int, mutation: str) -> tuple:
 
 
 @pytest.mark.parametrize("mutation", sorted(_PIECE_MUTATIONS))
-@pytest.mark.parametrize("table, j, i", _PIECES,
-                         ids=[f"{t}[{i}]" if j is None else f"{t}[{j}][{i}]" for t, j, i in _PIECES])
+@pytest.mark.parametrize(
+    "table, j, i", _PIECES,
+    ids=[f"{t}[{i}]" if j is None else f"{t}[{j}][{i}]" for t, j, i in _PIECES],
+)
 def test_a_mutated_cell_piece_fails_a_check(zeros100, c12_specs, monkeypatch,
                                             table, j, i, mutation):
     # flip r or an S sign; move e (an omega^2 piece's power of pi/z) or a (an
