@@ -63,8 +63,11 @@ class LambdaTable:
     """von Mangoldt values on 0..limit: values[n] = log p when n = p^j,
     else 0.0, so the prime powers are exactly the nonzero entries."""
 
-    limit: int
     values: np.ndarray
+
+    @property
+    def limit(self) -> int:
+        return len(self.values) - 1
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,12 @@ class LinnikTable:
     j = prime power + one positive square; compute_rq grows a table from it.
     """
 
-    limit: int
     values: np.ndarray
     one_square: np.ndarray
+
+    @property
+    def limit(self) -> int:
+        return len(self.values) - 1
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,7 @@ def sieve_von_mangoldt(N: int) -> LambdaTable:
         while pk <= N:
             values[pk] = logp
             pk *= p
-    return LambdaTable(limit=N, values=values)
+    return LambdaTable(values)
 
 
 def _add_one_square(src: np.ndarray, out: np.ndarray, first: int) -> None:
@@ -208,7 +214,7 @@ def compute_rq(
         values[:first] = held
         del held
     _add_one_square(one_square, values, first)
-    return LinnikTable(limit=N, values=values, one_square=one_square)
+    return LinnikTable(values, one_square)
 
 
 def _weighted_block(r: np.ndarray, N: int, k: float, lo: int) -> memoryview:

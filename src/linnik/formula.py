@@ -121,11 +121,18 @@ class FormulaReport:
     m2: float
     m3: float
     m4: float
-    residual: float
-    normalized_residual: float
     tail_bounds: dict
     wallclock: dict
     notes: tuple
+
+    @property
+    def residual(self) -> float:
+        return self.lhs - (self.m1 + self.m2 + self.m3 + self.m4)
+
+    @property
+    def normalized_residual(self) -> float:
+        """residual / N^{k+1}; OverflowError where N^{k+1} exceeds double range."""
+        return self.residual / float(self.params.N) ** (self.params.k + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +188,7 @@ _S = ((1, 1, False), (-1, 0, True))
 _BLOCKS = ("block1", "block2", "block3", "block4")
 
 
-def _cells(j: int, s_pieces=_S) -> tuple:
+def _cells(j: int, s_pieces) -> tuple:
     """The cells (coef, p, q, paired) of dimension j, S piece by S piece of
     s_pieces: z^{-k-1} times an S piece times an omega^2 piece is coef pi^p
     z^{-k-1-q} (times Gamma(rho) z^{-rho} if paired), coef = sign r, p = e, q = e + a."""
@@ -218,7 +225,7 @@ def _cut_tail(j: int, cutoff: int, N: float, k: float, paired_tails=()) -> float
     sum. The caller's paired_tails (already in these units) follow them."""
     lnN = math.log(N)
     total = 0.0
-    for _, p, q, paired in _cells(j):
+    for _, p, q, paired in _cells(j, _S):
         if not paired:
             total += _pref(p, q, k, lnN) * _lattice_tail(j, cutoff, (k + q) / 2.0 + 0.25)
     return _envelope(N) * sum(paired_tails, total)
@@ -470,17 +477,8 @@ def evaluate(
         for name, tail in tails.items()
         if tail > spec.tol
     )
-
-    residual = lhs - sum(values.values())  # m1 + m2 + m3 + m4, in that order
     return FormulaReport(
-        params=params,
-        lhs=lhs,
-        **values,
-        residual=residual,
-        normalized_residual=residual / float(N) ** (k + 1.0),
-        tail_bounds=tails,
-        wallclock=wall,
-        notes=tuple(notes),
+        params=params, lhs=lhs, **values, tail_bounds=tails, wallclock=wall, notes=tuple(notes)
     )
 
 

@@ -292,6 +292,13 @@ def _bessel_series(nu: complex, u: float) -> BesselEval:
 # perfbench/test_repeat.py counts.
 _HANKEL_MIN_U = 300.0
 _HANKEL_NU_RATIO = 1.5
+
+
+def _hankel_line(nu: complex) -> float:
+    """max(300, 1.5 |nu|): the smallest u the Hankel kernel takes at order nu."""
+    return max(_HANKEL_MIN_U, _HANKEL_NU_RATIO * abs(nu))
+
+
 # A value is certified to 2^-60 relative; the sum runs on until a term falls
 # below 2^-80 of it, so that each part of J rounds to one double (a part can
 # be much smaller than |J|). Fixed-point terms carry 60 + log2(largest term
@@ -315,7 +322,7 @@ class _HankelTable:
     Im nu >= 0, in fixed point.
 
     re[k] + i im[k] = i^k a_k(nu) / R^k at wp fraction bits, with
-    a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k) and R = max(300, 1.5 |nu|),
+    a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k) and R = _hankel_line(nu),
     the smallest u the kernel takes, so the terms at any u >= R are these
     times (R/u)^k. wp = 60 + log2(largest term at R) + 30. The list is
     extended as far as a call needs it and ends where the terms at R start
@@ -328,7 +335,7 @@ class _HankelTable:
     """
 
     def __init__(self, nu: complex):
-        self.R = R = max(_HANKEL_MIN_U, _HANKEL_NU_RATIO * abs(nu))
+        self.R = R = _hankel_line(nu)
         self.R_ratio = R.as_integer_ratio()
         self.nu4 = 4.0 * nu * nu
         # the terms at R grow while their ratio is >= 1; the largest sets wp
@@ -539,7 +546,7 @@ def bessel_j_detailed(nu, u: float) -> BesselEval:
 
     # the fixed-point Hankel kernel past its line, and the series for the
     # rest and for whatever the kernel cannot certify
-    if u >= max(_HANKEL_MIN_U, _HANKEL_NU_RATIO * abs(nu)):
+    if u >= _hankel_line(nu):
         d = _bessel_hankel(nu, u)
         if d is not None:
             return d

@@ -62,7 +62,7 @@ class TestLatticePoints:
                 float(m).hex(), math.log(m).hex()
             )
         for k in (1.7, 2.0, 2.5):
-            for _, _, q, paired in formula._cells(1):
+            for _, _, q, paired in formula._cells(1, formula._S):
                 s = (k + q + 0.5) / 2.0 + 0.25 if paired else (k + q) / 2.0 + 0.25
                 t = 2.0 * s
                 for M in range(257):
@@ -72,6 +72,20 @@ class TestLatticePoints:
                     assert formula._lattice_tail(0, M, s) == 0.0, (k, q, M)
         assert formula._cut_tail(0, 3, 500.0, 2.0) == 0.0
         assert formula._smallest_cutoff(0, 64, 500.0, 2.0, 1.0) == 3
+
+    def test_the_cut_tail_weighs_the_s_pieces_of_the_call(self, monkeypatch):
+        # with 1/z patched to z^{-3/2}, the unpaired cut tail weighs the cells
+        # the terms then sum, not the ones of the unpatched table
+        N, k = 2000.0, 2.0
+        unpatched = formula._cut_tail(1, 3, N, k)
+        patched = ((1, 1.5, False),) + formula._S[1:]
+        monkeypatch.setattr(formula, "_S", patched)
+        lnN = math.log(N)
+        expected = formula._envelope(N) * sum(
+            formula._pref(p, q, k, lnN) * formula._lattice_tail(1, 3, (k + q) / 2.0 + 0.25)
+            for _, p, q, paired in formula._cells(1, patched) if not paired
+        )
+        assert formula._cut_tail(1, 3, N, k) == expected != unpatched
 
 
 class TestOmega2Pieces:
