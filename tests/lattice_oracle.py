@@ -23,9 +23,11 @@ minus closed forms. An S piece z^{-a} puts s = k + 1 + a:
     block4 <-> IL_s[T].
 
 The T^2 rows cancel about 8 digits against IL_s[omega^2], so everything runs
-in mpmath at 110 bits, for real or complex s. The il_* functions work at the
-caller's precision. This module reads none of formula's cell tables, so it
-checks their split and assembly from outside.
+in mpmath at 110 bits, for real or complex s. The il_* functions and
+theta_rows work at the caller's precision; with log, an il_* function inverts
+its sum times log z, the -d/ds of the sum taken term by term. This module
+reads none of formula's cell tables, so it checks their split and assembly
+from outside.
 """
 
 import functools
@@ -48,33 +50,55 @@ def _r2_plus(N: int) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-def il_power(N: int, s):
-    """IL_s[1] = N^{s-1} / Gamma(s)."""
-    return mp.power(N, s - 1) * mp.rgamma(s)
+def _riesz(terms, s, log: bool):
+    """sum over (x, c) of c x^{s-1} / Gamma(s), the inversion of
+    sum c e^{-(N-x) z}; with log, that of the same sum times log z, which is
+    its -d/ds, computed term by term."""
+    terms = list(terms)
+    plain = mp.fsum(c * mp.power(x, s - 1) for x, c in terms) * mp.rgamma(s)
+    if not log:
+        return plain
+    return mp.digamma(s) * plain - mp.fsum(
+        c * mp.power(x, s - 1) * mp.log(x) for x, c in terms) * mp.rgamma(s)
 
 
-def il_omega(N: int, s):
-    """IL_s[omega] = sum_{1<=l<sqrt N} (N - l^2)^{s-1} / Gamma(s)."""
-    return mp.fsum(mp.power(N - l * l, s - 1) for l in range(1, isqrt(N - 1) + 1)) * mp.rgamma(s)
+def il_power(N: int, s, log: bool = False):
+    """IL_s[1] = N^{s-1} / Gamma(s), or IL_s[log z] with log."""
+    return _riesz(((N, 1),), s, log)
 
 
-def il_omega2(N: int, s):
-    """IL_s[omega^2] = sum_{lam<N} r2+(lam) (N - lam)^{s-1} / Gamma(s)."""
-    return mp.fsum(r * mp.power(N - lam, s - 1) for lam, r in _r2_plus(N)) * mp.rgamma(s)
+def il_omega(N: int, s, log: bool = False):
+    """IL_s[omega] = sum_{1<=l<sqrt N} (N - l^2)^{s-1} / Gamma(s), or IL_s[omega log z] with log."""
+    return _riesz(((N - l * l, 1) for l in range(1, isqrt(N - 1) + 1)), s, log)
 
 
-def il_theta(N: int, s):
-    """IL_s[T] = IL_s[omega] - (sqrt(pi) IL_{s+1/2}[1] - IL_s[1]) / 2."""
-    return il_omega(N, s) - (mp.sqrt(mp.pi) * il_power(N, s + 0.5) - il_power(N, s)) / 2
+def il_omega2(N: int, s, log: bool = False):
+    """IL_s[omega^2] = sum_{lam<N} r2+(lam) (N - lam)^{s-1} / Gamma(s), or
+    IL_s[omega^2 log z] with log."""
+    return _riesz(((N - lam, r) for lam, r in _r2_plus(N)), s, log)
 
 
-def _rows(N: int, s) -> tuple:
-    """(IL_s[T^2], sqrt(pi) IL_{s+1/2}[T], IL_s[T]): T^2 is omega^2 minus
-    P^2 = (pi/z - 2 sqrt(pi/z) + 1)/4 minus 2PT = sqrt(pi/z) T - T."""
+def hardy_sums(N: int, log: bool = False) -> tuple:
+    """The inversions s -> IL_s[g], IL_s[omega g], IL_s[omega^2 g] of
+    g = 1, or g = log z with log, for theta_rows."""
+    return tuple(functools.partial(il, N, log=log) for il in (il_power, il_omega, il_omega2))
+
+
+def theta_rows(sums, s) -> tuple:
+    """(IL_s[T^2 g], sqrt(pi) IL_{s+1/2}[T g], IL_s[T g]) for a factor g of the
+    integrand, from sums = the inversions a -> IL_a[g], IL_a[omega g],
+    IL_a[omega^2 g]: T g is omega g minus (sqrt(pi/z) - 1) g / 2, and T^2 g is
+    omega^2 g minus P^2 g = (pi/z - 2 sqrt(pi/z) + 1) g / 4 minus
+    2PT g = sqrt(pi/z) T g - T g."""
+    power, omega, omega2 = sums
     root_pi = mp.sqrt(mp.pi)
-    theta, theta_half = il_theta(N, s), root_pi * il_theta(N, s + 0.5)
-    p2 = (mp.pi * il_power(N, s + 1) - 2 * root_pi * il_power(N, s + 0.5) + il_power(N, s)) / 4
-    return il_omega2(N, s) - p2 - (theta_half - theta), theta_half, theta
+
+    def theta(a):
+        return omega(a) - (root_pi * power(a + 0.5) - power(a)) / 2
+
+    t, t_half = theta(s), root_pi * theta(s + 0.5)
+    p2 = (mp.pi * power(s + 1) - 2 * root_pi * power(s + 0.5) + power(s)) / 4
+    return omega2(s) - p2 - (t_half - t), t_half, t
 
 
 def unpaired_blocks(N: int, k: float) -> dict:
@@ -83,7 +107,7 @@ def unpaired_blocks(N: int, k: float) -> dict:
     Z = 0 (M4 = block1 - block2 there)."""
     with mp.workprec(_PREC):
         s = mp.mpf(k) + 2
-        lattice, block1, block2 = _rows(N, s)
+        lattice, block1, block2 = theta_rows(hardy_sums(N), s)
         return {"lattice": float(lattice), "block1": float(block1), "block2": float(block2),
                 "omega2": float(il_omega2(N, s))}
 
@@ -97,6 +121,6 @@ def paired_blocks(N: int, k: float, gammas) -> dict:
         for gamma in gammas:
             rho = mp.mpc(0.5, gamma)
             weight = mp.gamma(rho)
-            rows = _rows(N, mp.mpf(k) + 1 + rho)
+            rows = theta_rows(hardy_sums(N), mp.mpf(k) + 1 + rho)
             sums = [acc + 2 * mp.re(weight * row) for acc, row in zip(sums, rows)]
         return dict(zip(("zeros", "block3", "block4"), map(float, sums)))
