@@ -586,8 +586,8 @@ def _c13_rows(terms, component=None, scale: float = 1.0) -> list:
             value = t.value
             if component in signs:
                 value += (scale - 1.0) * signs[component] * t.components[component]
-            rows.append((N, k, Z, term, math.fsum(sign * exact[name] for name, sign in signs.items()),
-                         value, sum(t.tail_bounds.values())))
+            want = math.fsum(sign * exact[name] for name, sign in signs.items())
+            rows.append((N, k, Z, term, want, value, sum(t.tail_bounds.values())))
     return rows
 
 
@@ -606,5 +606,5 @@ def test_c13_cannot_see_a_dropped_or_flipped_paired_component(c13_terms, compone
     # The zero tails past Z dominate each term's tail: on its closest row, a
     # paired component leaves it only when it moves by 495 (m3 zeros), 661
     # (block3) or 1670 (block4) times itself. Until those tails tighten
-    # (ROADMAP item 3), c13 checks the oracle's split, not these components.
+    # (ROADMAP items 4 and 6), c13 catches only errors of that size.
     assert _outside(_c13_rows(c13_terms, component, scale)) == []

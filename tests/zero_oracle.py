@@ -15,8 +15,9 @@ So for a factor X of the integrand, with IL_s[f] = (1/2 pi i) int e^{Nz} z^{-s} 
 summed in conjugate pairs (real). IL_s[X R] takes X at s, s - 1 and s - 2,
 and IL_s[X z^2 log z] is the analytic -d/da of IL_a[X] at a = s - 2, taken
 term by term (lattice_oracle's log inversions): a numerical derivative of a
-float64 sum would swamp the row. The z^3 term left out is O(N^{s-4}) for the
-smooth X, and of that order for each point of a Hardy sum but the one nearest N.
+float64 sum would swamp the row. The z^3 term left out is O(N^{s-4}) for a
+smooth X and (N - lam)^{s-4} for a point lam of a Hardy sum, small but for
+the few lam nearest N.
 
   * M2 (all_zero_sum): X = 1, IL_s[z^m] = N^{s-1-m}/Gamma(s-m), and
     IL_s[S] = sum_{n<N} Lambda(n) (N-n)^{s-1}/Gamma(s).
@@ -50,11 +51,6 @@ def riesz_sum(values: np.ndarray, N: int, s: float) -> float:
     return math.fsum((values[n] * (N - n).astype(np.float64) ** (s - 1.0)).tolist())
 
 
-def riesz_lambda_sum(N: int, s: float) -> float:
-    """sum_{n<N} Lambda(n) (N-n)^{s-1}."""
-    return riesz_sum(sieve_von_mangoldt(N).values, N, s)
-
-
 def _r_inverse(il, s) -> tuple:
     """IL_s[X R] for each X of il(a, log), which gives the tuple of IL_a[X]
     (IL_a[X log z] with log) over the factors X."""
@@ -70,7 +66,7 @@ def _r_inverse(il, s) -> tuple:
 def all_zero_sum(N: int, s: float) -> float:
     """B(s) = sum over every nontrivial zero rho of Gamma(rho) N^{s-1+rho} / Gamma(s+rho),
     summed in conjugate pairs (real); s > 2."""
-    lam_sum = riesz_lambda_sum(N, s)
+    lam_sum = riesz_sum(sieve_von_mangoldt(N).values, N, s)
     with mp.workprec(_PREC):
         s_ = mp.mpf(s)
         (r_part,) = _r_inverse(lambda a, log: (il_power(N, a, log),), s_)
@@ -81,8 +77,9 @@ def paired_all_zero_rows(N: int, k: float) -> dict:
     """M3's zeros and M4's block3 and block4, each summed over every point and
     over every nontrivial zero as sum_rho Gamma(rho) IL_{k+1+rho}[X] for
     X = T^2, sqrt(pi/z) T and T; k > 1."""
-    rq = compute_rq(sieve_von_mangoldt(N), N)
-    tables = (sieve_von_mangoldt(N).values, rq.one_square, rq.values)
+    lam = sieve_von_mangoldt(N)
+    rq = compute_rq(lam, N)
+    tables = (lam.values, rq.one_square, rq.values)
     with mp.workprec(_PREC):
         s = mp.mpf(k) + 1
         over_z = theta_rows(hardy_sums(N), s + 1)
