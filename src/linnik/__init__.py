@@ -3,7 +3,6 @@ matching explicit-formula main terms built from Riemann zeta zeros."""
 
 from .arithmetic import (
     CesaroParams,
-    LambdaTable,
     LinnikTable,
     cesaro_lhs,
     compute_rq,
@@ -40,7 +39,6 @@ from .specfun import (
 )
 from .zeros import (
     ZeroSet,
-    ZetaZero,
     bundled_zeros_path,
     compute_zeros,
     load_zeros,

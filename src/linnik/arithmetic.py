@@ -40,7 +40,6 @@ import numpy as np
 from .errors import DomainError, TableSizeError
 
 __all__ = [
-    "LambdaTable",
     "LinnikTable",
     "CesaroParams",
     "TruncatedValue",
@@ -56,18 +55,6 @@ MAX_SIEVE = 10**7
 # Output entries per block of a one-square pass: 512 KiB of float64, which
 # with its source window stays in a 2 MiB L2 (65536 beat 32768 and 131072).
 _BLOCK = 65536
-
-
-@dataclass(frozen=True)
-class LambdaTable:
-    """von Mangoldt values on 0..limit: values[n] = log p when n = p^j,
-    else 0.0, so the prime powers are exactly the nonzero entries."""
-
-    values: np.ndarray
-
-    @property
-    def limit(self) -> int:
-        return len(self.values) - 1
 
 
 @dataclass(frozen=True)
@@ -112,8 +99,10 @@ class TruncatedValue(NamedTuple):
     tail_bound: float
 
 
-def sieve_von_mangoldt(N: int) -> LambdaTable:
-    """Tabulate Lambda(n) for 1 <= n <= N by sieving.
+def sieve_von_mangoldt(N: int) -> np.ndarray:
+    """Tabulate Lambda(n) for 0 <= n <= N by sieving: a float64 array with
+    log p at n = p^j and 0.0 elsewhere, so the prime powers are exactly its
+    nonzero entries.
 
     Prime powers are detected with exact integer arithmetic (repeated
     multiplication, no floating-point root finding). log p is math.log of
@@ -144,7 +133,7 @@ def sieve_von_mangoldt(N: int) -> LambdaTable:
         while pk <= N:
             values[pk] = logp
             pk *= p
-    return LambdaTable(values)
+    return values
 
 
 def _add_one_square(src: np.ndarray, out: np.ndarray, first: int) -> None:
@@ -169,9 +158,7 @@ def _add_one_square(src: np.ndarray, out: np.ndarray, first: int) -> None:
             root += 1
 
 
-def compute_rq(
-    lam: LambdaTable, N: int, prefix: Optional[LinnikTable] = None
-) -> LinnikTable:
+def compute_rq(lam: np.ndarray, N: int, prefix: Optional[LinnikTable] = None) -> LinnikTable:
     """Convolve the Lambda table with the two-positive-squares lattice.
 
     r_Q = Lambda * sq * sq, taken as two one-square passes: first
@@ -196,8 +183,8 @@ def compute_rq(
     (formula._tables_for passes both so) is freed here. A name kept by the
     caller, or a wrapper that keeps its *args, keeps it to the end.
     """
-    if lam.limit < N:
-        raise DomainError(f"Lambda table limit {lam.limit} < requested N {N}")
+    if len(lam) - 1 < N:
+        raise DomainError(f"Lambda table limit {len(lam) - 1} < requested N {N}")
     if prefix is not None and prefix.limit >= N:
         raise DomainError(f"prefix limit {prefix.limit} >= requested N {N}")
     one_square = np.zeros(N + 1, dtype=np.float64)
@@ -207,7 +194,7 @@ def compute_rq(
         one_square[:first] = prefix.one_square
         held = prefix.values
     del prefix
-    _add_one_square(lam.values, one_square, first)
+    _add_one_square(lam, one_square, first)
     del lam
     values = np.zeros(N + 1, dtype=np.float64)
     if held is not None:
@@ -265,7 +252,7 @@ def _check_right_half_plane(z: complex) -> complex:
     return z
 
 
-def s_tilde(z: complex, cutoff: int, lam: LambdaTable) -> TruncatedValue:
+def s_tilde(z: complex, cutoff: int, lam: np.ndarray) -> TruncatedValue:
     """Truncated Lambda-weighted exponential sum sum_{m<=cutoff} Lambda(m) e^{-mz},
     over the table lam (limit >= cutoff).
 
@@ -277,12 +264,11 @@ def s_tilde(z: complex, cutoff: int, lam: LambdaTable) -> TruncatedValue:
     a = z.real
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
-    if lam.limit < cutoff:
+    if len(lam) - 1 < cutoff:
         raise DomainError("Lambda table shorter than cutoff")
 
     head = fsum_complex(
-        float(lam.values[m]) * cmath.exp(-m * z)
-        for m in np.flatnonzero(lam.values[: cutoff + 1]).tolist()
+        float(lam[m]) * cmath.exp(-m * z) for m in np.flatnonzero(lam[: cutoff + 1]).tolist()
     )
 
     # sum_{m > C} m e^{-ma} = e^{-a(C+1)} * ((C+1)/(1-q) + q/(1-q)^2), q = e^{-a};

@@ -156,7 +156,7 @@ def cmd_zeros(args) -> int:
         _write_csv(
             f"# First {zs.count} zeta zero ordinates from mpmath.zetazero at 80 bits, "
             "rounded to doubles.",
-            ((g,) for g in zs.gammas()),
+            ((g,) for g in zs.zeros),
             args.out,
         )
         return EXIT_OK
@@ -165,8 +165,8 @@ def cmd_zeros(args) -> int:
         print(f"OK, count={zs.count}")
         return EXIT_OK
     # info
-    lo = zs.zeros[0].gamma if zs.count else float("nan")
-    hi = zs.zeros[-1].gamma if zs.count else float("nan")
+    lo = zs.zeros[0] if zs.count else float("nan")
+    hi = zs.zeros[-1] if zs.count else float("nan")
     print(f"count={zs.count} gamma_first={_fmt(lo)} gamma_last={_fmt(hi)}")
     return EXIT_OK
 
@@ -217,7 +217,7 @@ def _selftest_checks():
         rq = arithmetic.compute_rq(lam, 200)
         for n in range(1, 201):
             brute = math.fsum(
-                float(lam.values[n - l1 * l1 - l2 * l2])
+                float(lam[n - l1 * l1 - l2 * l2])
                 for l1 in range(1, math.isqrt(n - 1) + 1)
                 for l2 in range(1, math.isqrt(n - 1 - l1 * l1) + 1)
             )

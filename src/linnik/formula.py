@@ -549,8 +549,7 @@ def threshold_probe(
     terms = []
     partials = []
     uncertified = None
-    for zero in zs.zeros:
-        g = zero.gamma
+    for g in zs.zeros:
         scale = float(N) / (g * g)
         hi = min(g, _PROBE_VMAX)
         half_c = 0.5 * math.sqrt(math.pi / scale)

@@ -26,7 +26,6 @@ from mpmath import mp
 from .errors import DomainError, ZeroTableError
 
 __all__ = [
-    "ZetaZero",
     "ZeroSet",
     "load_zeros",
     "compute_zeros",
@@ -48,31 +47,15 @@ _SAFETY = 2.0
 
 
 @dataclass(frozen=True)
-class ZetaZero:
-    """One nontrivial zero 1/2 + i gamma with gamma > 0."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise DomainError(f"zero ordinate must be positive, got {self.gamma}")
-
-    @property
-    def rho(self) -> complex:
-        return complex(0.5, self.gamma)
-
-
-@dataclass(frozen=True)
 class ZeroSet:
+    """The ordinates gamma of the zeros 1/2 + i gamma, ascending, as floats."""
+
     zeros: tuple
     source_id: str
 
     @property
     def count(self) -> int:
         return len(self.zeros)
-
-    def gammas(self) -> list:
-        return [z.gamma for z in self.zeros]
 
     def truncated(self, Z: int) -> "ZeroSet":
         if Z < 0:
@@ -86,12 +69,12 @@ def load_zeros(path, source_id: Optional[str] = None) -> ZeroSet:
     """Parse and validate a zero table file.
 
     Raises ZeroTableError naming the offending line on parse failures, a
-    line of more than one column, non-monotonic ordinates, or a first
-    ordinate outside the sanity window.
+    line of more than one column, an ordinate that is not positive and
+    finite, non-monotonic ordinates, or a first ordinate outside the sanity
+    window.
     """
     path = Path(path)
     zeros = []
-    prev = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -104,19 +87,17 @@ def load_zeros(path, source_id: Optional[str] = None) -> ZeroSet:
                 gamma = float(parts[0])
             except ValueError as exc:
                 raise ZeroTableError(f"unparseable number: {exc}", line=lineno) from None
-            try:
-                zero = ZetaZero(gamma)
-            except DomainError as exc:
-                raise ZeroTableError(str(exc), line=lineno) from None
-            if prev is not None and gamma <= prev:
+            if not (gamma > 0 and math.isfinite(gamma)):
+                msg = f"zero ordinate must be positive, got {gamma}"
+                raise ZeroTableError(msg, line=lineno)
+            if zeros and gamma <= zeros[-1]:
                 raise ZeroTableError(
-                    f"ordinates must ascend strictly ({gamma} after {prev})", line=lineno
+                    f"ordinates must ascend strictly ({gamma} after {zeros[-1]})", line=lineno
                 )
-            prev = gamma
-            zeros.append(zero)
-    if zeros and not (_FIRST_ZERO_WINDOW[0] < zeros[0].gamma < _FIRST_ZERO_WINDOW[1]):
+            zeros.append(gamma)
+    if zeros and not (_FIRST_ZERO_WINDOW[0] < zeros[0] < _FIRST_ZERO_WINDOW[1]):
         raise ZeroTableError(
-            f"first ordinate {zeros[0].gamma} outside sanity window {_FIRST_ZERO_WINDOW}"
+            f"first ordinate {zeros[0]} outside sanity window {_FIRST_ZERO_WINDOW}"
         )
     return ZeroSet(tuple(zeros), source_id or str(path))
 
@@ -132,8 +113,8 @@ def compute_zeros(count: int) -> ZeroSet:
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     with mp.workprec(80):
-        gammas = [float(mp.zetazero(n).imag) for n in range(1, count + 1)]
-    return ZeroSet(tuple(ZetaZero(g) for g in gammas), "mpmath.zetazero")
+        gammas = tuple(float(mp.zetazero(n).imag) for n in range(1, count + 1))
+    return ZeroSet(gammas, "mpmath.zetazero")
 
 
 def paired_zero_sum(
@@ -148,7 +129,7 @@ def paired_zero_sum(
     """
     if Z < 0 or Z > zs.count:
         raise DomainError(f"Z = {Z} out of range for table of {zs.count} zeros")
-    return 2.0 * math.fsum(complex(f(zero.rho)).real for zero in zs.zeros[:Z])
+    return 2.0 * math.fsum(complex(f(complex(0.5, g))).real for g in zs.zeros[:Z])
 
 
 def _density_integral(c: float, lo: float, hi: float = math.inf) -> float:
@@ -180,8 +161,8 @@ def zero_tail(
     def weight(gamma):
         return C * gamma**A * (1.0 if gamma <= edge else (edge / gamma) ** decay)
 
-    head = [weight(z.gamma) for z in zs.zeros[Z:]]
-    gamma_T = zs.zeros[-1].gamma if zs.count else _FIRST_ZERO_WINDOW[0]
+    head = [weight(g) for g in zs.zeros[Z:]]
+    gamma_T = zs.zeros[-1] if zs.count else _FIRST_ZERO_WINDOW[0]
     past = _density_integral(A, gamma_T, max(gamma_T, edge))
     if edge < math.inf:
         past += edge**decay * _density_integral(A - decay, max(gamma_T, edge))

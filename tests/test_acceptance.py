@@ -115,7 +115,7 @@ def test_c04_brute_force_oracle_equivalence(lam500, rq500):
         zeros_ok &= (rq500.values[n] == 0.0) == (want == 0.0)
         if want:
             worst_rq = max(worst_rq, abs(rq500.values[n] - want) / want)
-    pp = {n: float(lam500.values[n]) for n in np.flatnonzero(lam500.values).tolist()}
+    pp = {n: float(lam500[n]) for n in np.flatnonzero(lam500).tolist()}
     worst = 0.0
     for N in (100, 250, 500):
         for k in (2.0, 2.5):
@@ -219,10 +219,11 @@ def test_c07_s_tilde_explicit_formula(zeros100):
         z = complex(a, y)
         st = s_tilde(z, cutoff, lam).value
         zsum = 0.0 + 0.0j
-        for zero in zeros100.zeros[:50]:
-            g = cmath.exp(log_gamma(zero.rho)) * cmath.exp(-zero.rho * cmath.log(z))
-            gc = cmath.exp(log_gamma(zero.rho)).conjugate() * cmath.exp(
-                -zero.rho.conjugate() * cmath.log(z)
+        for gamma in zeros100.zeros[:50]:
+            rho = complex(0.5, gamma)
+            g = cmath.exp(log_gamma(rho)) * cmath.exp(-rho * cmath.log(z))
+            gc = cmath.exp(log_gamma(rho)).conjugate() * cmath.exp(
+                -rho.conjugate() * cmath.log(z)
             )
             zsum += g + gc
         resid = abs(st - (1.0 / z - zsum))
@@ -255,7 +256,7 @@ def test_c08_threshold_probe(zeros100):
     # (c) the divergent series still grows: partial[50]/partial[25] > 1.5 at k = 1.0
     N = 100
     zs = zeros100.truncated(50)
-    gammas = [z.gamma for z in zs.zeros[24:50]]
+    gammas = zs.zeros[24:50]
     devs, slopes, partials = {}, {}, {}
     for k in (1.75, 1.5, 1.0):
         ps = threshold_probe(2, k, N, zs)
@@ -436,7 +437,7 @@ def _paired_rows(zs, N: int, k: float, spec) -> list:
     M4 = block1 - block2 - block3 + block4, within the term's reported cut tail."""
     params = CesaroParams(N=N, k=k)
     at_z, at0 = replace(spec, Z=PAIRED_Z), replace(spec, Z=0)
-    exact = _paired_blocks(N, k, tuple(zs.gammas()[:PAIRED_Z]))
+    exact = _paired_blocks(N, k, zs.zeros[:PAIRED_Z])
     rows = []
     for term, key, want in ((m3_term, "lattice", -exact["zeros"]),
                             (m4_term, "msum", exact["block4"] - exact["block3"])):

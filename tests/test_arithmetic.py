@@ -62,37 +62,37 @@ def per_prime_sieve(N):
 class TestVonMangoldt:
     def test_small_values(self):
         lam = sieve_von_mangoldt(20)
-        assert lam.values[1] == 0.0
-        assert lam.values[8] == math.log(2)
-        assert lam.values[12] == 0.0
-        assert lam.values[7] == math.log(7)
-        assert lam.values[9] == math.log(3)
+        assert lam[1] == 0.0
+        assert lam[8] == math.log(2)
+        assert lam[12] == 0.0
+        assert lam[7] == math.log(7)
+        assert lam[9] == math.log(3)
 
     def test_prime_power_detection_matches_trial_division(self):
         lam = sieve_von_mangoldt(600)
         brute = brute_prime_powers(600)
-        assert np.flatnonzero(lam.values).tolist() == sorted(brute)
-        assert all(lam.values[n] == math.log(p) for n, (p, _j) in brute.items())
+        assert np.flatnonzero(lam).tolist() == sorted(brute)
+        assert all(lam[n] == math.log(p) for n, (p, _j) in brute.items())
 
     def test_prime_power_value_identical_float(self):
         lam = sieve_von_mangoldt(1024)
         for n, (p, _j) in brute_prime_powers(1024).items():
-            assert lam.values[n] == lam.values[p]
+            assert lam[n] == lam[p]
 
     def test_psi_100_against_brute_force(self):
         lam = sieve_von_mangoldt(100)
         expected = math.fsum(math.log(p) for _, (p, _j) in brute_prime_powers(100).items())
-        assert float(np.sum(lam.values)) == pytest.approx(expected, rel=1e-14)
+        assert float(np.sum(lam)) == pytest.approx(expected, rel=1e-14)
 
     def test_chebyshev_band(self):
         lam = sieve_von_mangoldt(5000)
         for N in (1000, 2500, 5000):
-            psi = float(np.sum(lam.values[: N + 1]))
+            psi = float(np.sum(lam[: N + 1]))
             assert abs(psi - N) / N < 0.11
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 1001, 65537])
     def test_same_bits_as_the_per_prime_loop(self, N):
-        got, want = sieve_von_mangoldt(N).values, per_prime_sieve(N)
+        got, want = sieve_von_mangoldt(N), per_prime_sieve(N)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -106,7 +106,7 @@ class TestVonMangoldt:
                 is_prime[i * i :: i] = bytes(len(range(i * i, N + 1, i)))
         primes = [n for n in range(N + 1) if is_prime[n]]
         assert len(primes) == 9592  # pi(10^5)
-        assert all(lam.values[p] == math.log(p) for p in primes)
+        assert all(lam[p] == math.log(p) for p in primes)
 
     def test_size_errors(self):
         with pytest.raises(TableSizeError):
@@ -145,7 +145,7 @@ def pair_loop_rq(lam, N):
         l2 = 1
         while l1 * l1 + l2 * l2 < N:
             norm = l1 * l1 + l2 * l2
-            values[norm + 1 : N + 1] += lam.values[1 : N - norm + 1]
+            values[norm + 1 : N + 1] += lam[1 : N - norm + 1]
             l2 += 1
         l1 += 1
     return values
@@ -164,7 +164,7 @@ def whole_array_rq(lam, N):
             root += 1
         return out
 
-    return one_square(one_square(lam.values))
+    return one_square(one_square(lam))
 
 
 def compensated_lhs(rq, N, k):
@@ -255,7 +255,7 @@ class TestLinnikCounts:
         for j in range(501):
             total = 0.0
             for l in range(1, math.isqrt(max(j - 1, 0)) + 1):
-                total += float(lam500.values[j - l * l])
+                total += float(lam500[j - l * l])
             assert first[j] == total
 
 
@@ -329,7 +329,7 @@ class TestCesaroLhs:
         assert got == pytest.approx(math.log(2) / 2, rel=1e-15)
 
     def test_against_fsum_oracle(self, lam500, rq500):
-        pp = {n: float(lam500.values[n]) for n in np.flatnonzero(lam500.values).tolist()}
+        pp = {n: float(lam500[n]) for n in np.flatnonzero(lam500).tolist()}
         for N in (100, 250, 500):
             for k in (2.0, 2.5):
                 terms = []
@@ -381,7 +381,7 @@ class TestGeneratingFunctions:
         z = complex(10.0, 0.0)
         got = s_tilde(z, 20, lam500)
         expected = math.fsum(
-            lam500.values[m] * math.exp(-10.0 * m) for m in range(1, 21)
+            lam500[m] * math.exp(-10.0 * m) for m in range(1, 21)
         )
         assert got.value.real == pytest.approx(expected, rel=1e-13)
         assert abs(got.value.imag) == 0.0
@@ -391,7 +391,7 @@ class TestGeneratingFunctions:
     @pytest.mark.parametrize("C", [2, 8, 9, 500])
     def test_s_tilde_is_the_fsum_over_the_table(self, lam500, z, C):
         # C = 8 and 9 are prime powers; 500 is the table's limit
-        want = fsum_complex(float(lam500.values[m]) * cmath.exp(-m * z) for m in range(1, C + 1))
+        want = fsum_complex(float(lam500[m]) * cmath.exp(-m * z) for m in range(1, C + 1))
         assert s_tilde(z, C, lam500).value == want
 
     def test_s_tilde_decays_for_large_a(self, lam500):
@@ -408,7 +408,7 @@ class TestGeneratingFunctions:
             ref = float(q ** (C + 1) * ((C + 1) / (1 - q) + q / (1 - q) ** 2))
         assert math.isfinite(got.tail_bound)
         assert got.tail_bound == pytest.approx(ref, rel=1e-14)
-        assert got.value.real == pytest.approx(math.fsum(lam500.values[1:C + 1]), rel=1e-14)
+        assert got.value.real == pytest.approx(math.fsum(lam500[1:C + 1]), rel=1e-14)
 
     def test_pnt_form(self):
         a = 1e-3

@@ -159,7 +159,7 @@ class TestZerosCommand:
         assert out.read_bytes() == data
         assert run(["zeros", "validate", str(out)]) == 0
         assert "count=5" in capsys.readouterr().out
-        assert load_zeros(out).gammas() == compute_zeros(5).gammas()
+        assert load_zeros(out).zeros == compute_zeros(5).zeros
 
     def test_compute_count_zero(self):
         assert run(["zeros", "compute", "--count", "0"]) == cli.EXIT_DATA

@@ -11,7 +11,6 @@ import pytest
 from linnik.errors import DomainError, ZeroTableError
 from linnik.specfun import gamma_ratio, log_gamma
 from linnik.zeros import (
-    ZetaZero,
     ZeroSet,
     bundled_zeros_path,
     compute_zeros,
@@ -30,8 +29,10 @@ class TestLoadZeros:
         p.write_text(THREE_ZEROS)
         zs = load_zeros(p)
         assert zs.count == 3
-        assert zs.gammas() == [14.134725141, 21.022039638, 25.010857580]
-        assert [z.rho for z in zs.zeros] == [complex(0.5, g) for g in zs.gammas()]
+        assert zs.zeros == (14.134725141, 21.022039638, 25.010857580)
+        rhos = []
+        paired_zero_sum(lambda rho: rhos.append(rho) or 0.0, zs, 3)
+        assert rhos == [complex(0.5, g) for g in zs.zeros]
 
     def test_empty_file_is_valid(self, tmp_path):
         p = tmp_path / "empty.txt"
@@ -80,20 +81,26 @@ class TestLoadZeros:
 
     def test_bundled_table(self, zeros100):
         assert zeros100.count == 100
-        assert 14.0 < zeros100.zeros[0].gamma < 14.3
+        assert 14.0 < zeros100.zeros[0] < 14.3
         # published first three ordinates
-        assert zeros100.zeros[0].gamma == pytest.approx(14.134725141734693, abs=1e-9)
-        assert zeros100.zeros[1].gamma == pytest.approx(21.022039638771555, abs=1e-9)
-        assert zeros100.zeros[2].gamma == pytest.approx(25.010857580145688, abs=1e-9)
+        assert zeros100.zeros[0] == pytest.approx(14.134725141734693, abs=1e-9)
+        assert zeros100.zeros[1] == pytest.approx(21.022039638771555, abs=1e-9)
+        assert zeros100.zeros[2] == pytest.approx(25.010857580145688, abs=1e-9)
 
-    def test_zeta_zero_validation(self):
-        with pytest.raises(DomainError):
-            ZetaZero(gamma=-3.0)
+    @pytest.mark.parametrize("ordinate", ["nan", "inf", "0.0", "-21.0"])
+    def test_ordinate_not_positive_and_finite_names_line(self, tmp_path, ordinate):
+        # nan and inf pass the ascending check (every comparison with nan is
+        # False, and inf ascends), so only the ordinate check refuses them
+        p = tmp_path / "bad.txt"
+        p.write_text(f"14.134725141\n{ordinate}\n")
+        with pytest.raises(ZeroTableError) as exc:
+            load_zeros(p)
+        assert exc.value.line == 2
 
 
 class TestComputeZeros:
     def test_first_ten_match_bundled_bit_for_bit(self, zeros100):
-        assert compute_zeros(10).gammas() == zeros100.gammas()[:10]
+        assert compute_zeros(10).zeros == zeros100.zeros[:10]
 
     def test_count_below_one(self):
         with pytest.raises(DomainError):
@@ -122,8 +129,8 @@ class TestPairedZeroSum:
         got = paired_zero_sum(f, zeros100, 50)
         # naive sum over rho and conj(rho); Gamma(conj s) = conj Gamma(s)
         naive = 0.0 + 0.0j
-        for zero in zeros100.zeros[:50]:
-            v = f(zero.rho)
+        for g in zeros100.zeros[:50]:
+            v = f(complex(0.5, g))
             naive += v + v.conjugate()
         assert abs(naive.imag) <= 1e-15 * abs(naive.real)
         assert got == pytest.approx(naive.real, rel=1e-13)
@@ -134,19 +141,19 @@ class TestPairedZeroSum:
         def g(rho):
             return gamma_ratio(rho, 2.0)
 
-        for zero in zeros100.zeros[:10]:
-            v = 1j * g(zero.rho)
-            w = 1j * g(zero.rho).conjugate()
+        for gamma in zeros100.zeros[:10]:
+            v = 1j * g(complex(0.5, gamma))
+            w = 1j * g(complex(0.5, gamma)).conjugate()
             assert abs((v + w).real) <= 1e-18
 
 
 class TestZeroTailBound:
     def test_ratio_model_dominates_true_ratio(self, zeros100):
         # per-term model RATIO_SLACK * gamma^-power must cover the true ratio
-        for zero in zeros100.zeros:
+        for g in zeros100.zeros:
             for power in (2.5, 3.0, 4.0, 4.5):
-                true = abs(gamma_ratio(zero.rho, power))
-                assert true <= 1.25 * zero.gamma ** (-power)
+                true = abs(gamma_ratio(complex(0.5, g), power))
+                assert true <= 1.25 * g ** (-power)
 
     def test_monotone_decreasing_in_Z(self, zeros100):
         bounds = [zero_tail_bound(1000, 4.0, Z, zeros100) for Z in range(0, 100, 10)]

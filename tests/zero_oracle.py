@@ -66,7 +66,7 @@ def _r_inverse(il, s) -> tuple:
 def all_zero_sum(N: int, s: float) -> float:
     """B(s) = sum over every nontrivial zero rho of Gamma(rho) N^{s-1+rho} / Gamma(s+rho),
     summed in conjugate pairs (real); s > 2."""
-    lam_sum = riesz_sum(sieve_von_mangoldt(N).values, N, s)
+    lam_sum = riesz_sum(sieve_von_mangoldt(N), N, s)
     with mp.workprec(_PREC):
         s_ = mp.mpf(s)
         (r_part,) = _r_inverse(lambda a, log: (il_power(N, a, log),), s_)
@@ -79,7 +79,7 @@ def paired_all_zero_rows(N: int, k: float) -> dict:
     X = T^2, sqrt(pi/z) T and T; k > 1."""
     lam = sieve_von_mangoldt(N)
     rq = compute_rq(lam, N)
-    tables = (lam.values, rq.one_square, rq.values)
+    tables = (lam, rq.one_square, rq.values)
     with mp.workprec(_PREC):
         s = mp.mpf(k) + 1
         over_z = theta_rows(hardy_sums(N), s + 1)
