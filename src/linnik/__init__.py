@@ -15,8 +15,6 @@ from .errors import (
     LinnikError,
     PoleError,
     PrecisionError,
-    QuadratureError,
-    TableSizeError,
     ZeroTableError,
 )
 from .formula import (

@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, TableSizeError
+from .errors import DomainError
 
 __all__ = [
     "LinnikTable",
@@ -112,9 +112,9 @@ def sieve_von_mangoldt(N: int) -> np.ndarray:
     its own (see compute_rq).
     """
     if N < 1:
-        raise TableSizeError(f"table limit must be >= 1, got {N}")
+        raise DomainError(f"table limit must be >= 1, got {N}")
     if N > MAX_SIEVE:
-        raise TableSizeError(f"table limit {N} exceeds supported maximum {MAX_SIEVE}")
+        raise DomainError(f"table limit {N} exceeds supported maximum {MAX_SIEVE}")
 
     is_prime = np.ones(N + 1, dtype=bool)
     is_prime[:2] = False

@@ -23,13 +23,7 @@ from pathlib import Path
 
 from . import arithmetic, formula, specfun, zeros as zeros_mod
 from .arithmetic import CesaroParams
-from .errors import (
-    DomainError,
-    LinnikError,
-    PrecisionError,
-    TableSizeError,
-    ZeroTableError,
-)
+from .errors import LinnikError, PrecisionError, ZeroTableError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -360,17 +354,14 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ZeroTableError, TableSizeError) as exc:
+    except (ZeroTableError, OSError) as exc:  # a table or output file
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except PrecisionError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except DomainError as exc:
+    except LinnikError as exc:  # DomainError and its PoleError
         print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except LinnikError as exc:  # pragma: no cover - catch-all for package errors
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -10,12 +10,8 @@ class LinnikError(Exception):
     """Base class for all package errors."""
 
 
-class TableSizeError(LinnikError, ValueError):
-    """Requested table is empty or too large to allocate."""
-
-
 class DomainError(LinnikError, ValueError):
-    """Argument outside the mathematical domain of the operation."""
+    """Argument outside the domain of the operation or the range it supports."""
 
 
 class PoleError(DomainError):
@@ -38,10 +34,6 @@ class PrecisionError(LinnikError, ArithmeticError):
     def __init__(self, message, strategy):
         self.strategy = strategy
         super().__init__(message)
-
-
-class QuadratureError(PrecisionError):
-    """Adaptive quadrature failed to converge within its budget."""
 
 
 class ZeroTableError(LinnikError, ValueError):

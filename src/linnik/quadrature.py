@@ -6,7 +6,7 @@ evaluation order side effects, so repeated runs are bitwise identical.
 
 import math
 
-from .errors import QuadratureError
+from .errors import PrecisionError
 
 __all__ = ["adaptive_gauss_kronrod"]
 
@@ -68,7 +68,7 @@ def adaptive_gauss_kronrod(f, a: float, b: float, abs_tol: float) -> complex:
     """Integrate f over [a, b] to absolute tolerance abs_tol.
 
     Bisects depth-first in a fixed left-to-right order. Raises
-    QuadratureError when the panel budget or depth limit is exhausted.
+    PrecisionError when the panel budget or depth limit is exhausted.
     """
     if not (abs_tol > 0) or not math.isfinite(abs_tol):
         raise ValueError("abs_tol must be positive and finite")
@@ -80,7 +80,7 @@ def adaptive_gauss_kronrod(f, a: float, b: float, abs_tol: float) -> complex:
         val, err = _gk15(f, x0, x1)
         panels += 1
         if panels > _MAX_PANELS:
-            raise QuadratureError(
+            raise PrecisionError(
                 f"panel budget exhausted on [{x0}, {x1}] (err {err:.3e}, tol {abs_tol:.3e})",
                 strategy="gauss-kronrod",
             )
@@ -90,7 +90,7 @@ def adaptive_gauss_kronrod(f, a: float, b: float, abs_tol: float) -> complex:
             total += val
             continue
         if depth >= _MAX_DEPTH:
-            raise QuadratureError(
+            raise PrecisionError(
                 f"max depth reached on [{x0}, {x1}] (err {err:.3e} > tol {tol:.3e})",
                 strategy="gauss-kronrod",
             )

@@ -68,15 +68,21 @@ class ZeroSet:
 def load_zeros(path, source_id: Optional[str] = None) -> ZeroSet:
     """Parse and validate a zero table file.
 
-    Raises ZeroTableError naming the offending line on parse failures, a
-    line of more than one column, an ordinate that is not positive and
-    finite, non-monotonic ordinates, or a first ordinate outside the sanity
-    window.
+    Raises ZeroTableError naming the offending line on a line that is not
+    UTF-8, parse failures, a line of more than one column, an ordinate that
+    is not positive and finite, non-monotonic ordinates, or a first ordinate
+    outside the sanity window; OSError when the file cannot be read.
     """
     path = Path(path)
     zeros = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape keeps an undecodable byte as a lone surrogate, which
+    # only that line's encode refuses
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ZeroTableError("not UTF-8 text", line=lineno) from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -17,7 +17,7 @@ from linnik.arithmetic import (
     s_tilde,
     sieve_von_mangoldt,
 )
-from linnik.errors import DomainError, TableSizeError
+from linnik.errors import DomainError
 
 
 def brute_prime_powers(limit):
@@ -109,9 +109,9 @@ class TestVonMangoldt:
         assert all(lam[p] == math.log(p) for p in primes)
 
     def test_size_errors(self):
-        with pytest.raises(TableSizeError):
+        with pytest.raises(DomainError, match="table limit must be >= 1, got 0"):
             sieve_von_mangoldt(0)
-        with pytest.raises(TableSizeError):
+        with pytest.raises(DomainError, match="exceeds supported maximum 10000000"):
             sieve_von_mangoldt(10**7 + 1)
 
 

@@ -55,18 +55,34 @@ class TestEvaluateCommand:
         assert run(base + ["--allow-subcritical"]) == 0
 
     @pytest.mark.parametrize("opts, code, message", [
-        (["--k", "114"], cli.EXIT_DATA, "validation error: the default tol"),
-        (["--k", "400", "--tol", "1"], cli.EXIT_DATA, "validation error: the default tol"),
-        (["--k", "113"], cli.EXIT_NUMERIC, "numeric error: m2: "),
-        (["--k", "400", "--tol", "1", "--Z", "0", "--L", "3", "--M", "3"], cli.EXIT_NUMERIC,
-         "numeric error: lhs: "),
-    ], ids=["tol", "cutoff_rule", "m2", "lhs"])
+        (["--N", "500", "--k", "114"], cli.EXIT_DATA, "validation error: the default tol"),
+        (["--N", "500", "--k", "400", "--tol", "1"], cli.EXIT_DATA,
+         "validation error: the default tol"),
+        (["--N", "500", "--k", "113"], cli.EXIT_NUMERIC, "numeric error: m2: "),
+        (["--N", "500", "--k", "400", "--tol", "1", "--Z", "0", "--L", "3", "--M", "3"],
+         cli.EXIT_NUMERIC, "numeric error: lhs: "),
+        (["--N", "20000000", "--k", "2"], cli.EXIT_DATA,
+         "validation error: lhs: table limit 20000000 exceeds supported maximum 10000000\n"),
+    ], ids=["tol", "cutoff_rule", "m2", "lhs", "sieve_range"])
     def test_k_past_double_range_is_a_typed_error(self, tmp_path, capsys, opts, code, message):
         # --k 112 still evaluates at N = 500
         out = tmp_path / "r.csv"
-        assert run(["evaluate", "--N", "500", *opts, "--out", str(out)]) == code
+        assert run(["evaluate", *opts, "--out", str(out)]) == code
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("zeros, out", [
+        ("{tmp}", "{tmp}/r.csv"),
+        ("bundled", "{tmp}/missing/r.csv"),
+    ], ids=["table_is_a_directory", "out_in_a_missing_directory"])
+    def test_an_unreadable_table_or_unwritable_output_is_a_data_error(
+        self, tmp_path, capsys, zeros, out
+    ):
+        assert run([
+            "evaluate", "--N", "300", "--k", "2", "--Z", "5", "--L", "3", "--M", "2",
+            "--zeros", zeros.format(tmp=tmp_path), "--out", out.format(tmp=tmp_path),
+        ]) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: [Errno ")
 
 
 class TestScanCommand:
@@ -174,6 +190,16 @@ class TestZerosCommand:
         bad.write_text("14.134725141\n21.022039638 0.5\n")
         assert run(["zeros", "validate", str(bad)]) == cli.EXIT_DATA
         assert "data error: line 2: expected 1 column, got 2" in capsys.readouterr().err
+
+    def test_info_of_a_missing_file(self, tmp_path, capsys):
+        assert run(["zeros", "info", str(tmp_path / "missing.txt")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: [Errno 2] No such file")
+
+    def test_validate_non_utf8_file_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"14.134725141\n# \xe9\n21.022039638\n")
+        assert run(["zeros", "validate", str(bad)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == "data error: line 2: not UTF-8 text\n"
 
 
 class TestProbeCommand:

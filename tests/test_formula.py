@@ -10,7 +10,7 @@ import pytest
 
 from linnik import arithmetic, formula
 from linnik.arithmetic import CesaroParams
-from linnik.errors import DomainError, PoleError, QuadratureError
+from linnik.errors import DomainError, PoleError, PrecisionError
 from linnik.formula import (
     TruncationSpec,
     default_truncation,
@@ -571,8 +571,6 @@ class TestEvaluate:
             assert firsts == passes
 
     def test_subterm_error_carries_term_identification(self, zeros100, monkeypatch):
-        from linnik.errors import PrecisionError
-
         # m3 is the first term to evaluate a Bessel function
         def uncertifiable(nu, u):
             raise PrecisionError("uncertifiable", strategy="series")
@@ -586,7 +584,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("error, attr, value", [
         (lambda: PoleError(-3), "pole", -3),
-        (lambda: QuadratureError("max depth reached", strategy="gauss-kronrod"),
+        (lambda: PrecisionError("max depth reached", strategy="gauss-kronrod"),
          "strategy", "gauss-kronrod"),
     ])
     def test_a_term_error_keeps_its_type_and_attributes(

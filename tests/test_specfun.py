@@ -1,11 +1,14 @@
 import cmath
+import inspect
 import math
+import re
+import textwrap
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from linnik.errors import DomainError, PoleError, PrecisionError, QuadratureError
+from linnik.errors import DomainError, PoleError, PrecisionError
 from linnik import specfun
 from linnik.arithmetic import CesaroParams
 from linnik.formula import TruncationSpec, evaluate
@@ -297,6 +300,44 @@ class TestHankelKernel:
         assert d.strategy == "series"
         assert _hex(d.value) == _hex(_bessel_series(nu, u).value)
 
+    def test_refuses_an_interval_that_straddles_a_double(self, zeros100, monkeypatch, cold_memos):
+        # certified to 2^-50 and summed to 2^-56, some values' intervals hold
+        # two doubles: 56 of these 192 points are refused and the other 136
+        # are J rounded once, while with the refusal deleted 30 of the 56
+        # come back as a wrong double
+        monkeypatch.setattr(specfun, "_HANKEL_CERT_BITS", 50)
+        monkeypatch.setattr(specfun, "_HANKEL_STOP_BITS", 56)
+        cold_memos(specfun._hankel_table)
+        points = [
+            (complex(2.5 + q, sign * g), float(u))
+            for q in (0.5, 1.0) for g in zeros100.zeros[:6] for sign in (1, -1)
+            for u in range(300, 1001, 100)
+        ]
+
+        def rounded(nu, u):
+            with mp.workprec(300):
+                v = mpmath.besselj(mpmath.mpc(nu.real, nu.imag), u)
+            return complex(float(v.real), float(v.imag))
+
+        got = {c: _bessel_hankel(*c) for c in points}
+        refused = [c for c, d in got.items() if d is None]
+        # refusals of both signs: the conjugate branch passes one on
+        assert {c[0].imag > 0 for c in refused} == {True, False}
+        for c, d in got.items():
+            if d is not None:
+                assert d.value == rounded(*c), c
+        # the kernel with its last refusal deleted, run under the same constants
+        source = textwrap.dedent(inspect.getsource(specfun._bessel_hankel))
+        deleted = source.replace("if lo_r != hi_r or lo_i != hi_i:", "if False:")
+        assert deleted != source
+        scope = dict(vars(specfun))
+        exec(deleted, scope)
+        wrong = [c for c in refused if scope["_bessel_hankel"](*c).value != rounded(*c)]
+        assert 0 < len(wrong) < len(refused)
+        d = bessel_j_detailed(*refused[0])
+        assert d.strategy == "series"
+        assert d.value == rounded(*refused[0])
+
     def test_refusal_falls_back_to_the_series(self, monkeypatch):
         monkeypatch.setattr(specfun, "_bessel_hankel", lambda nu, u: None)
         for nu, u in ((3.5 + 49.77j, 1000.0), (4.0 + 0.0j, 1405.0)):
@@ -510,7 +551,17 @@ class TestAdaptiveGaussKronrod:
 
     def test_a_step_hits_the_depth_limit(self):
         # no panel straddling the step at 1/3 meets 1e-20
-        with pytest.raises(QuadratureError) as exc:
+        with pytest.raises(PrecisionError) as exc:
             adaptive_gauss_kronrod(lambda x: float(x > 1.0 / 3.0), 0.0, 1.0, 1e-20)
         assert "max depth" in str(exc.value)
         assert exc.value.strategy == "gauss-kronrod"
+
+    def test_the_panel_budget_runs_out(self, monkeypatch):
+        monkeypatch.setattr("linnik.quadrature._MAX_PANELS", 10)
+        with pytest.raises(PrecisionError) as exc:
+            adaptive_gauss_kronrod(lambda x: float(x > 1.0 / 3.0), 0.0, 1.0, 1e-20)
+        assert exc.value.strategy == "gauss-kronrod"
+        assert re.fullmatch(
+            r"panel budget exhausted on \[\S+, \S+\] \(err \d\.\d{3}e-\d\d, tol 1\.000e-20\)",
+            str(exc.value),
+        )

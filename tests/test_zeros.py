@@ -71,6 +71,19 @@ class TestLoadZeros:
                 load_zeros(p)
             assert exc.value.line == 1
 
+    def test_non_utf8_line_is_named(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"14.134725141\n\xff21.022039638\n")
+        with pytest.raises(ZeroTableError) as exc:
+            load_zeros(p)
+        assert exc.value.line == 2
+
+    def test_unreadable_path_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_zeros(tmp_path / "missing.txt")
+        with pytest.raises(IsADirectoryError):
+            load_zeros(tmp_path)
+
     def test_second_column_names_line(self, tmp_path):
         # every zero is 1/2 + i gamma: a table holds ordinates only
         p = tmp_path / "z.txt"
