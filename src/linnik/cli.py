@@ -1,23 +1,27 @@
 """Command-line front end.
 
-Subcommands: evaluate, scan, zeros {compute,validate,info}, probe, selftest,
-and bessel (ad-hoc single evaluation for debugging). evaluate and scan share
+Subcommands: evaluate, scan, zeros {compute,info}, probe, selftest, and
+bessel (ad-hoc single evaluation for debugging). evaluate and scan share
 --zeros, --Z, --L, --M, --tol, --format and --allow-subcritical; a cutoff
 given is used as is, and formula.default_truncation chooses the others for
---tol at every N.
+--tol at every N. zeros info loads a table with every check of load_zeros.
 
 All outputs are deterministic functions of the configuration and input files:
 numbers are serialized with 17 significant digits, no timestamps or wallclock
 figures are written, and reruns produce byte-identical files. One CSV writer
 writes every table; the evaluate/scan rows have one schema, _ROW_FIELDS, in CSV
 and JSON. evaluate and scan print each report's notes as "note: <text>" lines.
+The directory of every output path (--out, --plot-data) is checked before any
+work, so a run that cannot write its result computes nothing and writes nothing.
 
 Exit codes: 0 ok, 1 usage, 2 data/validation, 3 numeric/precision.
 """
 
 import argparse
 import cmath
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -155,10 +159,6 @@ def cmd_zeros(args) -> int:
         )
         return EXIT_OK
     zs = _load_zero_set(args.table)
-    if args.zeros_cmd == "validate":
-        print(f"OK, count={zs.count}")
-        return EXIT_OK
-    # info
     lo = zs.zeros[0] if zs.count else float("nan")
     hi = zs.zeros[-1] if zs.count else float("nan")
     print(f"count={zs.count} gamma_first={_fmt(lo)} gamma_last={_fmt(hi)}")
@@ -240,29 +240,18 @@ def _selftest_checks():
 
 
 def cmd_selftest(args) -> int:
-    results = []
     first_fail = None
     for name, category, check in _selftest_checks():
         try:
             check()
-            results.append((name, True, ""))
+            print(f"PASS {name}")
         except Exception as exc:  # noqa: BLE001 - report every failure mode
-            results.append((name, False, str(exc)))
+            print(f"FAIL {name}" + (f" ({exc})" if str(exc) else ""))
             if first_fail is None:
                 first_fail = (name, category)
-    if args.json:
-        checks = ", ".join(
-            '{"name": "%s", "passed": %s}' % (n, "true" if ok else "false")
-            for n, ok, _ in results
-        )
-        print('{"checks": [' + checks + "]}")
-    else:
-        for n, ok, detail in results:
-            print(f"{'PASS' if ok else 'FAIL'} {n}" + (f" ({detail})" if detail else ""))
     if first_fail is None:
         return EXIT_OK
-    if not args.json:
-        print(f"first failing check: {first_fail[0]}")
+    print(f"first failing check: {first_fail[0]}")
     return first_fail[1]
 
 
@@ -300,9 +289,9 @@ def _build_parser() -> _Parser:
     ev.set_defaults(func=cmd_evaluate)
 
     sc = sub.add_parser("scan", parents=[terms], help="scaling study over an N grid")
-    sc.add_argument("--N-list", dest="N_list", default="")
-    sc.add_argument("--k", type=float, default=2.0)
-    sc.add_argument("--out", default="scan.csv")
+    sc.add_argument("--N-list", dest="N_list", required=True)
+    sc.add_argument("--k", type=float, required=True)
+    sc.add_argument("--out", required=True)
     sc.add_argument("--plot-data", dest="plot_data", default=None)
     sc.set_defaults(func=cmd_scan)
 
@@ -311,10 +300,8 @@ def _build_parser() -> _Parser:
     zc = zsub.add_parser("compute", help="compute a zero table with mpmath")
     zc.add_argument("--count", type=int, required=True)
     zc.add_argument("--out", default=None)
-    zv = zsub.add_parser("validate")
-    zv.add_argument("table", help="'bundled' or path")
-    zi = zsub.add_parser("info")
-    zi.add_argument("table", nargs="?", default="bundled")
+    zi = zsub.add_parser("info", help="load a table, with every check, and summarize it")
+    zi.add_argument("table", nargs="?", default="bundled", help="'bundled' or path")
     zr.set_defaults(func=cmd_zeros)
 
     pr = sub.add_parser("probe", help="convergence-threshold probe")
@@ -327,7 +314,6 @@ def _build_parser() -> _Parser:
     pr.set_defaults(func=cmd_probe)
 
     st = sub.add_parser("selftest", help="fast invariant suite")
-    st.add_argument("--json", action="store_true")
     st.set_defaults(func=cmd_selftest)
 
     be = sub.add_parser(
@@ -350,6 +336,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for out in (getattr(args, "out", None), getattr(args, "plot_data", None)):
+            if out and not Path(out).parent.is_dir():  # before any work, not after it
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

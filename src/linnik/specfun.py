@@ -289,7 +289,8 @@ def _bessel_series(nu: complex, u: float) -> BesselEval:
 # u = 2400; so is every real-order call of those and of large_n (u from
 # 300 to 16860), in about 0.2 ms on a cold table. The floor stays at 300
 # because the series calls at u = 281 below it are the ones
-# perfbench/test_repeat.py counts.
+# perfbench/test_repeat.py counts; with the floor at 60, 116 of 124 such
+# points below 300 certify (tests/test_specfun.py).
 _HANKEL_MIN_U = 300.0
 _HANKEL_NU_RATIO = 1.5
 

@@ -430,19 +430,23 @@ def _identity_row(zs, N: int, k: float, spec) -> list:
     return [(N, k, "m1+m3+m4", _unpaired_blocks(N, k)["omega2"], value, tail)]
 
 
-def _paired_rows(zs, N: int, k: float, spec) -> list:
+def _paired_rows(zs, N: int, k: float, spec, Z: int = PAIRED_Z, components=()) -> list:
     """(N, k, term, exact, value, tail) for the paired part of m3 and m4 over
-    the first PAIRED_Z zeros, taken as value(Z) - value(0) so that each cell's
+    the first Z zeros, taken as value(Z) - value(0) so that each cell's
     sign counts, against the Hardy sums with M3 = lattice - zeros and
-    M4 = block1 - block2 - block3 + block4, within the term's reported cut tail."""
+    M4 = block1 - block2 - block3 + block4, within the term's reported cut tail.
+    Then (N, k, name, exact, value, tail) for each paired component named in
+    components, against its Hardy sum, within the same tail."""
     params = CesaroParams(N=N, k=k)
-    at_z, at0 = replace(spec, Z=PAIRED_Z), replace(spec, Z=0)
-    exact = _paired_blocks(N, k, zs.zeros[:PAIRED_Z])
+    at_z, at0 = replace(spec, Z=Z), replace(spec, Z=0)
+    exact = _paired_blocks(N, k, zs.zeros[:Z])
     rows = []
     for term, key, want in ((m3_term, "lattice", -exact["zeros"]),
                             (m4_term, "msum", exact["block4"] - exact["block3"])):
         t = term(params, zs, at_z)
         rows.append((N, k, key, want, t.value - term(params, zs, at0).value, t.tail_bounds[key]))
+        rows += [(N, k, name, exact[name], t.components[name], t.tail_bounds[key])
+                 for name in components if name in t.components]
     return rows
 
 
@@ -486,6 +490,42 @@ def test_c12_m3_m4_paired_rows(zeros100, c12_specs):
             f"tail/|exact - value| = {_ratios(rows)} over m3 and m4 at Z = {PAIRED_Z}, "
             "N = 500, 2000, k = 2")
     assert ok
+
+
+# Criterion 14: each paired M3/M4 component at production Z against the Hardy
+# sums over the same zeros, so that only the point cut lies between them
+
+C14_GRID = tuple((N, k) for N in (500, 2000) for k in (2.0, 2.5))
+C14_Z = 50
+C14_PAIRED = ("zeros", "block3", "block4")
+
+
+@pytest.fixture(scope="module")
+def c14_rows(zeros100):
+    """_paired_rows at Z = C14_Z, L = M = 64: m3's and m4's paired parts and
+    their paired components over the same zeros as the Hardy sums."""
+    spec = TruncationSpec(Z=C14_Z, L=64, M=64, tol=1.0)
+    return [row for N, k in C14_GRID
+            for row in _paired_rows(zeros100, N, k, spec, C14_Z, C14_PAIRED)]
+
+
+def test_c14_m3_m4_paired_components_at_production_Z(c14_rows):
+    ok = not _outside(c14_rows)
+    _report(14, "m3/m4 paired components at Z = 50", ok,
+            f"tail/|exact - value| = {_ratios(c14_rows)} over {len(c14_rows)} rows, "
+            "L = M = 64, N = 500, 2000, k = 2, 2.5")
+    assert ok
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0], ids=["dropped", "flipped"])
+def test_c14_fails_when_a_paired_component_is_dropped_or_flipped(c14_rows, scale):
+    # m3's zeros lies inside m3's cut tail at N = 2000, k = 2 (|zeros| is
+    # 0.31 of it), so a dropped or flipped zeros passes there
+    missed = {name: [] for name in C14_PAIRED}
+    for row in c14_rows:
+        if row[2] in missed and not _outside([row], scale):
+            missed[row[2]].append(row[:2])
+    assert missed == {"zeros": [(2000, 2.0)], "block3": [], "block4": []}
 
 
 def _failed_checks(zs, specs) -> dict:

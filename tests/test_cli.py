@@ -84,6 +84,18 @@ class TestEvaluateCommand:
         ]) == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith("data error: [Errno ")
 
+    def test_a_missing_output_directory_is_refused_before_the_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(formula, "evaluate", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["evaluate", "--N", "300000", "--k", "2", "--out", str(out)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+        assert calls == []
+
 
 class TestScanCommand:
     def test_three_point_scan_with_plot_data(self, tmp_path):
@@ -102,7 +114,7 @@ class TestScanCommand:
         assert len(plot_lines) == 4
 
     def test_single_N_is_usage_error(self, tmp_path):
-        assert run(["scan", "--N-list", "500", "--out", str(tmp_path / "s.csv")]) == 1
+        assert run(["scan", "--N-list", "500", "--k", "2", "--out", str(tmp_path / "s.csv")]) == 1
 
     @pytest.mark.parametrize("n_list, k", [("500,1000,2000", "400"), ("500,500,500", "2")])
     def test_k_past_double_range_or_a_repeated_N_is_a_validation_error(
@@ -115,7 +127,7 @@ class TestScanCommand:
 
     def test_malformed_N_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        assert run(["scan", "--N-list", "500,abc,2000", "--out", str(out)]) == 1
+        assert run(["scan", "--N-list", "500,abc,2000", "--k", "2", "--out", str(out)]) == 1
         assert "usage error:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -155,10 +167,29 @@ class TestScanCommand:
         # the fit it ran is the selftest check loglog_fit
         assert run(["scan", "--synthetic-selftest"]) == 1
 
+    @pytest.mark.parametrize("missing", ["--N-list", "--k", "--out"])
+    def test_each_of_N_list_k_and_out_is_required(self, tmp_path, capsys, missing):
+        given = {"--N-list": "500,1000,2000", "--k": "2", "--out": str(tmp_path / "s.csv")}
+        del given[missing]
+        assert run(["scan", *(x for item in given.items() for x in item)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: the following arguments are required: {missing}\n"
+        )
+
+    def test_a_missing_plot_directory_is_refused_before_the_work(self, tmp_path, capsys):
+        out, plot = tmp_path / "s.csv", tmp_path / "missing" / "p.csv"
+        assert run(["scan", "--N-list", "500,1000,2000", "--k", "2", "--Z", "5", "--L", "3",
+                    "--M", "2", "--out", str(out), "--plot-data", str(plot)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: [Errno 2] No such file or directory: '{plot}'\n"
+        )
+        assert not out.exists()
+
 
 class TestZerosCommand:
+    # zeros info loads a table with every check of load_zeros
     def test_validate_bundled(self, capsys):
-        assert run(["zeros", "validate", "bundled"]) == 0
+        assert run(["zeros", "info", "bundled"]) == 0
         assert "count=100" in capsys.readouterr().out
 
     def test_info(self, capsys):
@@ -173,7 +204,7 @@ class TestZerosCommand:
         data = out.read_bytes()
         assert run(["zeros", "compute", "--count", "5", "--out", str(out)]) == 0
         assert out.read_bytes() == data
-        assert run(["zeros", "validate", str(out)]) == 0
+        assert run(["zeros", "info", str(out)]) == 0
         assert "count=5" in capsys.readouterr().out
         assert load_zeros(out).zeros == compute_zeros(5).zeros
 
@@ -183,12 +214,12 @@ class TestZerosCommand:
     def test_validate_bad_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("14.2\n13.0\n")
-        assert run(["zeros", "validate", str(bad)]) == cli.EXIT_DATA
+        assert run(["zeros", "info", str(bad)]) == cli.EXIT_DATA
 
     def test_validate_two_column_file_names_line(self, tmp_path, capsys):
         bad = tmp_path / "beta.txt"
         bad.write_text("14.134725141\n21.022039638 0.5\n")
-        assert run(["zeros", "validate", str(bad)]) == cli.EXIT_DATA
+        assert run(["zeros", "info", str(bad)]) == cli.EXIT_DATA
         assert "data error: line 2: expected 1 column, got 2" in capsys.readouterr().err
 
     def test_info_of_a_missing_file(self, tmp_path, capsys):
@@ -198,8 +229,12 @@ class TestZerosCommand:
     def test_validate_non_utf8_file_names_line(self, tmp_path, capsys):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"14.134725141\n# \xe9\n21.022039638\n")
-        assert run(["zeros", "validate", str(bad)]) == cli.EXIT_DATA
+        assert run(["zeros", "info", str(bad)]) == cli.EXIT_DATA
         assert capsys.readouterr().err == "data error: line 2: not UTF-8 text\n"
+
+    def test_removed_validate_command_is_a_usage_error(self):
+        # zeros info runs the same checks
+        assert run(["zeros", "validate", "bundled"]) == cli.EXIT_USAGE
 
 
 class TestProbeCommand:
@@ -275,15 +310,13 @@ class TestSelftestCommand:
         assert out.count("PASS") == 6
         assert "PASS loglog_fit" in out
         assert "FAIL" not in out
-
-    def test_json_output(self, capsys):
-        assert run(["selftest", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert all(c["passed"] for c in doc["checks"])
-        assert {c["name"] for c in doc["checks"]} == {
+        assert out.splitlines() == [f"PASS {name}" for name in (
             "theta_modularity", "laplace_identity", "bessel_recurrence",
             "rq_oracle", "zeros_bundled", "loglog_fit",
-        }
+        )]
+
+    def test_removed_json_flag_is_a_usage_error(self):
+        assert run(["selftest", "--json"]) == cli.EXIT_USAGE
 
     def test_corrupted_zero_table_fails_by_name(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "zeros100.txt"

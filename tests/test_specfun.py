@@ -487,6 +487,31 @@ class TestHankelKernel:
             assert d is not None, (nu, u)
             assert d.value == _besselj_300(nu, u), (nu, u)
 
+    def test_certified_values_below_the_floor_are_correctly_rounded(
+        self, zeros100, monkeypatch, cold_memos
+    ):
+        # the workloads' points below u = 300, which take the series today:
+        # u = 2 pi sqrt(lam) sqrt(N), N = 500, 1000, 2000, lam = 1, 2, 4; the
+        # real orders 4 and 3.5, and k + c + rho, k = 2, c = 1, 1/2, at every
+        # 7th zero and its conjugate where u >= 1.5 |nu|. 116 of the 124
+        # points certify, with the floor at 60
+        us = {2.0 * math.pi * math.sqrt(lam) * math.sqrt(N)
+              for N in (500.0, 1000.0, 2000.0) for lam in (1, 2, 4)}
+        us = sorted(u for u in us if u < 300.0)
+        orders = [complex(4.0), complex(3.5)]
+        orders += [complex(2.0 + c + 0.5, sign * g)
+                   for g in zeros100.zeros[::7] for c in (1.0, 0.5) for sign in (1, -1)]
+        points = [(nu, u) for nu in orders for u in us if u >= 1.5 * abs(nu)]
+        assert len(points) == 124
+        assert bessel_j_detailed(*points[0]).strategy == "series"  # the floor is 300
+        monkeypatch.setattr(specfun, "_HANKEL_MIN_U", 60.0)
+        # a table built for the lower floor must not reach later tests
+        cold_memos(specfun._hankel_table)
+        certified = [(c, d) for c in points if (d := _bessel_hankel(*c)) is not None]
+        assert len(certified) >= 100
+        for c, d in certified:
+            assert d.value == _besselj_300(*c), c
+
 
 def _besselj_300(nu: complex, u: float) -> complex:
     with mp.workprec(300):
