@@ -11,8 +11,11 @@ numbers are serialized with 17 significant digits, no timestamps or wallclock
 figures are written, and reruns produce byte-identical files. One CSV writer
 writes every table; the evaluate/scan rows have one schema, _ROW_FIELDS, in CSV
 and JSON. evaluate and scan print each report's notes as "note: <text>" lines.
-The directory of every output path (--out, --plot-data) is checked before any
-work, so a run that cannot write its result computes nothing and writes nothing.
+Every output path (--out, --plot-data) is checked before any work: its
+directory must exist and the path must not be a directory, so a run that cannot
+write its result computes nothing and writes nothing. An empty --N-list entry is
+a usage error, and formula.evaluate refuses a --Z past the zero table before
+it computes anything.
 
 Exit codes: 0 ok, 1 usage, 2 data/validation, 3 numeric/precision.
 """
@@ -117,7 +120,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_scan(args) -> int:
     try:
-        n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
+        n_list = [int(x) for x in args.N_list.split(",")]
     except ValueError as exc:
         raise _UsageError(f"--N-list must be comma-separated integers ({exc})") from None
     if len(n_list) < 3:
@@ -262,7 +265,7 @@ def cmd_bessel(args) -> int:
         f"{_fmt(args.u)}) = {_fmt(d.value.real)} {'+' if d.value.imag >= 0 else '-'} "
         f"{_fmt(abs(d.value.imag))}i"
     )
-    print(f"strategy={d.strategy} bits={d.bits} terms={d.terms} err_estimate={_fmt(d.err_estimate)}")
+    print(f"strategy={d.strategy} bits={d.bits} terms={d.terms}")
     return EXIT_OK
 
 
@@ -322,8 +325,7 @@ def _build_parser() -> _Parser:
         "and nu alone (see linnik.specfun): the fixed-point Hankel kernel "
         "(strategy=hankel) when u >= max(300, 1.5 |nu|) and it certifies the "
         "value, the power series (strategy=series) otherwise. Print the value "
-        "with that path's strategy, working bits, terms summed and error "
-        "estimate.",
+        "with that path's strategy, working bits and terms summed.",
     )
     be.add_argument("--nu-re", dest="nu_re", type=float, required=True)
     be.add_argument("--nu-im", dest="nu_im", type=float, default=0.0)
@@ -336,9 +338,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for out in (getattr(args, "out", None), getattr(args, "plot_data", None)):
-            if out and not Path(out).parent.is_dir():  # before any work, not after it
+        for out in filter(None, (getattr(args, "out", None), getattr(args, "plot_data", None))):
+            # the error the write would raise, before any work, not after it
+            if not Path(out).parent.is_dir():
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+            if Path(out).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

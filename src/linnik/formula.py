@@ -443,13 +443,17 @@ def evaluate(
 
     k <= 3/2 (outside the theorem range) is refused unless allow_subcritical
     is set. The m2/m3/m4 values are real by construction (conjugate pairing);
-    no imaginary part is ever dropped. Every note of the report is written
-    here, in this order: a subcritical k, the k = 0 convention, m2 below its
-    absolute-convergence range k > 1/2, and each term whose reported tail
-    bound exceeds spec.tol. Each part is timed into wallclock under its name
-    and tags the failures it raises with that name.
+    no imaginary part is ever dropped. A spec.Z past the table is refused
+    before any part is computed. Every note of the report is written here, in
+    this order: a subcritical k, the k = 0 convention, m2 below its
+    absolute-convergence range k > 1/2, each term whose reported tail bound
+    exceeds spec.tol, and each of m2, m3 and m4 whose reported tail bound
+    exceeds its own |value| (unresolved). Each part is timed into wallclock
+    under its name and tags the failures it raises with that name.
     """
     N, k = params.N, params.k
+    if spec.Z > zs.count:
+        raise DomainError(f"Z = {spec.Z} out of range for table of {zs.count} zeros")
     notes = []
     if k <= THEOREM_MIN_K:
         if not allow_subcritical:
@@ -476,6 +480,11 @@ def evaluate(
         f"{name} tail bound {tail:.3e} exceeds tol {spec.tol:.3e}"
         for name, tail in tails.items()
         if tail > spec.tol
+    )
+    notes.extend(
+        f"{name} unresolved: tail {tail:.3e} > |{name}| {abs(values[name]):.3e}"
+        for name, tail in tails.items()
+        if tail > abs(values[name])
     )
     return FormulaReport(
         params=params, lhs=lhs, **values, tail_bounds=tails, wallclock=wall, notes=tuple(notes)

@@ -34,9 +34,10 @@ two paths, chosen from (u, nu) alone:
   its first term. The prefactor is exp(nu log(u/2) - log Gamma(nu+1)),
   with log Gamma from the same memo as gamma_ratio.
 
-Every path returns an error estimate and never returns a value it cannot
-certify: the fixed-point kernel hands such a call to the series, and the
-series raises PrecisionError.
+The kernel returns the correctly rounded double of J, and the series a value
+within 4 ulps of it (it adds guard bits until they cover the cancellation).
+No path returns a value it cannot certify: the fixed-point kernel hands such
+a call to the series, and the series raises PrecisionError.
 
 No main term calls laplace_line_integral; it stays in the package because
 `linnik selftest` checks the Laplace pair with it, a user's only check of
@@ -75,7 +76,6 @@ class BesselEval:
     strategy: str
     bits: int
     terms: int
-    err_estimate: float
 
 
 _LG_PREC = 80  # bits; log Gamma can reach ~10^3, so doubles alone would cap
@@ -171,9 +171,6 @@ def gamma_ratio(rho, offset) -> complex:
 # Bessel J: power series
 # ---------------------------------------------------------------------------
 
-# The series adds guard bits until it has accounted for the cancellation, so
-# a series value rounded to a double is claimed to a couple of ulps relative.
-_SERIES_REL_ERR = 4.0 * 2.0**-53
 # mpmath's hypsum budget: 50 guard bits on the first pass, a stop at a term
 # below 2^25 units (5 bits lower on each repeat), and at most
 # 1000 p^(1/4) + 4 p guard bits for p = 80 (3310)
@@ -272,7 +269,7 @@ def _bessel_series(nu: complex, u: float) -> BesselEval:
         raise _range_error(nu, u, "series")
     if nu.imag == 0.0:
         value = complex(value.real, 0.0)
-    return BesselEval(value, "series", wp, n, _SERIES_REL_ERR)
+    return BesselEval(value, "series", wp, n)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +517,7 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
         raise _range_error(nu, u, "hankel") from None
     if lo_r != hi_r or lo_i != hi_i:
         return None
-    # |x| >= size / sqrt 2
-    err_rel = 3 * err / (2 * size) + 2.0**-53
-    return BesselEval(complex(lo_r, lo_i), "hankel", wp, k, err_rel)
+    return BesselEval(complex(lo_r, lo_i), "hankel", wp, k)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +535,9 @@ def bessel_j_detailed(nu, u: float) -> BesselEval:
         raise DomainError("negative integer order not supported")
     if u == 0.0:
         if nu == 0:
-            return BesselEval(1.0 + 0.0j, "exact", 53, 0, 0.0)
+            return BesselEval(1.0 + 0.0j, "exact", 53, 0)
         if nu.real > 0:
-            return BesselEval(0.0 + 0.0j, "exact", 53, 0, 0.0)
+            return BesselEval(0.0 + 0.0j, "exact", 53, 0)
         raise DomainError(f"J_nu(0) undefined for Re(nu) <= 0 (nu = {nu})")
 
     # the fixed-point Hankel kernel past its line, and the series for the

@@ -96,6 +96,15 @@ class TestEvaluateCommand:
         )
         assert calls == []
 
+    def test_a_directory_output_is_refused_before_the_work(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(formula, "evaluate", lambda *a, **kw: calls.append(a))
+        assert run(["evaluate", "--N", "300000", "--k", "2", "--out", str(tmp_path)]) == (
+            cli.EXIT_DATA
+        )
+        assert capsys.readouterr().err == f"data error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert calls == []
+
 
 class TestScanCommand:
     def test_three_point_scan_with_plot_data(self, tmp_path):
@@ -129,6 +138,16 @@ class TestScanCommand:
         out = tmp_path / "s.csv"
         assert run(["scan", "--N-list", "500,abc,2000", "--k", "2", "--out", str(out)]) == 1
         assert "usage error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_list", ["500,,1000,2000", "500,1000,2000,"])
+    def test_an_empty_N_entry_is_usage_error(self, tmp_path, capsys, n_list):
+        out = tmp_path / "s.csv"
+        assert run(["scan", "--N-list", n_list, "--k", "2", "--Z", "2", "--L", "3", "--M", "2",
+                    "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "usage error: --N-list must be comma-separated integers"
+        )
         assert not out.exists()
 
     def test_tol_sizes_the_cutoffs_as_evaluate_does(self, tmp_path):
@@ -183,6 +202,14 @@ class TestScanCommand:
         assert capsys.readouterr().err == (
             f"data error: [Errno 2] No such file or directory: '{plot}'\n"
         )
+        assert not out.exists()
+
+    def test_a_directory_plot_path_is_refused_before_the_work(self, tmp_path, capsys):
+        out, plot = tmp_path / "s.csv", tmp_path / "p.csv"
+        plot.mkdir()
+        assert run(["scan", "--N-list", "500,1000,2000", "--k", "2", "--Z", "5", "--L", "3",
+                    "--M", "2", "--out", str(out), "--plot-data", str(plot)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: [Errno 21] Is a directory: '{plot}'\n"
         assert not out.exists()
 
 
@@ -389,6 +416,8 @@ class TestOutputBytes:
         "note: m2 tail bound 4.769e+03 exceeds tol 5.000e+01\n"
         "note: m3 tail bound 1.537e+06 exceeds tol 5.000e+01\n"
         "note: m4 tail bound 1.609e+06 exceeds tol 5.000e+01\n"
+        "note: m3 unresolved: tail 1.537e+06 > |m3| 2.064e+00\n"
+        "note: m4 unresolved: tail 1.609e+06 > |m4| 2.365e+03\n"
     )
     EVALUATE_FILES = {
         "csv": (
@@ -410,14 +439,21 @@ class TestOutputBytes:
         "note: m2 tail bound 1.206e+04 exceeds tol 2.700e+01\n"
         "note: m3 tail bound 1.283e+05 exceeds tol 2.700e+01\n"
         "note: m4 tail bound 1.768e+06 exceeds tol 2.700e+01\n"
+        "note: m3 unresolved: tail 1.283e+05 > |m3| 3.326e+00\n"
+        "note: m4 unresolved: tail 1.768e+06 > |m4| 3.109e+02\n"
         "N=400 residual=-13753972.708876014 normalized_residual=-0.2149058235761877\n"
         "note: m2 tail bound 3.146e+04 exceeds tol 6.400e+01\n"
         "note: m3 tail bound 2.382e+05 exceeds tol 6.400e+01\n"
         "note: m4 tail bound 3.198e+06 exceeds tol 6.400e+01\n"
+        "note: m2 unresolved: tail 3.146e+04 > |m2| 2.863e+04\n"
+        "note: m3 unresolved: tail 2.382e+05 > |m3| 4.382e+01\n"
+        "note: m4 unresolved: tail 3.198e+06 > |m4| 2.315e+02\n"
         "N=500 residual=-27211478.754304171 normalized_residual=-0.21769183003443338\n"
         "note: m2 tail bound 6.642e+04 exceeds tol 1.250e+02\n"
         "note: m3 tail bound 3.115e+05 exceeds tol 1.250e+02\n"
         "note: m4 tail bound 5.064e+06 exceeds tol 1.250e+02\n"
+        "note: m3 unresolved: tail 3.115e+05 > |m3| 7.707e+01\n"
+        "note: m4 unresolved: tail 5.064e+06 > |m4| 6.956e+02\n"
         "slope=3.0637635196227722\n"
     )
     SCAN_JSON = (
@@ -458,12 +494,12 @@ class TestOutputBytes:
         "bessel": (
             ["bessel", "--nu-re", "3.5", "--nu-im", "14.1347", "--u", "628.3"],
             "J(3.5+14.1347i, 628.29999999999995) = 63673133.998285413 - 10792740.039449632i\n"
-            "strategy=hankel bits=90 terms=17 err_estimate=1.1102230417152761e-16\n",
+            "strategy=hankel bits=90 terms=17\n",
         ),
         "bessel negative order": (
             ["bessel", "--nu-re", "3.5", "--nu-im", "-14.1347", "--u", "628.3"],
             "J(3.5-14.1347i, 628.29999999999995) = 63673133.998285413 + 10792740.039449632i\n"
-            "strategy=hankel bits=90 terms=17 err_estimate=1.1102230417152761e-16\n",
+            "strategy=hankel bits=90 terms=17\n",
         ),
         "zeros info": (
             ["zeros", "info"],

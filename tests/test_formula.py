@@ -417,14 +417,28 @@ class TestEvaluate:
     def test_subcritical_m2_flagged_in_note_order(self, zeros100, spec50):
         rep = evaluate(CesaroParams(N=100, k=0.4), zeros100, spec50, allow_subcritical=True)
         assert any("k > 1/2" in note for note in rep.notes)
-        # subcritical, then the m2 range note, then the tail notes
+        # subcritical, then the m2 range note, then the tail notes: first
+        # those past tol, then those past their term's own |value|
         assert rep.notes[0].startswith("subcritical probe")
         assert "k > 1/2" in rep.notes[1]
-        assert rep.notes[2:] and all("exceeds tol" in n for n in rep.notes[2:])
+        n_tol = sum("exceeds tol" in n for n in rep.notes[2:])
+        assert n_tol and all("exceeds tol" in n for n in rep.notes[2:2 + n_tol])
+        unresolved = rep.notes[2 + n_tol:]
+        assert unresolved and all(" unresolved: tail " in n for n in unresolved)
         # k = 0 adds its convention between the two
         rep = evaluate(CesaroParams(N=100, k=0.0), zeros100, spec50, allow_subcritical=True)
         assert rep.notes[1] == "k = 0 uses the (N-n)^0 = 1 convention at n = N"
         assert "k > 1/2" in rep.notes[2]
+
+    def test_a_Z_past_the_table_is_refused_before_the_work(self, zeros100, monkeypatch):
+        def build(*args):
+            raise AssertionError("compute_rq called")
+
+        monkeypatch.setattr(arithmetic, "compute_rq", build)
+        spec = TruncationSpec(Z=101, L=3, M=2, tol=1.0)
+        with pytest.raises(DomainError) as exc:
+            evaluate(CesaroParams(N=1000003, k=2.0), zeros100, spec)
+        assert str(exc.value) == "Z = 101 out of range for table of 100 zeros"
 
     def test_lhs_error_is_tagged_like_the_terms(self, zeros100, spec50):
         with pytest.raises(DomainError) as exc:
