@@ -2,20 +2,20 @@
 
 Subcommands: evaluate, scan, zeros {compute,info}, probe, selftest, and
 bessel (ad-hoc single evaluation for debugging). evaluate and scan share
---zeros, --Z, --L, --M, --tol, --format and --allow-subcritical; a cutoff
-given is used as is, and formula.default_truncation chooses the others for
---tol at every N. zeros info loads a table with every check of load_zeros.
+--zeros, --Z, --L, --M, --tol and --allow-subcritical; a cutoff given is used
+as is, and formula.default_truncation chooses the others for --tol at every
+N. zeros info loads a table with every check of load_zeros.
 
 All outputs are deterministic functions of the configuration and input files:
 numbers are serialized with 17 significant digits, no timestamps or wallclock
 figures are written, and reruns produce byte-identical files. One CSV writer
-writes every table; the evaluate/scan rows have one schema, _ROW_FIELDS, in CSV
-and JSON. evaluate and scan print each report's notes as "note: <text>" lines.
-Every output path (--out, --plot-data) is checked before any work: its
-directory must exist and the path must not be a directory, so a run that cannot
-write its result computes nothing and writes nothing. An empty --N-list entry is
-a usage error, and formula.evaluate refuses a --Z past the zero table before
-it computes anything.
+writes every table; the evaluate/scan rows have one schema, _ROW_FIELDS, and
+the --out file is the one result of either command. evaluate and scan print
+each report's notes as "note: <text>" lines. An --out path is checked before
+any work: its directory must exist and the path must not be a directory, so a
+run that cannot write its result computes nothing and writes nothing. An empty
+--N-list entry is a usage error, and a --Z past the zero table is refused
+before anything is computed.
 
 Exit codes: 0 ok, 1 usage, 2 data/validation, 3 numeric/precision.
 """
@@ -65,26 +65,10 @@ def _report_row(rep, slope=None) -> tuple:
 
 
 def _write_csv(header: str, rows, out) -> None:
-    """Write the header line and one line of comma-joined _fmt values per row."""
+    """Write the header line and one line of comma-joined _fmt values per row
+    to the file out, or to stdout when out is None."""
     lines = [header] + [",".join(_fmt(x) for x in row) for row in rows]
-    _emit("\n".join(lines) + "\n", out)
-
-
-def _write_rows(path, rows, fmt: str) -> None:
-    """Write _report_row rows as CSV, or as JSON objects keyed by _ROW_FIELDS."""
-    if fmt == "csv":
-        _write_csv(",".join(_ROW_FIELDS), rows, path)
-        return
-    objs = (
-        "{" + ", ".join(f'"{f}": ' + (f'"{x}"' if isinstance(x, str) else _fmt(x))
-                        for f, x in zip(_ROW_FIELDS, row)) + "}"
-        for row in rows
-    )
-    _emit('{"rows": [' + ", ".join(objs) + "]}\n", path)
-
-
-def _emit(payload: str, out) -> None:
-    """Write payload to the file out, or to stdout when out is None."""
+    payload = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(payload, encoding="utf-8", newline="\n")
     else:
@@ -108,7 +92,7 @@ def cmd_evaluate(args) -> int:
     params = CesaroParams(N=args.N, k=args.k)
     spec = formula.default_truncation(params, zs, **_cutoffs(args))
     rep = formula.evaluate(params, zs, spec, allow_subcritical=args.allow_subcritical)
-    _write_rows(args.out, [_report_row(rep)], args.format)
+    _write_csv(",".join(_ROW_FIELDS), [_report_row(rep)], args.out)
     print(
         f"N={rep.params.N} k={_fmt(rep.params.k)} residual={_fmt(rep.residual)} "
         f"normalized_residual={_fmt(rep.normalized_residual)}"
@@ -130,14 +114,7 @@ def cmd_scan(args) -> int:
         n_list, args.k, zs, allow_subcritical=args.allow_subcritical, **_cutoffs(args)
     )
     rows = [_report_row(rep, slope=study.slope) for rep in study.rows]
-    _write_rows(args.out, rows, args.format)
-    if args.plot_data:
-        _write_csv(
-            "log_N,log_abs_residual",
-            ((math.log(rep.params.N), math.log(abs(rep.residual)))
-             for rep in study.rows if rep.residual != 0.0),
-            args.plot_data,
-        )
+    _write_csv(",".join(_ROW_FIELDS), rows, args.out)
     for rep in study.rows:
         print(
             f"N={rep.params.N} residual={_fmt(rep.residual)} "
@@ -280,7 +257,6 @@ def _build_parser() -> _Parser:
     terms.add_argument("--L", type=int, default=None)
     terms.add_argument("--M", type=int, default=None)
     terms.add_argument("--tol", type=float, default=None)
-    terms.add_argument("--format", choices=("csv", "json"), default="csv")
     terms.add_argument("--allow-subcritical", action="store_true")
 
     ev = sub.add_parser(
@@ -295,7 +271,6 @@ def _build_parser() -> _Parser:
     sc.add_argument("--N-list", dest="N_list", required=True)
     sc.add_argument("--k", type=float, required=True)
     sc.add_argument("--out", required=True)
-    sc.add_argument("--plot-data", dest="plot_data", default=None)
     sc.set_defaults(func=cmd_scan)
 
     zr = sub.add_parser("zeros", help="zero-table management")
@@ -338,7 +313,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for out in filter(None, (getattr(args, "out", None), getattr(args, "plot_data", None))):
+        out = getattr(args, "out", None)
+        if out:
             # the error the write would raise, before any work, not after it
             if not Path(out).parent.is_dir():
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)

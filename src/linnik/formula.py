@@ -452,8 +452,7 @@ def evaluate(
     under its name and tags the failures it raises with that name.
     """
     N, k = params.N, params.k
-    if spec.Z > zs.count:
-        raise DomainError(f"Z = {spec.Z} out of range for table of {zs.count} zeros")
+    zs.check_Z(spec.Z)
     notes = []
     if k <= THEOREM_MIN_K:
         if not allow_subcritical:

@@ -57,11 +57,13 @@ class ZeroSet:
     def count(self) -> int:
         return len(self.zeros)
 
+    def check_Z(self, Z: int) -> None:
+        """Refuse a zero count Z outside 0..count: the one such check."""
+        if not 0 <= Z <= self.count:
+            raise DomainError(f"Z = {Z} out of range for table of {self.count} zeros")
+
     def truncated(self, Z: int) -> "ZeroSet":
-        if Z < 0:
-            raise DomainError(f"Z must be >= 0, got {Z}")
-        if Z > self.count:
-            raise DomainError(f"requested {Z} zeros, table has {self.count}")
+        self.check_Z(Z)
         return ZeroSet(self.zeros[:Z], self.source_id)
 
 
@@ -133,8 +135,7 @@ def paired_zero_sum(
     Requires f(conj rho) = conj f(rho), which holds for every weight in the
     main terms (N, k, and the Bessel arguments are real). One math.fsum.
     """
-    if Z < 0 or Z > zs.count:
-        raise DomainError(f"Z = {Z} out of range for table of {zs.count} zeros")
+    zs.check_Z(Z)
     return 2.0 * math.fsum(complex(f(complex(0.5, g))).real for g in zs.zeros[:Z])
 
 
@@ -161,8 +162,7 @@ def zero_tail(
     log(gamma/2pi)/(2pi), integrated in closed form. Conjugate pairs count
     twice; the caller adds the safety factor.
     """
-    if Z < 0:
-        raise DomainError("Z must be >= 0")
+    zs.check_Z(Z)
 
     def weight(gamma):
         return C * gamma**A * (1.0 if gamma <= edge else (edge / gamma) ** decay)

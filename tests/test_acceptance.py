@@ -307,7 +307,7 @@ def _evaluate_in_subprocess(hash_seed: str, out) -> bytes:
     under one PYTHONHASHSEED."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
     argv = [sys.executable, "-m", "linnik.cli", "evaluate", "--N", "700", "--k", "2.2",
-            "--Z", "20", "--L", "9", "--M", "20", "--format", "json", "--out", str(out)]
+            "--Z", "20", "--L", "9", "--M", "20", "--out", str(out)]
     proc = subprocess.run(argv, env=env, capture_output=True, timeout=300, check=True)
     return proc.stdout + out.read_bytes()
 
@@ -319,8 +319,8 @@ def test_c10_determinism(tmp_path, grid_runs):
     assert cli.main(argv + [str(out2)]) == 0
     same_rerun = out1.read_bytes() == out2.read_bytes()
     # set and dict order of str keys moves with the hash seed; the bytes must not
-    same_hash_seed = (_evaluate_in_subprocess("0", tmp_path / "h0.json")
-                      == _evaluate_in_subprocess("12345", tmp_path / "h12345.json"))
+    same_hash_seed = (_evaluate_in_subprocess("0", tmp_path / "h0.csv")
+                      == _evaluate_in_subprocess("12345", tmp_path / "h12345.csv"))
 
     p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
     probe_argv = ["probe", "--d", "2", "--k", "1.75", "--N", "100", "--Z", "10"]
@@ -647,5 +647,5 @@ def test_c13_cannot_see_a_dropped_or_flipped_paired_component(c13_terms, compone
     # The zero tails past Z dominate each term's tail: on its closest row, a
     # paired component leaves it only when it moves by 495 (m3 zeros), 661
     # (block3) or 1670 (block4) times itself. Until those tails tighten
-    # (ROADMAP items 4 and 6), c13 catches only errors of that size.
+    # (ROADMAP items 3 + 4 and 6), c13 catches only errors of that size.
     assert _outside(_c13_rows(c13_terms, component, scale)) == []

@@ -1,10 +1,11 @@
 import csv
-import json
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from linnik import arithmetic, cli, formula
+from linnik import arithmetic, cli, formula, specfun
 from linnik.zeros import compute_zeros, load_zeros
 
 
@@ -33,19 +34,16 @@ class TestEvaluateCommand:
         summary = capsys.readouterr().out
         assert "N=300" in summary
 
-    def test_json_mirrors_csv_fields(self, tmp_path):
-        out = tmp_path / "r.json"
-        assert run([
-            "evaluate", "--N", "300", "--k", "2", "--Z", "10", "--L", "3",
-            "--M", "2", "--out", str(out), "--format", "json",
-        ]) == 0
-        doc = json.loads(out.read_text())
-        row = doc["rows"][0]
-        assert list(row) == [
-            "N", "k", "lhs", "m1", "m2", "m3", "m4", "residual",
-            "normalized_residual", "slope_na",
-        ]
-        assert row["slope_na"] == "na"
+    def test_removed_format_and_plot_flags_are_usage_errors(self, tmp_path):
+        # the CSV --out file is the one result: JSON restated its rows, and the
+        # plot data was log N and log |residual| of its N and residual columns
+        out, plot = tmp_path / "r.csv", tmp_path / "p.csv"
+        cutoffs = ["--Z", "10", "--L", "3", "--M", "2", "--out", str(out)]
+        assert run(["evaluate", "--N", "300", "--k", "2", *cutoffs,
+                    "--format", "json"]) == cli.EXIT_USAGE
+        assert run(["scan", "--N-list", "200,300,400", "--k", "2", *cutoffs,
+                    "--plot-data", str(plot)]) == cli.EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
 
     def test_subcritical_gate(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -107,20 +105,27 @@ class TestEvaluateCommand:
 
 
 class TestScanCommand:
-    def test_three_point_scan_with_plot_data(self, tmp_path):
+    def test_three_point_scan(self, tmp_path):
         out = tmp_path / "scan.csv"
-        plot = tmp_path / "plot.csv"
         assert run([
             "scan", "--N-list", "200,300,400", "--k", "2", "--Z", "10",
-            "--L", "3", "--M", "2", "--out", str(out), "--plot-data", str(plot),
+            "--L", "3", "--M", "2", "--out", str(out),
         ]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 4
         slope_field = lines[1].split(",")[-1]
         assert slope_field not in ("na", "")
-        plot_lines = plot.read_text().splitlines()
-        assert plot_lines[0] == "log_N,log_abs_residual"
-        assert len(plot_lines) == 4
+
+    def test_zero_residual_rows_excluded_from_the_fit_are_noted(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        study_of = formula.scaling_study
+        monkeypatch.setattr(formula, "scaling_study", lambda *a, **kw: dataclasses.replace(
+            study_of(*a, **kw), excluded=(200,)))
+        assert run(["scan", "--N-list", "200,300,400", "--k", "2", "--Z", "2", "--L", "3",
+                    "--M", "2", "--out", str(tmp_path / "s.csv")]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "note: zero-residual rows excluded from fit: [200]"
 
     def test_single_N_is_usage_error(self, tmp_path):
         assert run(["scan", "--N-list", "500", "--k", "2", "--out", str(tmp_path / "s.csv")]) == 1
@@ -195,27 +200,33 @@ class TestScanCommand:
             f"usage error: the following arguments are required: {missing}\n"
         )
 
-    def test_a_missing_plot_directory_is_refused_before_the_work(self, tmp_path, capsys):
-        out, plot = tmp_path / "s.csv", tmp_path / "missing" / "p.csv"
+    def test_a_missing_output_directory_is_refused_before_the_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(formula, "scaling_study", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "missing" / "s.csv"
         assert run(["scan", "--N-list", "500,1000,2000", "--k", "2", "--Z", "5", "--L", "3",
-                    "--M", "2", "--out", str(out), "--plot-data", str(plot)]) == cli.EXIT_DATA
+                    "--M", "2", "--out", str(out)]) == cli.EXIT_DATA
         assert capsys.readouterr().err == (
-            f"data error: [Errno 2] No such file or directory: '{plot}'\n"
+            f"data error: [Errno 2] No such file or directory: '{out}'\n"
         )
-        assert not out.exists()
+        assert calls == []
 
-    def test_a_directory_plot_path_is_refused_before_the_work(self, tmp_path, capsys):
-        out, plot = tmp_path / "s.csv", tmp_path / "p.csv"
-        plot.mkdir()
+    def test_a_directory_output_is_refused_before_the_work(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(formula, "scaling_study", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "s.csv"
+        out.mkdir()
         assert run(["scan", "--N-list", "500,1000,2000", "--k", "2", "--Z", "5", "--L", "3",
-                    "--M", "2", "--out", str(out), "--plot-data", str(plot)]) == cli.EXIT_DATA
-        assert capsys.readouterr().err == f"data error: [Errno 21] Is a directory: '{plot}'\n"
-        assert not out.exists()
+                    "--M", "2", "--out", str(out)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: [Errno 21] Is a directory: '{out}'\n"
+        assert calls == []
 
 
 class TestZerosCommand:
     # zeros info loads a table with every check of load_zeros
-    def test_validate_bundled(self, capsys):
+    def test_info_bundled(self, capsys):
         assert run(["zeros", "info", "bundled"]) == 0
         assert "count=100" in capsys.readouterr().out
 
@@ -238,12 +249,12 @@ class TestZerosCommand:
     def test_compute_count_zero(self):
         assert run(["zeros", "compute", "--count", "0"]) == cli.EXIT_DATA
 
-    def test_validate_bad_file(self, tmp_path):
+    def test_info_bad_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("14.2\n13.0\n")
         assert run(["zeros", "info", str(bad)]) == cli.EXIT_DATA
 
-    def test_validate_two_column_file_names_line(self, tmp_path, capsys):
+    def test_info_two_column_file_names_line(self, tmp_path, capsys):
         bad = tmp_path / "beta.txt"
         bad.write_text("14.134725141\n21.022039638 0.5\n")
         assert run(["zeros", "info", str(bad)]) == cli.EXIT_DATA
@@ -253,7 +264,7 @@ class TestZerosCommand:
         assert run(["zeros", "info", str(tmp_path / "missing.txt")]) == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith("data error: [Errno 2] No such file")
 
-    def test_validate_non_utf8_file_names_line(self, tmp_path, capsys):
+    def test_info_non_utf8_file_names_line(self, tmp_path, capsys):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"14.134725141\n# \xe9\n21.022039638\n")
         assert run(["zeros", "info", str(bad)]) == cli.EXIT_DATA
@@ -298,6 +309,17 @@ class TestProbeCommand:
         base = ["probe", "--d", "2", "--k", "1.75", "--N", "100", "--Z", "2"]
         assert run(base) == 0
         assert run(base + ["--vmax", "40"]) == 1
+
+    def test_a_Z_past_the_table_is_refused_as_evaluate_refuses_it(self, tmp_path, capsys):
+        # one check, zeros.ZeroSet.check_Z, and one message for every command
+        assert run(["probe", "--d", "2", "--k", "1.75", "--N", "100",
+                    "--Z", "101"]) == cli.EXIT_DATA
+        probe_err = capsys.readouterr().err
+        assert run(["evaluate", "--N", "300", "--k", "2", "--Z", "101",
+                    "--out", str(tmp_path / "r.csv")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == probe_err == (
+            "validation error: Z = 101 out of range for table of 100 zeros\n"
+        )
 
     def test_negative_zero_count_is_a_validation_error(self, capsys):
         base = ["probe", "--d", "2", "--k", "1.75", "--N", "100"]
@@ -371,6 +393,25 @@ class TestSelftestCommand:
         assert code == cli.EXIT_NUMERIC
         assert "FAIL rq_oracle" in out
 
+    @pytest.mark.parametrize("module, attr, wrong, name, reason", [
+        (arithmetic, "omega2", lambda z: SimpleNamespace(value=0.0),
+         "theta_modularity", "theta functional equation off at z="),
+        (specfun, "laplace_line_integral", lambda s, N: 0.0,
+         "laplace_identity", "laplace identity off at s="),
+        (specfun, "bessel_j", lambda nu, u: 1.0,
+         "bessel_recurrence", "recurrence off at nu="),
+        (formula, "fit_loglog_slope", lambda ns, values: (2.0, ()),
+         "loglog_fit", "fit slope 2.0 of 0.7 N^3, expected 3"),
+    ], ids=["theta_modularity", "laplace_identity", "bessel_recurrence", "loglog_fit"])
+    def test_each_numeric_check_fails_by_name(
+        self, monkeypatch, capsys, module, attr, wrong, name, reason
+    ):
+        monkeypatch.setattr(module, attr, wrong)
+        assert run(["selftest"]) == cli.EXIT_NUMERIC
+        lines = capsys.readouterr().out.splitlines()
+        assert f"FAIL {name} ({reason}" in "\n".join(lines)
+        assert lines[-1] == f"first failing check: {name}"
+
 
 class TestBesselCommand:
     def test_single_evaluation(self, capsys):
@@ -426,13 +467,6 @@ class TestOutputBytes:
             "-231439.21159356704,-2.0644796367321803,-2365.3177909270776,"
             "-217107274.7085228,-0.17074997459925559,na\n"
         ),
-        "json": (
-            '{"rows": [{"N": 700, "k": 2.2000000000000002, "lhs": 19349005383.086723, '
-            '"m1": 19566346464.389111, "m2": -231439.21159356704, '
-            '"m3": -2.0644796367321803, "m4": -2365.3177909270776, '
-            '"residual": -217107274.7085228, "normalized_residual": -0.17074997459925559, '
-            '"slope_na": "na"}]}\n'
-        ),
     }
     SCAN_STDOUT = (
         "N=300 residual=-5689935.5852988064 normalized_residual=-0.21073835501106691\n"
@@ -456,25 +490,16 @@ class TestOutputBytes:
         "note: m4 unresolved: tail 5.064e+06 > |m4| 6.956e+02\n"
         "slope=3.0637635196227722\n"
     )
-    SCAN_JSON = (
-        '{"rows": [{"N": 300, "k": 2, "lhs": 224863329.118871, "m1": 230566120.6766504, '
-        '"m2": -13163.532258967702, "m3": -3.325981579576748, "m4": 310.8857599506195, '
-        '"residual": -5689935.5852988064, "normalized_residual": -0.21073835501106691, '
-        '"slope_na": 3.0637635196227722}, '
-        '{"N": 400, "k": 2, "lhs": 729175745.82395101, "m1": 742900898.10013461, '
-        '"m2": 28632.79399048199, "m3": -43.821567706160359, "m4": 231.46026962925256, '
-        '"residual": -13753972.708876014, "normalized_residual": -0.2149058235761877, '
-        '"slope_na": 3.0637635196227722}, '
-        '{"N": 500, "k": 2, "lhs": 1810252070.690006, "m1": 1837557195.5142059, '
-        '"m2": -94264.640512825368, "m3": -77.070253205841169, "m4": 695.64087042833114, '
-        '"residual": -27211478.754304171, "normalized_residual": -0.21769183003443338, '
-        '"slope_na": 3.0637635196227722}]}\n'
-    )
-    SCAN_PLOT = (
-        "log_N,log_abs_residual\n"
-        "5.7037824746562009,15.554209485352811\n"
-        "5.9914645471079817,16.436838264628165\n"
-        "6.2146080984221914,17.119149455269664\n"
+    SCAN_CSV = (
+        "N,k,lhs,m1,m2,m3,m4,residual,normalized_residual,slope_na\n"
+        "300,2,224863329.118871,230566120.6766504,-13163.532258967702,-3.325981579576748,"
+        "310.8857599506195,-5689935.5852988064,-0.21073835501106691,3.0637635196227722\n"
+        "400,2,729175745.82395101,742900898.10013461,28632.79399048199,"
+        "-43.821567706160359,231.46026962925256,-13753972.708876014,-0.2149058235761877,"
+        "3.0637635196227722\n"
+        "500,2,1810252070.690006,1837557195.5142059,-94264.640512825368,"
+        "-77.070253205841169,695.64087042833114,-27211478.754304171,-0.21769183003443338,"
+        "3.0637635196227722\n"
     )
     STDOUT = {
         "probe": (
@@ -518,16 +543,15 @@ class TestOutputBytes:
     def test_evaluate(self, tmp_path, capsys, fmt):
         out = tmp_path / f"r.{fmt}"
         assert run(["evaluate", "--N", "700", "--k", "2.2", "--tol", "50", "--L", "9",
-                    "--format", fmt, "--out", str(out)]) == 0
+                    "--out", str(out)]) == 0
         assert out.read_bytes() == self.EVALUATE_FILES[fmt].encode()
         assert capsys.readouterr().out == self.EVALUATE_STDOUT
 
     def test_scan(self, tmp_path, capsys):
-        out, plot = tmp_path / "scan.json", tmp_path / "plot.csv"
+        out = tmp_path / "scan.csv"
         assert run(["scan", "--N-list", "300,400,500", "--k", "2", "--Z", "3", "--M", "20",
-                    "--format", "json", "--out", str(out), "--plot-data", str(plot)]) == 0
-        assert out.read_bytes() == self.SCAN_JSON.encode()
-        assert plot.read_bytes() == self.SCAN_PLOT.encode()
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == self.SCAN_CSV.encode()
         assert capsys.readouterr().out == self.SCAN_STDOUT
 
     @pytest.mark.parametrize("command", sorted(STDOUT))
