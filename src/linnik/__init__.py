@@ -32,7 +32,6 @@ from .formula import (
 from .specfun import (
     bessel_j,
     gamma_ratio,
-    laplace_line_integral,
     log_gamma,
 )
 from .zeros import (

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: evaluate, scan, zeros {compute,info}, probe, selftest, and
-bessel (ad-hoc single evaluation for debugging). evaluate and scan share
---zeros, --Z, --L, --M, --tol and --allow-subcritical; a cutoff given is used
-as is, and formula.default_truncation chooses the others for --tol at every
-N. zeros info loads a table with every check of load_zeros.
+Subcommands: evaluate, scan, zeros {compute,info}, probe, and bessel (ad-hoc
+single evaluation for debugging). evaluate and scan share --zeros, --Z, --L,
+--M, --tol and --allow-subcritical; a cutoff given is used as is, and
+formula.default_truncation chooses the others for --tol at every N. zeros
+info loads a table with every check of load_zeros.
 
 All outputs are deterministic functions of the configuration and input files:
 numbers are serialized with 17 significant digits, no timestamps or wallclock
@@ -14,21 +14,20 @@ the --out file is the one result of either command. evaluate and scan print
 each report's notes as "note: <text>" lines. An --out path is checked before
 any work: its directory must exist and the path must not be a directory, so a
 run that cannot write its result computes nothing and writes nothing. An empty
---N-list entry is a usage error, and a --Z past the zero table is refused
-before anything is computed.
+--N-list entry is a usage error, and a --Z outside the zero table (negative or
+past its end) is refused, with the one message of every command, before
+anything is computed.
 
 Exit codes: 0 ok, 1 usage, 2 data/validation, 3 numeric/precision.
 """
 
 import argparse
-import cmath
 import errno
-import math
 import os
 import sys
 from pathlib import Path
 
-from . import arithmetic, formula, specfun, zeros as zeros_mod
+from . import formula, specfun, zeros as zeros_mod
 from .arithmetic import CesaroParams
 from .errors import LinnikError, PrecisionError, ZeroTableError
 
@@ -154,87 +153,6 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
-def _selftest_checks():
-    """(name, category, callable) triples; callables raise on failure."""
-
-    def theta_modularity():
-        for a in (0.01, 0.1, 1.0):
-            for y in (-2.0, 0.0, 3.0):
-                z = complex(a, y)
-                lhs = 1.0 + 2.0 * arithmetic.omega2(z).value
-                w = math.pi ** 2 / z
-                rhs = cmath.sqrt(math.pi / z) * (1.0 + 2.0 * arithmetic.omega2(w).value)
-                if abs(lhs - rhs) > 1e-12 * abs(lhs):
-                    raise AssertionError(f"theta functional equation off at z={z}")
-
-    def laplace_identity():
-        for s in (1.0, 3.0, 2.0 + 1.0j):
-            v = specfun.laplace_line_integral(s, 10.0)
-            ref = cmath.exp((complex(s) - 1) * math.log(10.0) - specfun.log_gamma(s))
-            if abs(v - ref) > 1e-8 * abs(ref):
-                raise AssertionError(f"laplace identity off at s={s}")
-
-    def bessel_recurrence():
-        for nu in (1.0, 2.5, 2.0 + 7.0j):
-            for u in (1.0, 10.0, 100.0):
-                a = specfun.bessel_j(nu - 1, u)
-                b = specfun.bessel_j(nu + 1, u)
-                c = specfun.bessel_j(nu, u)
-                resid = abs(a + b - 2.0 * nu / u * c)
-                scale = max(abs(a), abs(b), abs(c))
-                if resid > 1e-9 * scale:
-                    raise AssertionError(f"recurrence off at nu={nu} u={u}")
-
-    def rq_oracle():
-        # compute_rq against a brute-force sum over the lattice pairs
-        lam = arithmetic.sieve_von_mangoldt(200)
-        rq = arithmetic.compute_rq(lam, 200)
-        for n in range(1, 201):
-            brute = math.fsum(
-                float(lam[n - l1 * l1 - l2 * l2])
-                for l1 in range(1, math.isqrt(n - 1) + 1)
-                for l2 in range(1, math.isqrt(n - 1 - l1 * l1) + 1)
-            )
-            if abs(rq.values[n] - brute) > 1e-13 * brute:
-                raise AssertionError(f"r_Q mismatch at n={n}")
-
-    def zeros_bundled():
-        zs = _load_zero_set("bundled")
-        if zs.count != 100:
-            raise AssertionError(f"bundled table has {zs.count} zeros, expected 100")
-
-    def loglog_fit():
-        ns = [500, 1000, 2000, 4000]
-        slope, _ = formula.fit_loglog_slope(ns, [0.7 * n**3 for n in ns])
-        if abs(slope - 3.0) > 1e-6:
-            raise AssertionError(f"fit slope {slope} of 0.7 N^3, expected 3")
-
-    return (
-        ("theta_modularity", EXIT_NUMERIC, theta_modularity),
-        ("laplace_identity", EXIT_NUMERIC, laplace_identity),
-        ("bessel_recurrence", EXIT_NUMERIC, bessel_recurrence),
-        ("rq_oracle", EXIT_NUMERIC, rq_oracle),
-        ("zeros_bundled", EXIT_DATA, zeros_bundled),
-        ("loglog_fit", EXIT_NUMERIC, loglog_fit),
-    )
-
-
-def cmd_selftest(args) -> int:
-    first_fail = None
-    for name, category, check in _selftest_checks():
-        try:
-            check()
-            print(f"PASS {name}")
-        except Exception as exc:  # noqa: BLE001 - report every failure mode
-            print(f"FAIL {name}" + (f" ({exc})" if str(exc) else ""))
-            if first_fail is None:
-                first_fail = (name, category)
-    if first_fail is None:
-        return EXIT_OK
-    print(f"first failing check: {first_fail[0]}")
-    return first_fail[1]
-
-
 def cmd_bessel(args) -> int:
     d = specfun.bessel_j_detailed(complex(args.nu_re, args.nu_im), args.u)
     print(
@@ -290,9 +208,6 @@ def _build_parser() -> _Parser:
     pr.add_argument("--Z", type=int, default=None)
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=cmd_probe)
-
-    st = sub.add_parser("selftest", help="fast invariant suite")
-    st.set_defaults(func=cmd_selftest)
 
     be = sub.add_parser(
         "bessel", help="single Bessel evaluation (debugging)",

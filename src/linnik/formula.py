@@ -370,9 +370,12 @@ def default_truncation(
     The paired cells' lattice/m tails carry a Z-driven amplitude that no
     cutoff can push below tol; the term evaluators report them, but they do
     not drive the choice. evaluate notes every term whose reported tail
-    exceeds tol, including one whose cutoff search ran into its cap. A
+    exceeds tol, including one whose cutoff search ran into its cap. A Z
+    given outside the table (zs.check_Z's message, as for every command), a
     default tol or a cutoff rule past double range raises DomainError.
     """
+    if Z is not None:
+        zs.check_Z(Z)
     N, k = float(params.N), params.k
     try:
         if tol is None:

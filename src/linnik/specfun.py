@@ -1,8 +1,8 @@
 """Complex log-gamma (mpmath.loggamma at 80 bits), Bessel J of real or
-complex order, Laplace line integrals, and memo(cap), the package's one
-cache: log Gamma, gamma_ratio, the Hankel tables and per-u constants, J and
-formula's last r_Q table (the Lambda table is not kept) each sit in a memo,
-with hit and miss counts.
+complex order, and memo(cap), the package's one cache: log Gamma,
+gamma_ratio, the Hankel tables and per-u constants, J and formula's last r_Q
+table (the Lambda table is not kept) each sit in a memo, with hit and miss
+counts.
 
 The Bessel evaluator is the numerical core of the analytic main terms: orders
 are k + c + rho with rho a zeta zero (so imaginary parts up to a few hundred),
@@ -38,13 +38,8 @@ The kernel returns the correctly rounded double of J, and the series a value
 within 4 ulps of it (it adds guard bits until they cover the cancellation).
 No path returns a value it cannot certify: the fixed-point kernel hands such
 a call to the series, and the series raises PrecisionError.
-
-No main term calls laplace_line_integral; it stays in the package because
-`linnik selftest` checks the Laplace pair with it, a user's only check of
-the package without pytest.
 """
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -53,7 +48,6 @@ from typing import Optional
 from mpmath import mp
 
 from .errors import DomainError, PoleError, PrecisionError
-from .quadrature import adaptive_gauss_kronrod
 
 __all__ = [
     "BesselEval",
@@ -61,13 +55,8 @@ __all__ = [
     "gamma_ratio",
     "bessel_j",
     "bessel_j_detailed",
-    "laplace_line_integral",
     "memo",
 ]
-
-
-# The relative accuracy the Laplace line integral asks of its quadrature.
-_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -557,45 +546,3 @@ def bessel_j(nu, u: float) -> complex:
     return the identical float, which the determinism contract relies on.
     """
     return bessel_j_detailed(nu, u).value
-
-
-# ---------------------------------------------------------------------------
-# Laplace line integral
-# ---------------------------------------------------------------------------
-
-
-def laplace_line_integral(s, N: float) -> complex:
-    """(1/2 pi i) * int over Re z = 1/N of e^{N z} z^{-s} dz, for Re(s) > 0.
-
-    Equal to N^{s-1} / Gamma(s). The infinite vertical line is deformed to a
-    bracket contour: the segment |Im z| <= T plus horizontal rays at +-iT,
-    on which the integrand decays like e^{N Re z}; the deformation is exact
-    for every T > 0 because the branch cut z <= 0 never crosses the contour.
-    The abscissa 1/N keeps the factor e^{N Re z} at most e on the contour,
-    so no large terms cancel.
-    """
-    s = complex(s)
-    if s.real <= 0:
-        raise DomainError("laplace_line_integral requires Re(s) > 0")
-    if not (N > 0):
-        raise DomainError("N must be positive")
-    a = 1.0 / N
-
-    # scale of the closed-form answer, for absolute quadrature tolerance
-    scale = abs(cmath.exp((s - 1) * math.log(N) - log_gamma(s)))
-    abs_tol = max(scale, 1e-290) * _REL_TOL * 0.25
-
-    T = 4.0 / N
-
-    def integrand(z: complex) -> complex:
-        return cmath.exp(N * z - s * cmath.log(z))
-
-    vertical = adaptive_gauss_kronrod(
-        lambda y: integrand(complex(a, y)) * 1j, -T, T, abs_tol
-    )
-    ray_len = (200.0 + 3.0 * abs(s.imag)) / N + 4.0 * T
-    x0 = a - ray_len
-    top = adaptive_gauss_kronrod(lambda x: integrand(complex(x, T)), x0, a, abs_tol)
-    bottom = adaptive_gauss_kronrod(lambda x: integrand(complex(x, -T)), x0, a, abs_tol)
-    total = bottom + vertical - top
-    return total / (2j * math.pi)

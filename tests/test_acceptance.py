@@ -39,11 +39,12 @@ from linnik.formula import (
     m4_term,
     threshold_probe,
 )
-from linnik.specfun import bessel_j, laplace_line_integral, log_gamma
+from linnik.specfun import bessel_j, log_gamma
 from linnik.zeros import load_zeros, zero_tail_bound
 
 from conftest import ACCEPTANCE_GRID
 from frozen_values import FROZEN_SONINE
+from laplace_oracle import laplace_line_integral
 from lattice_oracle import paired_blocks, unpaired_blocks
 from test_arithmetic import brute_rq_counts, counts_to_value
 from zero_oracle import all_zero_sum, paired_all_zero_rows

@@ -19,6 +19,8 @@ from linnik.arithmetic import (
 )
 from linnik.errors import DomainError
 
+from lhs_oracle import cesaro_lhs_k2
+
 
 def brute_prime_powers(limit):
     """Independent prime-power enumeration by trial division."""
@@ -345,6 +347,18 @@ class TestCesaroLhs:
                 oracle = math.fsum(terms) / math.gamma(k + 1)
                 got = cesaro_lhs(rq500, CesaroParams(N=N, k=k))
                 assert got == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("N, bits", [
+        (10**3, "0x1.c1061b9122f3dp+34"),
+        (10**4, "0x1.22862f45049f2p+48"),
+        (10**5, "0x1.689f238c768c6p+61"),
+        (10**6, "0x1.ba7849fab17a1p+74"),
+    ])
+    def test_equals_the_exact_prefix_moment_sum_at_k2(self, N, bits):
+        # the exact sum, rounded once, from no r_Q table
+        exact = cesaro_lhs_k2(N)
+        assert exact.hex() == bits
+        assert cesaro_lhs(compute_rq(sieve_von_mangoldt(N), N), CesaroParams(N=N, k=2.0)) == exact
 
     def test_against_compensated_loop(self):
         lam = sieve_von_mangoldt(4000)

@@ -19,11 +19,11 @@ from linnik.specfun import (
     bessel_j,
     bessel_j_detailed,
     gamma_ratio,
-    laplace_line_integral,
     log_gamma,
 )
 
 from frozen_values import FROZEN_LOGGAMMA, FROZEN_SONINE
+from laplace_oracle import laplace_line_integral
 from sonine_oracle import bessel_j_sonine
 
 
