@@ -78,8 +78,9 @@ class LinnikTable:
 class CesaroParams:
     """Average length N and Cesaro exponent k.
 
-    k > 3/2 is the theorem range; smaller positive k is accepted only by
-    probe-mode callers.
+    k > 3/2 is the theorem range, and formula.evaluate refuses any other k.
+    cesaro_lhs, the term evaluators and threshold_probe take any k their own
+    checks allow, for probes below the threshold.
     """
 
     N: int

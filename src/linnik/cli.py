@@ -2,9 +2,10 @@
 
 Subcommands: evaluate, scan, zeros {compute,info}, probe, and bessel (ad-hoc
 single evaluation for debugging). evaluate and scan share --zeros, --Z, --L,
---M, --tol and --allow-subcritical; a cutoff given is used as is, and
-formula.default_truncation chooses the others for --tol at every N. zeros
-info loads a table with every check of load_zeros.
+--M and --tol; a cutoff given is used as is, and formula.default_truncation
+chooses the others for --tol at every N. Both take only the theorem range
+k > 3/2 and refuse a smaller --k before any term is computed. zeros info
+loads a table with every check of load_zeros.
 
 All outputs are deterministic functions of the configuration and input files:
 numbers are serialized with 17 significant digits, no timestamps or wallclock
@@ -14,9 +15,10 @@ the --out file is the one result of either command. evaluate and scan print
 each report's notes as "note: <text>" lines. An --out path is checked before
 any work: its directory must exist and the path must not be a directory, so a
 run that cannot write its result computes nothing and writes nothing. An empty
---N-list entry is a usage error, and a --Z outside the zero table (negative or
-past its end) is refused, with the one message of every command, before
-anything is computed.
+--N-list entry is a usage error; fewer than 3 entries, or entries not strictly
+ascending, are a validation error, as is a --Z outside the zero table
+(negative or past its end), refused with the one message of every command.
+Each is refused before anything is computed.
 
 Exit codes: 0 ok, 1 usage, 2 data/validation, 3 numeric/precision.
 """
@@ -90,7 +92,7 @@ def cmd_evaluate(args) -> int:
     zs = _load_zero_set(args.zeros)
     params = CesaroParams(N=args.N, k=args.k)
     spec = formula.default_truncation(params, zs, **_cutoffs(args))
-    rep = formula.evaluate(params, zs, spec, allow_subcritical=args.allow_subcritical)
+    rep = formula.evaluate(params, zs, spec)
     _write_csv(",".join(_ROW_FIELDS), [_report_row(rep)], args.out)
     print(
         f"N={rep.params.N} k={_fmt(rep.params.k)} residual={_fmt(rep.residual)} "
@@ -106,12 +108,8 @@ def cmd_scan(args) -> int:
         n_list = [int(x) for x in args.N_list.split(",")]
     except ValueError as exc:
         raise _UsageError(f"--N-list must be comma-separated integers ({exc})") from None
-    if len(n_list) < 3:
-        raise _UsageError("--N-list needs at least 3 ascending values")
     zs = _load_zero_set(args.zeros)
-    study = formula.scaling_study(
-        n_list, args.k, zs, allow_subcritical=args.allow_subcritical, **_cutoffs(args)
-    )
+    study = formula.scaling_study(n_list, args.k, zs, **_cutoffs(args))
     rows = [_report_row(rep, slope=study.slope) for rep in study.rows]
     _write_csv(",".join(_ROW_FIELDS), rows, args.out)
     for rep in study.rows:
@@ -122,8 +120,6 @@ def cmd_scan(args) -> int:
         for note in rep.notes:
             print(f"note: {note}")
     print(f"slope={_fmt(study.slope)}")
-    if study.excluded:
-        print(f"note: zero-residual rows excluded from fit: {list(study.excluded)}")
     return EXIT_OK
 
 
@@ -175,7 +171,6 @@ def _build_parser() -> _Parser:
     terms.add_argument("--L", type=int, default=None)
     terms.add_argument("--M", type=int, default=None)
     terms.add_argument("--tol", type=float, default=None)
-    terms.add_argument("--allow-subcritical", action="store_true")
 
     ev = sub.add_parser(
         "evaluate", parents=[terms], help="evaluate both sides of the formula at one N"

@@ -440,34 +440,22 @@ def evaluate(
     params: CesaroParams,
     zs: ZeroSet,
     spec: TruncationSpec,
-    allow_subcritical: bool = False,
 ) -> FormulaReport:
     """Compute both sides of the explicit formula and their residual.
 
-    k <= 3/2 (outside the theorem range) is refused unless allow_subcritical
-    is set. The m2/m3/m4 values are real by construction (conjugate pairing);
-    no imaginary part is ever dropped. A spec.Z past the table is refused
-    before any part is computed. Every note of the report is written here, in
-    this order: a subcritical k, the k = 0 convention, m2 below its
-    absolute-convergence range k > 1/2, each term whose reported tail bound
-    exceeds spec.tol, and each of m2, m3 and m4 whose reported tail bound
-    exceeds its own |value| (unresolved). Each part is timed into wallclock
-    under its name and tags the failures it raises with that name.
+    k <= 3/2 (outside the theorem range) and a spec.Z past the table are
+    refused before any part is computed. The m2/m3/m4 values are real by
+    construction (conjugate pairing); no imaginary part is ever dropped.
+    Every note of the report is written here, in this order: each term
+    whose reported tail bound exceeds spec.tol, then each of m2, m3 and m4
+    whose reported tail bound exceeds its own |value| (unresolved). Each
+    part is timed into wallclock under its name and tags the failures it
+    raises with that name.
     """
     N, k = params.N, params.k
     zs.check_Z(spec.Z)
-    notes = []
     if k <= THEOREM_MIN_K:
-        if not allow_subcritical:
-            raise DomainError(
-                f"k = {k} is outside the theorem range k > 3/2; "
-                "pass allow_subcritical to probe anyway"
-            )
-        notes.append(f"subcritical probe: k = {k} <= 3/2")
-    if k == 0.0:
-        notes.append("k = 0 uses the (N-n)^0 = 1 convention at n = N")
-    if k <= 0.5:
-        notes.append("m2 evaluated below its absolute-convergence range k > 1/2")
+        raise DomainError(f"k = {k} is outside the theorem range k > 3/2")
 
     wall, values, tails = {}, {}, {}
     with _term_context("lhs", wall):
@@ -478,11 +466,11 @@ def evaluate(
         with _term_context(name, wall):
             t = term(params, zs, spec)
         values[name], tails[name] = t.value, sum(t.tail_bounds.values())
-    notes.extend(
+    notes = [
         f"{name} tail bound {tail:.3e} exceeds tol {spec.tol:.3e}"
         for name, tail in tails.items()
         if tail > spec.tol
-    )
+    ]
     notes.extend(
         f"{name} unresolved: tail {tail:.3e} > |{name}| {abs(values[name]):.3e}"
         for name, tail in tails.items()
@@ -610,31 +598,22 @@ def threshold_probe(
 class ScalingStudy:
     rows: tuple
     slope: float
-    excluded: tuple
 
 
-def fit_loglog_slope(ns, values):
-    """Least-squares slope of log|value| against log n, ignoring zero rows."""
-    xs, ys, excluded = [], [], []
+def fit_loglog_slope(ns, values) -> float:
+    """Least-squares slope of log|value| against log n. A value of exactly 0
+    has no log and is refused, as are fewer than 2 distinct n."""
     for n, v in zip(ns, values):
         if v == 0.0:
-            excluded.append(n)
-            continue
-        xs.append(math.log(float(n)))
-        ys.append(math.log(abs(v)))
+            raise DomainError(f"the value at N = {n} is 0, which has no log-log slope")
+    xs = [math.log(float(n)) for n in ns]
     if len(set(xs)) < 2:
-        raise DomainError("need at least 2 distinct N among the nonzero points to fit a slope")
-    slope = float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
-    return slope, tuple(excluded)
+        raise DomainError("need at least 2 distinct N to fit a slope")
+    ys = [math.log(abs(v)) for v in values]
+    return float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
 
 
-def scaling_study(
-    N_list,
-    k: float,
-    zs: ZeroSet,
-    allow_subcritical: bool = False,
-    **cutoffs,
-) -> ScalingStudy:
+def scaling_study(N_list, k: float, zs: ZeroSet, **cutoffs) -> ScalingStudy:
     """Run evaluate over an ascending N grid and fit the residual growth;
     cutoffs (tol, Z, L, M) go to default_truncation at every N."""
     N_list = list(N_list)
@@ -646,6 +625,6 @@ def scaling_study(
     for N in N_list:
         params = CesaroParams(N=N, k=k)
         spec = default_truncation(params, zs, **cutoffs)
-        rows.append(evaluate(params, zs, spec, allow_subcritical=allow_subcritical))
-    slope, excluded = fit_loglog_slope(N_list, [r.residual for r in rows])
-    return ScalingStudy(rows=tuple(rows), slope=slope, excluded=excluded)
+        rows.append(evaluate(params, zs, spec))
+    slope = fit_loglog_slope(N_list, [r.residual for r in rows])
+    return ScalingStudy(rows=tuple(rows), slope=slope)

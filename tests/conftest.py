@@ -1,9 +1,24 @@
+import warnings
+
 import pytest
 from mpmath import mp
 
 from linnik import bundled_zeros_path, load_zeros
 from linnik.arithmetic import CesaroParams, compute_rq, sieve_von_mangoldt
 from linnik.formula import default_truncation, evaluate
+
+# hypothesis's pytest plugin imports hypothesis.extra._patching when a @given
+# test fails. Where libcst is installed, that import raises a
+# DeprecationWarning (mypy_extensions.TypedDict), which filterwarnings =
+# ["error"] turns into an exception the plugin does not catch: the session
+# ends with INTERNALERROR and the later tests go unreported. Importing it
+# here once, with that warning ignored, leaves the plugin a module to reuse.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(autouse=True)

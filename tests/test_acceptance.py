@@ -60,7 +60,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def test_c01_explicit_formula_scaling(grid_runs):
     ns = list(ACCEPTANCE_GRID)
     residuals = [grid_runs[N][1].residual for N in ns]
-    slope, _ = fit_loglog_slope(ns, residuals)
+    slope = fit_loglog_slope(ns, residuals)
     nres = [abs(grid_runs[N][1].normalized_residual) for N in ns]
     spread = max(nres) / min(nres)
     ok = slope <= 3.2 and spread < 10.0
@@ -265,7 +265,7 @@ def test_c08_threshold_probe(zeros100):
         devs[k] = max(
             abs(t / _probe_closed_form_d2(g, k, N) - 1.0) for t, g in zip(terms, gammas)
         )
-        slopes[k], _ = fit_loglog_slope(gammas, terms)
+        slopes[k] = fit_loglog_slope(gammas, terms)
         partials[k] = ps
     r_div = partials[1.0][49] / partials[1.0][24]
     ok_a = all(dev <= 1e-5 for dev in devs.values())

@@ -1,9 +1,8 @@
 import csv
-import dataclasses
 
 import pytest
 
-from linnik import cli, formula
+from linnik import arithmetic, cli, formula
 from linnik.zeros import compute_zeros, load_zeros
 
 
@@ -34,21 +33,31 @@ class TestEvaluateCommand:
 
     def test_removed_format_and_plot_flags_are_usage_errors(self, tmp_path):
         # the CSV --out file is the one result: JSON restated its rows, and the
-        # plot data was log N and log |residual| of its N and residual columns
+        # plot data was log N and log |residual| of its N and residual columns.
+        # Both commands take only k > 3/2, so --allow-subcritical is gone too
         out, plot = tmp_path / "r.csv", tmp_path / "p.csv"
         cutoffs = ["--Z", "10", "--L", "3", "--M", "2", "--out", str(out)]
-        assert run(["evaluate", "--N", "300", "--k", "2", *cutoffs,
-                    "--format", "json"]) == cli.EXIT_USAGE
-        assert run(["scan", "--N-list", "200,300,400", "--k", "2", *cutoffs,
-                    "--plot-data", str(plot)]) == cli.EXIT_USAGE
+        evaluate = ["evaluate", "--N", "300", "--k", "2", *cutoffs]
+        scan = ["scan", "--N-list", "200,300,400", "--k", "2", *cutoffs]
+        for argv in (evaluate + ["--format", "json"], scan + ["--plot-data", str(plot)],
+                     evaluate + ["--allow-subcritical"], scan + ["--allow-subcritical"]):
+            assert run(argv) == cli.EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
-    def test_subcritical_gate(self, tmp_path):
+    def test_subcritical_gate(self, tmp_path, capsys, monkeypatch):
+        # evaluate and scan refuse k <= 3/2 before the left side is built
+        def build(*args):
+            raise AssertionError("left side computed")
+
+        monkeypatch.setattr(arithmetic, "cesaro_lhs", build)
         out = tmp_path / "r.csv"
-        base = ["evaluate", "--N", "300", "--k", "1.2", "--Z", "5", "--L", "3",
-                "--M", "2", "--out", str(out)]
-        assert run(base) == cli.EXIT_DATA
-        assert run(base + ["--allow-subcritical"]) == 0
+        for argv in (["evaluate", "--N", "300", "--Z", "5", "--L", "3", "--M", "2"],
+                     ["scan", "--N-list", "300,400,500"]):
+            assert run(argv + ["--k", "1.2", "--out", str(out)]) == cli.EXIT_DATA
+            assert capsys.readouterr().err == (
+                "validation error: k = 1.2 is outside the theorem range k > 3/2\n"
+            )
+            assert not out.exists()
 
     @pytest.mark.parametrize("opts, code, message", [
         (["--N", "500", "--k", "114"], cli.EXIT_DATA, "validation error: the default tol"),
@@ -114,19 +123,14 @@ class TestScanCommand:
         slope_field = lines[1].split(",")[-1]
         assert slope_field not in ("na", "")
 
-    def test_zero_residual_rows_excluded_from_the_fit_are_noted(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        study_of = formula.scaling_study
-        monkeypatch.setattr(formula, "scaling_study", lambda *a, **kw: dataclasses.replace(
-            study_of(*a, **kw), excluded=(200,)))
-        assert run(["scan", "--N-list", "200,300,400", "--k", "2", "--Z", "2", "--L", "3",
-                    "--M", "2", "--out", str(tmp_path / "s.csv")]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[-1] == "note: zero-residual rows excluded from fit: [200]"
-
-    def test_single_N_is_usage_error(self, tmp_path):
-        assert run(["scan", "--N-list", "500", "--k", "2", "--out", str(tmp_path / "s.csv")]) == 1
+    def test_a_single_N_is_a_validation_error(self, tmp_path, capsys):
+        # scaling_study's refusal, as for a repeated or descending N
+        out = tmp_path / "s.csv"
+        assert run(["scan", "--N-list", "500", "--k", "2", "--out", str(out)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "validation error: scaling study needs at least 3 N values\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_list, k", [("500,1000,2000", "400"), ("500,500,500", "2")])
     def test_k_past_double_range_or_a_repeated_N_is_a_validation_error(

@@ -407,28 +407,27 @@ class TestIndexFreeLimit:
 
 
 class TestEvaluate:
-    def test_theorem_range_gate(self, zeros100):
-        spec = TruncationSpec(Z=10, L=3, M=2, tol=1.0)
-        with pytest.raises(DomainError):
-            evaluate(CesaroParams(N=100, k=1.2), zeros100, spec)
-        rep = evaluate(CesaroParams(N=100, k=1.2), zeros100, spec, allow_subcritical=True)
-        assert any("subcritical" in n for n in rep.notes)
+    def test_theorem_range_gate(self, zeros100, monkeypatch):
+        def build(*args):
+            raise AssertionError("left side computed")
 
-    def test_subcritical_m2_flagged_in_note_order(self, zeros100, spec50):
-        rep = evaluate(CesaroParams(N=100, k=0.4), zeros100, spec50, allow_subcritical=True)
-        assert any("k > 1/2" in note for note in rep.notes)
-        # subcritical, then the m2 range note, then the tail notes: first
-        # those past tol, then those past their term's own |value|
-        assert rep.notes[0].startswith("subcritical probe")
-        assert "k > 1/2" in rep.notes[1]
-        n_tol = sum("exceeds tol" in n for n in rep.notes[2:])
-        assert n_tol and all("exceeds tol" in n for n in rep.notes[2:2 + n_tol])
-        unresolved = rep.notes[2 + n_tol:]
+        # the r_Q table of N = 100 may be held from another test
+        monkeypatch.setattr(arithmetic, "compute_rq", build)
+        monkeypatch.setattr(arithmetic, "cesaro_lhs", build)
+        spec = TruncationSpec(Z=10, L=3, M=2, tol=1.0)
+        for k in (1.2, 1.5):
+            with pytest.raises(DomainError) as exc:
+                evaluate(CesaroParams(N=100, k=k), zeros100, spec)
+            assert str(exc.value) == f"k = {k} is outside the theorem range k > 3/2"
+
+    def test_tail_notes_in_order(self, zeros100):
+        spec = TruncationSpec(Z=50, L=3, M=2, tol=1.0)
+        rep = evaluate(CesaroParams(N=100, k=2.0), zeros100, spec)
+        # first the notes past tol, then those past their term's own |value|
+        n_tol = sum("exceeds tol" in n for n in rep.notes)
+        assert n_tol and all("exceeds tol" in n for n in rep.notes[:n_tol])
+        unresolved = rep.notes[n_tol:]
         assert unresolved and all(" unresolved: tail " in n for n in unresolved)
-        # k = 0 adds its convention between the two
-        rep = evaluate(CesaroParams(N=100, k=0.0), zeros100, spec50, allow_subcritical=True)
-        assert rep.notes[1] == "k = 0 uses the (N-n)^0 = 1 convention at n = N"
-        assert "k > 1/2" in rep.notes[2]
 
     def test_a_Z_past_the_table_is_refused_before_the_work(self, zeros100, monkeypatch):
         def build(*args):
@@ -441,9 +440,10 @@ class TestEvaluate:
         assert str(exc.value) == "Z = 101 out of range for table of 100 zeros"
 
     def test_lhs_error_is_tagged_like_the_terms(self, zeros100, spec50):
+        # the sieve refuses N past MAX_SIEVE before it allocates
         with pytest.raises(DomainError) as exc:
-            evaluate(CesaroParams(N=100, k=-0.5), zeros100, spec50, allow_subcritical=True)
-        assert str(exc.value).startswith("lhs:")
+            evaluate(CesaroParams(N=arithmetic.MAX_SIEVE + 1, k=2.0), zeros100, spec50)
+        assert str(exc.value).startswith("lhs: ")
 
     def test_N4_lhs_vanishes_report_well_formed(self, zeros100):
         spec = TruncationSpec(Z=10, L=2, M=1, tol=1.0)
@@ -670,15 +670,14 @@ class TestLemma5Probe:
 class TestScalingFit:
     def test_synthetic_cubic(self):
         ns = [500, 1000, 2000, 4000]
-        slope, excluded = fit_loglog_slope(ns, [0.7 * n**3 for n in ns])
+        slope = fit_loglog_slope(ns, [0.7 * n**3 for n in ns])
         assert slope == pytest.approx(3.0, abs=1e-6)
-        assert excluded == ()
 
-    def test_zero_rows_excluded(self):
-        ns = [10, 20, 40, 80]
-        slope, excluded = fit_loglog_slope(ns, [0.0, 8e3, 6.4e4, 5.12e5])
-        assert excluded == (10,)
-        assert slope == pytest.approx(3.0, abs=1e-9)
+    def test_a_zero_value_is_refused(self):
+        # log 0 has no slope
+        with pytest.raises(DomainError) as exc:
+            fit_loglog_slope([10, 20, 40, 80], [0.0, 8e3, 6.4e4, 5.12e5])
+        assert str(exc.value) == "the value at N = 10 is 0, which has no log-log slope"
 
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
