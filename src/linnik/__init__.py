@@ -13,7 +13,6 @@ from .arithmetic import (
 from .errors import (
     DomainError,
     LinnikError,
-    PoleError,
     PrecisionError,
     ZeroTableError,
 )

@@ -32,6 +32,7 @@ one exactly rounded math.fsum (one per part for complex terms).
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -87,6 +88,8 @@ class CesaroParams:
     k: float
 
     def __post_init__(self):
+        if not isinstance(self.N, numbers.Integral):
+            raise DomainError(f"N must be an integer, got {self.N!r}")
         if self.N < 4:
             raise DomainError(f"N must be >= 4, got {self.N}")
         if not math.isfinite(self.k):

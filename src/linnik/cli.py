@@ -142,9 +142,8 @@ def cmd_zeros(args) -> int:
 
 def cmd_probe(args) -> int:
     zs = _load_zero_set(args.zeros)
-    if args.Z is not None:
-        zs = zs.truncated(args.Z)
-    partials = formula.threshold_probe(args.d, args.k, args.N, zs)
+    Z = zs.count if args.Z is None else args.Z
+    partials = formula.threshold_probe(args.d, args.k, args.N, zs, Z)
     _write_csv("zeros_included,partial_sum", enumerate(partials, start=1), args.out)
     return EXIT_OK
 
@@ -240,7 +239,7 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except LinnikError as exc:  # DomainError and its PoleError
+    except LinnikError as exc:  # DomainError
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

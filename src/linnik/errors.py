@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per CLI outcome.
 
 Numerical routines never return silently-degraded values: when a value
 cannot be certified they raise PrecisionError carrying the strategy that was
@@ -11,15 +11,7 @@ class LinnikError(Exception):
 
 
 class DomainError(LinnikError, ValueError):
-    """Argument outside the domain of the operation or the range it supports."""
-
-
-class PoleError(DomainError):
-    """Evaluation requested at a pole; carries the offending integer."""
-
-    def __init__(self, pole):
-        self.pole = pole
-        super().__init__(f"gamma pole at non-positive integer {pole}")
+    """Argument outside what the operation takes, a pole of Gamma among them."""
 
 
 class PrecisionError(LinnikError, ArithmeticError):

@@ -44,6 +44,7 @@ the residual over an N grid.
 
 import cmath
 import math
+import numbers
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -93,6 +94,9 @@ class TruncationSpec:
     tol: float
 
     def __post_init__(self):
+        for name in ("Z", "L", "M"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.Z < 0 or self.L < 0 or self.M < 0:
             raise DomainError("cutoffs must be >= 0")
         if not (self.tol > 0):
@@ -510,14 +514,15 @@ def threshold_probe(
     k: float,
     N: int,
     zs: ZeroSet,
+    Z: int,
 ) -> tuple:
     """The partial sums of the convergence-threshold series
 
         sum_{l in (Z>=1)^d} sum_{gamma>0} gamma^{-k-3/2}
             int_0^gamma e^{-N ||l||^2 v^2 / gamma^2} e^{-v} v^{k+1/2} dv,
 
-    recorded after each zero 1/2 + i gamma (the integral is cut at
-    min(gamma, 40)).
+    recorded after each of the first Z zeros 1/2 + i gamma of zs (the
+    integral is cut at min(gamma, 40)).
 
     The lattice sum is exact: it factors as omega(a)^d with a = N v^2/gamma^2
     and omega(a) = sum_{l>=1} e^{-a l^2}. Writing omega = (c/v - 1)/2 + E
@@ -531,12 +536,14 @@ def threshold_probe(
     up to terms of that exponential order; its leading power
     gamma^{d-k-3/2}, against the zero density, makes the series converge
     iff k > d - 1/2. The main part needs k + 1/2 > d - 1 (else the
-    integral diverges at v = 0); that, N <= 0, k <= 0, d outside {1, 2, 3}
-    or a term past double range raises DomainError. A term's integral that
-    is not above the quadrature's absolute tolerance 1e-12 main_abs (at
-    large k the two parts cancel below it) raises PrecisionError, once every
-    term has been checked against double range.
+    integral diverges at v = 0); that, a Z outside 0..zs.count, N <= 0,
+    k <= 0, d outside {1, 2, 3} or a term past double range raises
+    DomainError. A term's integral that is not above the quadrature's
+    absolute tolerance 1e-12 main_abs (at large k the two parts cancel below
+    it) raises PrecisionError, once every term has been checked against
+    double range.
     """
+    zs.check_Z(Z)
     if d not in (1, 2, 3):
         raise DomainError("probe supports d in {1, 2, 3}")
     if k <= 0:
@@ -548,7 +555,7 @@ def threshold_probe(
     terms = []
     partials = []
     uncertified = None
-    for g in zs.zeros:
+    for g in zs.zeros[:Z]:
         scale = float(N) / (g * g)
         hi = min(g, _PROBE_VMAX)
         half_c = 0.5 * math.sqrt(math.pi / scale)

@@ -47,7 +47,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .errors import DomainError, PoleError, PrecisionError
+from .errors import DomainError, PrecisionError
 
 __all__ = [
     "BesselEval",
@@ -117,9 +117,9 @@ def _loggamma_mp(s: complex):
 
 
 def _refuse_pole(s: complex) -> None:
-    """Raise PoleError at a pole of Gamma, an integer <= 0."""
+    """Raise DomainError at a pole of Gamma, an integer <= 0."""
     if s.imag == 0.0 and s.real <= 0.0 and s.real == math.floor(s.real):
-        raise PoleError(int(s.real))
+        raise DomainError(f"gamma pole at non-positive integer {int(s.real)}")
 
 
 def log_gamma(s) -> complex:
@@ -128,7 +128,8 @@ def log_gamma(s) -> complex:
     mpmath's branch: the real log Gamma on (0, inf), continued to the plane cut
     along (-inf, 0] and taken from above on the cut, so log_gamma(-3.7) has
     imaginary part -4 pi. exp(log_gamma(s)) is Gamma(s) to the double floor
-    |log Gamma| * eps (< 1e-13 for |s| <= 200).
+    |log Gamma| * eps (< 1e-13 for |s| <= 200). A pole (an integer <= 0) or
+    a non-finite s raises DomainError.
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -146,7 +147,8 @@ def gamma_ratio(rho, offset) -> complex:
     The subtraction of the two log-gamma values and the exponential run at
     extended precision, so the ratio keeps full double accuracy even when the
     separate gamma values would over- or underflow. Memoized per
-    (rho, offset); a pole raises and keeps nothing.
+    (rho, offset); a pole of either Gamma raises DomainError and keeps
+    nothing.
     """
     rho = complex(rho)
     off = complex(offset)

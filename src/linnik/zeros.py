@@ -62,10 +62,6 @@ class ZeroSet:
         if not 0 <= Z <= self.count:
             raise DomainError(f"Z = {Z} out of range for table of {self.count} zeros")
 
-    def truncated(self, Z: int) -> "ZeroSet":
-        self.check_Z(Z)
-        return ZeroSet(self.zeros[:Z], self.source_id)
-
 
 def load_zeros(path, source_id: Optional[str] = None) -> ZeroSet:
     """Parse and validate a zero table file.

@@ -379,10 +379,10 @@ class TestCesaroLhs:
         assert v == pytest.approx(direct, rel=1e-14)
         with pytest.raises(DomainError):
             cesaro_lhs(rq500, CesaroParams(N=10, k=-0.5))
-        # and a table shorter than N, N < 4 and a non-finite k
+        # and a table shorter than N, N < 4, a non-integer N and a non-finite k
         with pytest.raises(DomainError):
             cesaro_lhs(rq500, CesaroParams(N=501, k=2.0))
-        for N, k in ((3, 2.0), (10, math.inf), (10, math.nan)):
+        for N, k in ((3, 2.0), (500.0, 2.0), (10, math.inf), (10, math.nan)):
             with pytest.raises(DomainError):
                 CesaroParams(N=N, k=k)
         # weights past double range: inf times r_Q(1) = 0 made the sum nan

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from linnik.errors import PoleError
+from linnik.errors import DomainError
 from linnik.specfun import gamma_ratio, memo
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,7 +59,7 @@ def test_a_call_that_raises_stores_nothing(cold_memos):
     cold_memos(gamma_ratio)
     hits, misses = gamma_ratio.hits, gamma_ratio.misses
     for _ in range(2):
-        with pytest.raises(PoleError):
+        with pytest.raises(DomainError):
             gamma_ratio(-2.0, 1.0)
     assert gamma_ratio.cache == {}
     assert (gamma_ratio.hits, gamma_ratio.misses) == (hits, misses + 2)

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from linnik.errors import DomainError, PoleError, PrecisionError
+from linnik.errors import DomainError, PrecisionError
 from linnik import specfun
 from linnik.arithmetic import CesaroParams
 from linnik.formula import TruncationSpec, evaluate
@@ -76,9 +76,9 @@ class TestLogGamma:
 
     def test_poles(self):
         for s in (0.0, -1.0, -7.0):
-            with pytest.raises(PoleError) as exc:
+            with pytest.raises(DomainError) as exc:
                 log_gamma(s)
-            assert exc.value.pole == int(s)
+            assert str(exc.value) == f"gamma pole at non-positive integer {int(s)}"
         for s in (math.inf, complex(1.0, math.nan)):
             with pytest.raises(DomainError):
                 log_gamma(s)
@@ -107,10 +107,10 @@ class TestGammaRatio:
         # written, so it is never stored
         assert gamma_ratio(1.0, 2.0) == gamma_ratio(1.0, 2.0)
         for _ in range(2):
-            with pytest.raises(PoleError):
-                gamma_ratio(-2.0, 1.0)
-            with pytest.raises(PoleError):
-                gamma_ratio(0.5, -2.5)
+            for rho, offset in ((-2.0, 1.0), (0.5, -2.5)):
+                with pytest.raises(DomainError) as exc:
+                    gamma_ratio(rho, offset)
+                assert str(exc.value) == "gamma pole at non-positive integer -2"
 
 
 class TestBesselJ:

@@ -11,7 +11,7 @@ import pytest
 
 from linnik.arithmetic import CesaroParams
 from linnik.errors import DomainError, ZeroTableError
-from linnik.formula import evaluate
+from linnik.formula import evaluate, threshold_probe
 from linnik.specfun import gamma_ratio, log_gamma
 from linnik.zeros import (
     ZeroSet,
@@ -192,26 +192,16 @@ class TestZeroTailBound:
     def test_infinite_for_tiny_power(self, zeros100):
         assert zero_tail_bound(100, 1.05, 10, zeros100) == math.inf
 
-    def test_truncated_view(self, zeros100):
-        sub = zeros100.truncated(10)
-        assert sub.count == 10
-        with pytest.raises(DomainError):
-            zeros100.truncated(101)
-        with pytest.raises(DomainError):
-            zeros100.truncated(-1)
-        with pytest.raises(DomainError):
-            zero_tail(zeros100, -1, 1.0, 0.0, 100.0, 3.5)
-
 
 @pytest.mark.parametrize("Z", [-1, 101])
 @pytest.mark.parametrize("refuse", [
-    lambda zs, Z: zs.truncated(Z),
+    lambda zs, Z: threshold_probe(2, 1.75, 100, zs, Z),
     lambda zs, Z: paired_zero_sum(lambda rho: 0.0, zs, Z),
     lambda zs, Z: zero_tail(zs, Z, 1.0, 0.0, 100.0, 3.5),
     # a TruncationSpec refuses Z < 0 itself, so a plain namespace stands in
     lambda zs, Z: evaluate(CesaroParams(N=300, k=2.0), zs,
                            SimpleNamespace(Z=Z, L=3, M=2, tol=1.0)),
-], ids=["truncated", "paired_zero_sum", "zero_tail", "evaluate"])
+], ids=["threshold_probe", "paired_zero_sum", "zero_tail", "evaluate"])
 def test_a_Z_outside_the_table_is_refused_with_one_message(zeros100, refuse, Z):
     with pytest.raises(DomainError) as exc:
         refuse(zeros100, Z)
