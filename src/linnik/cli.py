@@ -20,7 +20,8 @@ ascending, are a validation error, as is a --Z outside the zero table
 (negative or past its end), refused with the one message of every command.
 Each is refused before anything is computed.
 
-Exit codes: 0 ok, 1 usage, 2 data/validation, 3 numeric/precision.
+Exit codes: 0 ok, 1 usage, 2 data/validation (a value past double range
+among them), 3 numeric (a value in range that could not be certified).
 """
 
 import argparse

@@ -1,8 +1,9 @@
 """Exception types shared across the package, one per CLI outcome.
 
-Numerical routines never return silently-degraded values: when a value
-cannot be certified they raise PrecisionError carrying the strategy that was
-attempted; the message says why.
+Each is its type and its message, with no other attributes. Numerical
+routines never return silently-degraded values: a value in double range that
+cannot be certified raises PrecisionError, and a value past double range
+raises DomainError; the message says why.
 """
 
 
@@ -11,26 +12,15 @@ class LinnikError(Exception):
 
 
 class DomainError(LinnikError, ValueError):
-    """Argument outside what the operation takes, a pole of Gamma among them."""
+    """Argument outside what the operation takes: a pole of Gamma, or a value
+    past double range among them."""
 
 
 class PrecisionError(LinnikError, ArithmeticError):
-    """A value could not be certified.
-
-    The attribute strategy names the evaluation strategy that was attempted
-    ("gauss-kronrod", the Bessel path "hankel" or "series", or "double" for a
-    part of the formula whose value leaves double range); the message gives
-    the reason, and for the quadrature its error estimate and tolerance.
-    """
-
-    def __init__(self, message, strategy):
-        self.strategy = strategy
-        super().__init__(message)
+    """A value in double range could not be certified; the message gives the
+    reason, and for the quadrature its error estimate and tolerance."""
 
 
 class ZeroTableError(LinnikError, ValueError):
-    """Zero-table parse or validation failure; carries line number when known."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
+    """Zero-table parse or validation failure; the message names the line
+    ("line 3: ...") when there is one."""

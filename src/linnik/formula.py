@@ -425,8 +425,8 @@ def _tables_for(N: int):
 @contextmanager
 def _term_context(name: str, wall: dict):
     """Time one part of the formula (the left side or a term) into wall[name];
-    re-raise numeric failures tagged with that part, as the same exception
-    with its attributes, and an OverflowError as a PrecisionError."""
+    re-raise a PrecisionError or DomainError tagged with that part, and an
+    OverflowError, a value past double range, as a DomainError."""
     t0 = time.perf_counter()
     try:
         yield
@@ -434,9 +434,7 @@ def _term_context(name: str, wall: dict):
         exc.args = (f"{name}: {exc}",)
         raise
     except OverflowError as exc:
-        raise PrecisionError(
-            f"{name}: a value exceeds double range ({exc})", strategy="double"
-        ) from None
+        raise DomainError(f"{name}: a value exceeds double range ({exc})") from None
     wall[name] = time.perf_counter() - t0
 
 
@@ -586,8 +584,7 @@ def threshold_probe(
         if uncertified is None and not integral > tol:
             uncertified = PrecisionError(
                 f"probe term at gamma = {g} is not above the quadrature tolerance at "
-                f"k = {k}: integral {integral:.3e} <= tol {tol:.3e}",
-                strategy="gauss-kronrod",
+                f"k = {k}: integral {integral:.3e} <= tol {tol:.3e}"
             )
         terms.append(g ** (-k - 1.5) * integral)
         partials.append(math.fsum(terms))

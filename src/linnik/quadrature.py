@@ -81,8 +81,7 @@ def adaptive_gauss_kronrod(f, a: float, b: float, abs_tol: float) -> complex:
         panels += 1
         if panels > _MAX_PANELS:
             raise PrecisionError(
-                f"panel budget exhausted on [{x0}, {x1}] (err {err:.3e}, tol {abs_tol:.3e})",
-                strategy="gauss-kronrod",
+                f"panel budget exhausted on [{x0}, {x1}] (err {err:.3e}, tol {abs_tol:.3e})"
             )
         # second disjunct: the estimate has hit the double-rounding floor of
         # the panel value itself and cannot contract further
@@ -91,8 +90,7 @@ def adaptive_gauss_kronrod(f, a: float, b: float, abs_tol: float) -> complex:
             continue
         if depth >= _MAX_DEPTH:
             raise PrecisionError(
-                f"max depth reached on [{x0}, {x1}] (err {err:.3e} > tol {tol:.3e})",
-                strategy="gauss-kronrod",
+                f"max depth reached on [{x0}, {x1}] (err {err:.3e} > tol {tol:.3e})"
             )
         xm = 0.5 * (x0 + x1)
         # push right first so the left half is processed next (fixed order)

@@ -37,7 +37,8 @@ two paths, chosen from (u, nu) alone:
 The kernel returns the correctly rounded double of J, and the series a value
 within 4 ulps of it (it adds guard bits until they cover the cancellation).
 No path returns a value it cannot certify: the fixed-point kernel hands such
-a call to the series, and the series raises PrecisionError.
+a call to the series, and the series raises PrecisionError. A J past double
+range raises DomainError on either path.
 """
 
 import functools
@@ -172,14 +173,8 @@ _SERIES_MAX_GUARD = int(1000 * _LG_PREC**0.25 + 4 * _LG_PREC)
 _SERIES_TERMS_PER_U = 8
 
 
-def _range_error(nu: complex, u: float, strategy: str) -> PrecisionError:
-    return PrecisionError(
-        f"J_nu(u) magnitude exceeds double range for nu = {nu}, u = {u}", strategy=strategy
-    )
-
-
-def _series_failure(msg: str) -> PrecisionError:
-    return PrecisionError(f"series did not converge: {msg}", strategy="series")
+def _range_error(nu: complex, u: float) -> DomainError:
+    return DomainError(f"J_nu(u) magnitude exceeds double range for nu = {nu}, u = {u}")
 
 
 def _bessel_series(nu: complex, u: float) -> BesselEval:
@@ -219,7 +214,8 @@ def _bessel_series(nu: complex, u: float) -> BesselEval:
     stop = _SERIES_STOP_BITS
     while True:
         if guard > _SERIES_MAX_GUARD:
-            raise _series_failure(f"past {_LG_PREC + _SERIES_MAX_GUARD} bits")
+            bits = _LG_PREC + _SERIES_MAX_GUARD
+            raise PrecisionError(f"series did not converge: past {bits} bits")
         wp = _LG_PREC + guard
         high = 1 << stop
         sre = tre = 1 << wp
@@ -241,7 +237,7 @@ def _bessel_series(nu: complex, u: float) -> BesselEval:
             if tail and -high < tre < high and -high < tim < high:
                 break
             if n > maxterms:
-                raise _series_failure(f"{maxterms} terms")
+                raise PrecisionError(f"series did not converge: {maxterms} terms")
         magn = max(abs(sre).bit_length(), abs(sim).bit_length()) - wp
         if -magn < guard - 30:
             break
@@ -257,7 +253,7 @@ def _bessel_series(nu: complex, u: float) -> BesselEval:
         prefac = mp.exp(mp.mpc(nu) * mp.log(mp.ldexp(u, -1)) - lg)
         value = complex(prefac * series_val)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise _range_error(nu, u, "series")
+        raise _range_error(nu, u)
     if nu.imag == 0.0:
         value = complex(value.real, 0.0)
     return BesselEval(value, "series", wp, n)
@@ -505,7 +501,7 @@ def _bessel_hankel(nu: complex, u: float) -> Optional[BesselEval]:
         else:
             lo_i, hi_i = (vi - bound) / den, (vi + bound) / den
     except OverflowError:
-        raise _range_error(nu, u, "hankel") from None
+        raise _range_error(nu, u) from None
     if lo_r != hi_r or lo_i != hi_i:
         return None
     return BesselEval(complex(lo_r, lo_i), "hankel", wp, k)

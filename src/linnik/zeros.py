@@ -16,6 +16,7 @@ a weight C gamma^A with constants C and A.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -58,7 +59,9 @@ class ZeroSet:
         return len(self.zeros)
 
     def check_Z(self, Z: int) -> None:
-        """Refuse a zero count Z outside 0..count: the one such check."""
+        """Refuse a zero count Z not an integer in 0..count: the one such check."""
+        if not isinstance(Z, numbers.Integral):
+            raise DomainError(f"Z must be an integer, got {Z!r}")
         if not 0 <= Z <= self.count:
             raise DomainError(f"Z = {Z} out of range for table of {self.count} zeros")
 
@@ -76,29 +79,32 @@ def load_zeros(path, source_id: Optional[str] = None) -> ZeroSet:
     # surrogateescape keeps an undecodable byte as a lone surrogate, which
     # only that line's encode refuses
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ZeroTableError("not UTF-8 text", line=lineno) from None
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) > 1:
-                raise ZeroTableError(f"expected 1 column, got {len(parts)}", line=lineno)
-            try:
-                gamma = float(parts[0])
-            except ValueError as exc:
-                raise ZeroTableError(f"unparseable number: {exc}", line=lineno) from None
-            if not (gamma > 0 and math.isfinite(gamma)):
-                msg = f"zero ordinate must be positive, got {gamma}"
-                raise ZeroTableError(msg, line=lineno)
-            if zeros and gamma <= zeros[-1]:
-                raise ZeroTableError(
-                    f"ordinates must ascend strictly ({gamma} after {zeros[-1]})", line=lineno
-                )
-            zeros.append(gamma)
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ZeroTableError("not UTF-8 text") from None
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) > 1:
+                    raise ZeroTableError(f"expected 1 column, got {len(parts)}")
+                try:
+                    gamma = float(parts[0])
+                except ValueError as exc:
+                    raise ZeroTableError(f"unparseable number: {exc}") from None
+                if not (gamma > 0 and math.isfinite(gamma)):
+                    raise ZeroTableError(f"zero ordinate must be positive, got {gamma}")
+                if zeros and gamma <= zeros[-1]:
+                    raise ZeroTableError(
+                        f"ordinates must ascend strictly ({gamma} after {zeros[-1]})"
+                    )
+                zeros.append(gamma)
+        except ZeroTableError as exc:  # every refusal in the loop names its line
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
     if zeros and not (_FIRST_ZERO_WINDOW[0] < zeros[0] < _FIRST_ZERO_WINDOW[1]):
         raise ZeroTableError(
             f"first ordinate {zeros[0]} outside sanity window {_FIRST_ZERO_WINDOW}"

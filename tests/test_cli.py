@@ -63,9 +63,9 @@ class TestEvaluateCommand:
         (["--N", "500", "--k", "114"], cli.EXIT_DATA, "validation error: the default tol"),
         (["--N", "500", "--k", "400", "--tol", "1"], cli.EXIT_DATA,
          "validation error: the default tol"),
-        (["--N", "500", "--k", "113"], cli.EXIT_NUMERIC, "numeric error: m2: "),
+        (["--N", "500", "--k", "113"], cli.EXIT_DATA, "validation error: m2: "),
         (["--N", "500", "--k", "400", "--tol", "1", "--Z", "0", "--L", "3", "--M", "3"],
-         cli.EXIT_NUMERIC, "numeric error: lhs: "),
+         cli.EXIT_DATA, "validation error: lhs: "),
         (["--N", "20000000", "--k", "2"], cli.EXIT_DATA,
          "validation error: lhs: table limit 20000000 exceeds supported maximum 10000000\n"),
     ], ids=["tol", "cutoff_rule", "m2", "lhs", "sieve_range"])
@@ -394,11 +394,11 @@ class TestBesselCommand:
         assert "J(4+0i, 1405) = -0.021231720412482707 + 0i" in out
         assert "strategy=hankel bits=90 terms=9" in out
 
-    def test_magnitude_past_double_range_is_a_numeric_error(self, capsys):
-        assert run(["bessel", "--nu-re", "2.5", "--nu-im", "460", "--u", "5000"]) == cli.EXIT_NUMERIC
+    def test_magnitude_past_double_range_is_a_validation_error(self, capsys):
+        assert run(["bessel", "--nu-re", "2.5", "--nu-im", "460", "--u", "5000"]) == cli.EXIT_DATA
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numeric error: J_nu(u) magnitude exceeds double range")
+        assert captured.err.startswith("validation error: J_nu(u) magnitude exceeds double range")
 
     def test_usage_error_exit_code(self):
         assert run(["bessel", "--u", "10"]) == 1

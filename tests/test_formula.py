@@ -70,6 +70,9 @@ class TestLatticePoints:
                     assert formula._lattice_tail(1, M, s).hex() == single.hex(), (k, q, M)
                     # j = 0: the one point lam = 0 lies inside every cutoff
                     assert formula._lattice_tail(0, M, s) == 0.0, (k, q, M)
+        # the density sum diverges at s <= j/2, as for m3's paired cells at k <= 0
+        assert formula._lattice_tail(2, 3, 1.0) == math.inf
+        assert formula._lattice_tail(1, 3, 0.5) == math.inf
         assert formula._cut_tail(0, 3, 500.0, 2.0) == 0.0
         assert formula._smallest_cutoff(0, 64, 500.0, 2.0, 1.0) == 3
 
@@ -587,37 +590,36 @@ class TestEvaluate:
     def test_subterm_error_carries_term_identification(self, zeros100, monkeypatch):
         # m3 is the first term to evaluate a Bessel function
         def uncertifiable(nu, u):
-            raise PrecisionError("uncertifiable", strategy="series")
+            raise PrecisionError("uncertifiable")
 
         monkeypatch.setattr("linnik.formula.bessel_j", uncertifiable)
         spec = TruncationSpec(Z=5, L=2, M=1, tol=1.0)
         with pytest.raises(PrecisionError) as exc:
             evaluate(CesaroParams(N=100, k=2.0), zeros100, spec)
-        assert str(exc.value).startswith("m3:")
-        assert exc.value.strategy == "series"
+        assert type(exc.value) is PrecisionError
+        assert str(exc.value) == "m3: uncertifiable"
 
-    @pytest.mark.parametrize("error, attr, value", [
-        pytest.param(lambda: DomainError("gamma pole at non-positive integer -3"),
-                     None, None, id="domain"),
-        (lambda: PrecisionError("max depth reached", strategy="gauss-kronrod"),
-         "strategy", "gauss-kronrod"),
-    ])
-    def test_a_term_error_keeps_its_type_and_attributes(
-        self, zeros100, monkeypatch, error, attr, value
+    @pytest.mark.parametrize("error, expected", [
+        (lambda: DomainError("gamma pole at non-positive integer -3"),
+         DomainError("m3: gamma pole at non-positive integer -3")),
+        (lambda: PrecisionError("max depth reached"), PrecisionError("m3: max depth reached")),
+        (lambda: OverflowError("int too large to convert to float"),
+         DomainError("m3: a value exceeds double range (int too large to convert to float)")),
+    ], ids=["domain", "precision", "overflow"])
+    def test_a_term_error_keeps_its_type_and_message(
+        self, zeros100, monkeypatch, error, expected
     ):
-        raised = error()
-        message = str(raised)
-
+        # an OverflowError, a value past double range, comes out a DomainError
         def failing(nu, u):
-            raise raised
+            raise error()
 
         monkeypatch.setattr("linnik.formula.bessel_j", failing)
         spec = TruncationSpec(Z=5, L=2, M=1, tol=1.0)
-        with pytest.raises(type(raised)) as exc:
+        with pytest.raises(type(expected)) as exc:
             evaluate(CesaroParams(N=100, k=2.0), zeros100, spec)
-        assert type(exc.value) is type(raised)
-        assert vars(exc.value) == ({} if attr is None else {attr: value})
-        assert str(exc.value) == f"m3: {message}"
+        assert type(exc.value) is type(expected)
+        assert vars(exc.value) == {}
+        assert str(exc.value) == str(expected)
 
 
 class TestLemma5Probe:

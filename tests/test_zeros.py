@@ -54,14 +54,18 @@ class TestLoadZeros:
         p.write_text("14.134725141\n25.010857580\n21.022039638\n")
         with pytest.raises(ZeroTableError) as exc:
             load_zeros(p)
-        assert exc.value.line == 3
+        assert str(exc.value) == (
+            "line 3: ordinates must ascend strictly (21.022039638 after 25.01085758)"
+        )
 
     def test_unparseable_line(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("14.134725141\nnot-a-number\n")
         with pytest.raises(ZeroTableError) as exc:
             load_zeros(p)
-        assert exc.value.line == 2
+        assert str(exc.value) == (
+            "line 2: unparseable number: could not convert string to float: 'not-a-number'"
+        )
 
     def test_first_zero_sanity_window(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -72,14 +76,14 @@ class TestLoadZeros:
             p.write_text(f"{first}\n21.0\n")
             with pytest.raises(ZeroTableError) as exc:
                 load_zeros(p)
-            assert exc.value.line == 1
+            assert str(exc.value) == f"line 1: zero ordinate must be positive, got {float(first)}"
 
     def test_non_utf8_line_is_named(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_bytes(b"14.134725141\n\xff21.022039638\n")
         with pytest.raises(ZeroTableError) as exc:
             load_zeros(p)
-        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: not UTF-8 text"
 
     def test_unreadable_path_is_an_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -93,7 +97,7 @@ class TestLoadZeros:
         p.write_text("# gamma\n14.134725141\n21.022039638 0.5\n")
         with pytest.raises(ZeroTableError) as exc:
             load_zeros(p)
-        assert exc.value.line == 3
+        assert str(exc.value) == "line 3: expected 1 column, got 2"
 
     def test_bundled_table(self, zeros100):
         assert zeros100.count == 100
@@ -111,7 +115,7 @@ class TestLoadZeros:
         p.write_text(f"14.134725141\n{ordinate}\n")
         with pytest.raises(ZeroTableError) as exc:
             load_zeros(p)
-        assert exc.value.line == 2
+        assert str(exc.value) == f"line 2: zero ordinate must be positive, got {float(ordinate)}"
 
 
 class TestComputeZeros:
@@ -206,6 +210,20 @@ def test_a_Z_outside_the_table_is_refused_with_one_message(zeros100, refuse, Z):
     with pytest.raises(DomainError) as exc:
         refuse(zeros100, Z)
     assert str(exc.value) == f"Z = {Z} out of range for table of 100 zeros"
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda zs, Z: threshold_probe(2, 1.75, 100, zs, Z),
+    lambda zs, Z: paired_zero_sum(lambda rho: 0.0, zs, Z),
+    lambda zs, Z: zero_tail(zs, Z, 1.0, 0.0, 100.0, 3.5),
+    # a TruncationSpec refuses a non-integer Z itself, so a plain namespace stands in
+    lambda zs, Z: evaluate(CesaroParams(N=300, k=2.0), zs,
+                           SimpleNamespace(Z=Z, L=3, M=2, tol=1.0)),
+], ids=["threshold_probe", "paired_zero_sum", "zero_tail", "evaluate"])
+def test_a_non_integer_Z_is_refused_with_one_message(zeros100, refuse):
+    with pytest.raises(DomainError) as exc:
+        refuse(zeros100, 2.5)
+    assert str(exc.value) == "Z must be an integer, got 2.5"
 
 
 def test_import_loads_no_network_modules():
