@@ -7,7 +7,6 @@ from .arithmetic import (
     cesaro_lhs,
     compute_rq,
     omega2,
-    s_tilde,
     sieve_von_mangoldt,
 )
 from .errors import (

@@ -20,13 +20,12 @@ powers. The Cesaro-weighted left-hand side
     sum_{n <= N} r_Q(n) (N - n)^k / Gamma(k + 1)
 
 is one exactly rounded math.fsum, fed one block of weighted terms at a time;
-and the truncated generating functions
+and the truncated theta sum
 
-    S(z)      = sum_{m >= 1} Lambda(m) e^{-m z}
     omega2(z) = sum_{m >= 1} e^{-m^2 z}
 
-for Re z > 0, each with a computed bound on the discarded tail. Each sum is
-one exactly rounded math.fsum (one per part for complex terms).
+for Re z > 0, with a computed bound on the discarded tail, is one exactly
+rounded math.fsum per part.
 """
 
 import cmath
@@ -47,7 +46,6 @@ __all__ = [
     "sieve_von_mangoldt",
     "compute_rq",
     "cesaro_lhs",
-    "s_tilde",
     "omega2",
 ]
 
@@ -254,33 +252,6 @@ def _check_right_half_plane(z: complex) -> complex:
     if not (z.real > 0):
         raise DomainError(f"Re(z) must be positive, got {z}")
     return z
-
-
-def s_tilde(z: complex, cutoff: int, lam: np.ndarray) -> TruncatedValue:
-    """Truncated Lambda-weighted exponential sum sum_{m<=cutoff} Lambda(m) e^{-mz},
-    over the table lam (limit >= cutoff).
-
-    The tail bound uses Lambda(m) <= log m <= m and the exact geometric sum
-    sum_{m>C} m e^{-ma}; it is always <= 2 * cutoff * e^{-cutoff*a} / a in the
-    regime cutoff * a >= 2 the precondition calls for.
-    """
-    z = _check_right_half_plane(z)
-    a = z.real
-    if cutoff < 1:
-        raise DomainError("cutoff must be >= 1")
-    if len(lam) - 1 < cutoff:
-        raise DomainError("Lambda table shorter than cutoff")
-
-    head = fsum_complex(
-        float(lam[m]) * cmath.exp(-m * z) for m in np.flatnonzero(lam[: cutoff + 1]).tolist()
-    )
-
-    # sum_{m > C} m e^{-ma} = e^{-a(C+1)} * ((C+1)/(1-q) + q/(1-q)^2), q = e^{-a};
-    # 1 - q as -expm1(-a), which stays positive where q rounds to 1 (a < 1.1e-16)
-    q = math.exp(-a)
-    one_minus_q = -math.expm1(-a)
-    tail = math.exp(-a * (cutoff + 1)) * (cutoff + 1 + q / one_minus_q) / one_minus_q
-    return TruncatedValue(head, tail)
 
 
 _THETA_EXPONENT = -math.log(1e-18)

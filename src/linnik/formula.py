@@ -59,7 +59,7 @@ from . import arithmetic
 from .arithmetic import CesaroParams, fsum_complex
 from .errors import DomainError, PrecisionError
 from .quadrature import adaptive_gauss_kronrod
-from .specfun import bessel_j, gamma_ratio, log_gamma, memo
+from .specfun import bessel_j, bessel_j_prefetch, gamma_ratio, log_gamma, memo
 from .zeros import _SAFETY, ZeroSet, paired_zero_sum, zero_amp, zero_tail, zero_tail_bound
 
 __all__ = [
@@ -235,18 +235,39 @@ def _cut_tail(j: int, cutoff: int, N: float, k: float, paired_tails=()) -> float
     return _envelope(N) * sum(paired_tails, total)
 
 
-def _bessel_sum(nu: complex, points, sqrtN: float) -> complex:
-    """sum over points of mult * J_nu(2 pi root sqrt N) / root^nu."""
+def _points(j: int, cutoff: int, sqrtN: float) -> tuple:
+    """(root, log root, mult, u = 2 pi root sqrt N) over the points
+    lam = root^2 > 0 of lattice_points(j, cutoff); j = 0's lam = 0 is a limit."""
+    return tuple(
+        (root, 0.5 * math.log(lam), mult, 2.0 * math.pi * root * sqrtN)
+        for lam, mult in lattice_points(j, cutoff) if lam
+        for root in (math.sqrt(lam),)
+    )
+
+
+def _bessel_orders(params, zs, spec) -> list:
+    """(nu, us) for each Bessel order of m3, then m4, with the arguments u
+    of its points, in the order their sums take them."""
+    rhos = [complex(0.5, g) for g in zs.zeros[: spec.Z]]  # as paired_zero_sum forms them
+    rows = []
+    for j, cutoff in ((2, spec.L), (1, spec.M)):
+        us = [u for *_, u in _points(j, cutoff, math.sqrt(float(params.N)))]
+        for _, _, q, paired in _cells(j, _S):  # the orders point_sum forms
+            k = params.k + q
+            rows += [(k + rho, us) for rho in rhos] if paired else [(complex(k), us)]
+    return rows
+
+
+def _bessel_sum(nu: complex, points) -> complex:
+    """sum over points of mult * J_nu(u) / root^nu."""
     return fsum_complex(
-        bessel_j(nu, 2.0 * math.pi * root * sqrtN) * cmath.exp(-nu * log_root) * mult
-        for root, log_root, mult in points
+        bessel_j(nu, u) * cmath.exp(-nu * log_root) * mult for _, log_root, mult, u in points
     )
 
 
 def _bessel_term(j: int, s_pieces, names, tail_key, cutoff: int, params, zs, spec) -> TermValue:
-    """The cells of dimension j and S pieces s_pieces, summed over
-    lattice_points(j, cutoff) as (root, log root, mult) = (sqrt(lam), log(lam)/2,
-    mult), one component per name, with tail bounds from _cut_tail (under
+    """The cells of dimension j and S pieces s_pieces, summed over _points,
+    one component per name, with tail bounds from _cut_tail (under
     tail_key). Past the cutoff a paired cell carries the amplitude of the
     zeros kept, with s = (k+q+1/2)/2 + 1/4 (every zero is 1/2 + i gamma);
     zeros past Z are weighed over all points by zeros.zero_tail, with the
@@ -260,10 +281,7 @@ def _bessel_term(j: int, s_pieces, names, tail_key, cutoff: int, params, zs, spe
     N, k = float(params.N), params.k
     lnN = math.log(N)
     sqrtN = math.sqrt(N)
-    points = tuple(  # j = 0's lam = 0 is taken by its limit
-        (math.sqrt(lam), 0.5 * math.log(lam), mult)
-        for lam, mult in lattice_points(j, cutoff) if lam
-    )
+    points = _points(j, cutoff, sqrtN)
     C = zero_amp(N)
 
     def point_sum(q, rho=None):
@@ -276,9 +294,9 @@ def _bessel_term(j: int, s_pieces, names, tail_key, cutoff: int, params, zs, spe
                 raise DomainError("m1_term requires k > -1")
             return math.exp((k + q) * lnN - log_gamma(complex(offset, 0.0)).real)
         if rho is None:
-            return _bessel_sum(complex(k + q), points, sqrtN).real
+            return _bessel_sum(complex(k + q), points).real
         w = cmath.exp(log_gamma(rho) - rho * _LN_PI + 0.5 * rho * lnN)
-        return w * _bessel_sum(k + q + rho, points, sqrtN)
+        return w * _bessel_sum(k + q + rho, points)
 
     components = {}
     value = zero_weight = 0.0
@@ -291,7 +309,7 @@ def _bessel_term(j: int, s_pieces, names, tail_key, cutoff: int, params, zs, spe
             tail = _lattice_tail(j, cutoff, s)
             amp_in = sum(2.0 * C for _ in zs.zeros[: spec.Z])  # zero by zero: 2 C Z rounds apart
             paired_tails.append(pref * amp_in * tail)
-            head = sum(mult * root ** (-2.0 * s) for root, _, mult in points)
+            head = sum(mult * root ** (-2.0 * s) for root, _, mult, _ in points)
             zero_weight += pref * (head + tail) if j else (
                 abs(weight) * zero_tail_bound(N, k + (1 + q), spec.Z, zs))
         else:
@@ -452,7 +470,9 @@ def evaluate(
     whose reported tail bound exceeds spec.tol, then each of m2, m3 and m4
     whose reported tail bound exceeds its own |value| (unresolved). Each
     part is timed into wallclock under its name and tags the failures it
-    raises with that name.
+    raises with that name. m3's and m4's Bessel values are computed first,
+    over the process's CPUs (specfun.bessel_j_prefetch), while lhs, m1 and
+    m2 run here; the values and the report are those of a serial run.
     """
     N, k = params.N, params.k
     zs.check_Z(spec.Z)
@@ -460,14 +480,20 @@ def evaluate(
         raise DomainError(f"k = {k} is outside the theorem range k > 3/2")
 
     wall, values, tails = {}, {}, {}
-    with _term_context("lhs", wall):
-        lhs = arithmetic.cesaro_lhs(_tables_for(N), params)
-    with _term_context("m1", wall):
-        values["m1"] = m1_term(params)
-    for name, term in (("m2", m2_term), ("m3", m3_term), ("m4", m4_term)):
+
+    def term_part(name, term):
         with _term_context(name, wall):
             t = term(params, zs, spec)
         values[name], tails[name] = t.value, sum(t.tail_bounds.values())
+
+    with bessel_j_prefetch(_bessel_orders(params, zs, spec)):
+        with _term_context("lhs", wall):
+            lhs = arithmetic.cesaro_lhs(_tables_for(N), params)
+        with _term_context("m1", wall):
+            values["m1"] = m1_term(params)
+        term_part("m2", m2_term)
+    term_part("m3", m3_term)
+    term_part("m4", m4_term)
     notes = [
         f"{name} tail bound {tail:.3e} exceeds tol {spec.tol:.3e}"
         for name, tail in tails.items()

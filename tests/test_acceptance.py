@@ -26,7 +26,6 @@ from linnik.arithmetic import (
     cesaro_lhs,
     compute_rq,
     omega2,
-    s_tilde,
     sieve_von_mangoldt,
 )
 from linnik.formula import (
@@ -46,6 +45,7 @@ from conftest import ACCEPTANCE_GRID
 from frozen_values import FROZEN_SONINE
 from laplace_oracle import laplace_line_integral
 from lattice_oracle import paired_blocks, unpaired_blocks
+from s_oracle import s_tilde
 from test_arithmetic import brute_rq_counts, counts_to_value
 from zero_oracle import all_zero_sum, paired_all_zero_rows
 

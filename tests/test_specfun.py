@@ -1,4 +1,5 @@
 import cmath
+import functools
 import inspect
 import math
 import textwrap
@@ -523,10 +524,17 @@ def _besselj_300(nu: complex, u: float) -> complex:
         return complex(float(ref.real), float(ref.imag))
 
 
+@functools.cache
+def _sonine_200(nu, u) -> complex:
+    """The oracle at 200 bits, computed once per point for this module: two
+    tests take (3.5 + 14.1347i, 10), which is FROZEN_SONINE[22]."""
+    return bessel_j_sonine(nu, u, prec_bits=200)
+
+
 class TestSonineOracle:
     def test_live_rederivation_of_frozen_points(self):
         for nu, u, ref in [FROZEN_SONINE[1], FROZEN_SONINE[22]]:
-            live = bessel_j_sonine(nu, u, prec_bits=200)
+            live = _sonine_200(nu, u)
             assert abs(live - ref) <= 1e-13 * abs(ref)
 
     def test_contour_independence(self):
@@ -538,7 +546,7 @@ class TestSonineOracle:
         for nu, u in ((0.0, 1.0), (3.5 + 14.1347j, 10.0), (2.0 + 3.0j, 7.0)):
             with mp.workdps(60):
                 ref = complex(mpmath.besselj(mp.mpc(nu), mp.mpf(u)))
-                live = bessel_j_sonine(nu, u, prec_bits=200)
+                live = _sonine_200(nu, u)
                 assert abs(live - ref) <= 1e-14 * abs(ref)
                 assert abs(live - bessel_j(nu, u)) <= 1e-12 * abs(live)
 
