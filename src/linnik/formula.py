@@ -472,7 +472,9 @@ def evaluate(
     part is timed into wallclock under its name and tags the failures it
     raises with that name. m3's and m4's Bessel values are computed first,
     over the process's CPUs (specfun.bessel_j_prefetch), while lhs, m1 and
-    m2 run here; the values and the report are those of a serial run.
+    m2 run here; inside a scaling_study that prefetch forks nothing and
+    finishes the scan's. The values and the report are those of a serial
+    run.
     """
     N, k = params.N, params.k
     zs.check_Z(spec.Z)
@@ -645,16 +647,32 @@ def fit_loglog_slope(ns, values) -> float:
 
 def scaling_study(N_list, k: float, zs: ZeroSet, **cutoffs) -> ScalingStudy:
     """Run evaluate over an ascending N grid and fit the residual growth;
-    cutoffs (tol, Z, L, M) go to default_truncation at every N."""
+    cutoffs (tol, Z, L, M) go to default_truncation at every N.
+
+    The truncations are chosen first, then one specfun.bessel_j_prefetch
+    spreads every N's missing m3/m4 Bessel values over the process's CPUs,
+    each order whole over the scan, and the first evaluate finishes it before
+    its sums (each evaluate's own prefetch forks nothing inside it). The
+    evaluates still run N by N, and a failure to choose a truncation is
+    raised after the evaluates of the N before it, so the values, the report
+    and the first error are those of a serial run.
+    """
     N_list = list(N_list)
     if len(N_list) < 3:
         raise DomainError("scaling study needs at least 3 N values")
     if any(a >= b for a, b in zip(N_list, N_list[1:])):
         raise DomainError("N_list must be strictly ascending")
-    rows = []
-    for N in N_list:
-        params = CesaroParams(N=N, k=k)
-        spec = default_truncation(params, zs, **cutoffs)
-        rows.append(evaluate(params, zs, spec))
+    runs, failure = [], None
+    try:
+        for N in N_list:
+            params = CesaroParams(N=N, k=k)
+            runs.append((params, default_truncation(params, zs, **cutoffs)))
+    except DomainError as exc:
+        failure = exc
+    with bessel_j_prefetch([row for params, spec in runs
+                            for row in _bessel_orders(params, zs, spec)]):
+        rows = [evaluate(params, zs, spec) for params, spec in runs]
+    if failure is not None:
+        raise failure
     slope = fit_loglog_slope(N_list, [r.residual for r in rows])
     return ScalingStudy(rows=tuple(rows), slope=slope)

@@ -567,10 +567,17 @@ def bessel_j(nu, u: float) -> complex:
 
 
 # Below this many values missing from bessel_j's memo, bessel_j_prefetch
-# forks nothing. A fork round trip with the package loaded takes 3.9 ms; at
-# N = 2000, L = M = 3, Z = 2 (36 misses) serial took 18.6 ms and the fan-out
-# 20.0 ms, at Z = 4 (60 misses) 29 and 21 ms (2-vCPU VM).
+# forks nothing; a scan's prefetch counts the keys of all its N. A fork round
+# trip with the package loaded takes 3.9 ms; at N = 2000, L = M = 3, Z = 2
+# (36 misses) serial took 18.6 ms and the fan-out 20.0 ms, at Z = 4
+# (60 misses) 29 and 21 ms (2-vCPU VM).
 _FAN_OUT_MIN = 64
+
+# The finish of the fan-out open in this process, if one is: a
+# bessel_j_prefetch opened inside it forks nothing and calls it at its exit.
+# It is module state so that each evaluate of a scaling_study finds the
+# scan's fan-out without an argument that evaluate would have to take.
+_open_finish = None
 
 
 @contextmanager
@@ -579,10 +586,20 @@ def bessel_j_prefetch(rows):
     ((nu, us), ...), computed while the body runs by one forked process per
     extra CPU of os.sched_getaffinity(0), and after it by this one. Orders go
     out whole (one process builds each Hankel table), most series arguments
-    first, from a pipe of 4-byte indices. Values are stored in the order of
-    rows, one miss each; a key that raises is left out, for the caller's call
-    to raise. Nothing is forked on one CPU or with fewer than _FAN_OUT_MIN
-    values missing. On an exception each child is killed and reaped."""
+    first, from a pipe of 4-byte indices; what the pipe cannot take at once
+    is left to this process. Values are stored in the order of rows, one
+    miss each; a key that raises is left out, for the caller's call to
+    raise. Nothing is forked on one CPU or with fewer than _FAN_OUT_MIN
+    values missing. A prefetch opened while a fan-out is open forks nothing:
+    after its body it finishes the open one (a scan opens one over all its
+    N, and each N's evaluate finishes it, the first before its sums). On an
+    exception each child is killed and reaped."""
+    global _open_finish
+    if _open_finish is not None:
+        finish = _open_finish
+        yield
+        finish()
+        return
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     keys = []  # a zero-free evaluate stops at this count
     if cpus > 1 and sum(len(us) for _, us in rows) >= _FAN_OUT_MIN:
@@ -597,42 +614,25 @@ def bessel_j_prefetch(rows):
         by_order.setdefault(nu, []).append(i)
     orders = sorted(by_order.values(), reverse=True, key=lambda order: sum(
         keys[i][1] < _hankel_line(keys[i][0]) for i in order))
-    qr, qw = os.pipe()
+    values = {}  # by key index; a child sends its own
 
-    def drain():  # the values of the orders taken from the queue, by key index
-        values = {}
-        while index := os.read(qr, 4):
-            for i in orders[int.from_bytes(index, "little")]:
-                try:
-                    values[i] = _bessel_eval(*keys[i]).value
-                except Exception:  # left out
-                    pass
-        return values
-
-    queue = open(qw, "wb")
-    children = {}  # pid: its result pipe
-    try:
-        for _ in range(min(cpus, len(orders)) - 1):
-            r, w = os.pipe()
+    def compute(order):
+        for i in orders[order]:
             try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the rest take the queue
-                os.close(r), os.close(w)
-                break
-            if pid == 0:
-                try:
-                    os.close(qw)
-                    with open(w, "wb") as out:
-                        out.write(marshal.dumps(drain()))
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(w)
-            children[pid] = open(r, "rb")
-        with queue:
-            queue.write(b"".join(i.to_bytes(4, "little") for i in range(len(orders))))
-        yield
-        values = drain()
+                values[i] = _bessel_eval(*keys[i]).value
+            except Exception:  # left out
+                pass
+
+    def drain():
+        while index := os.read(qr, 4):
+            compute(int.from_bytes(index, "little"))
+
+    def finish():
+        if not keys:  # finished already
+            return
+        for order in range(sent // 4, len(orders)):
+            compute(order)
+        drain()
         for pid in list(children):
             with children[pid] as result:
                 blob = result.read()
@@ -643,8 +643,46 @@ def bessel_j_prefetch(rows):
         for i, key in enumerate(keys):
             if i in values:
                 bessel_j.store(key, values[i])
+        keys.clear()
+
+    qr, qw = os.pipe()
+    children = {}  # pid: its result pipe
+    try:
+        # The queue goes in before any fork, PIPE_BUF (4096) bytes a write,
+        # each taken whole or refused, so no write blocks; the orders the
+        # pipe refuses are this process's, after the body.
+        queue = b"".join(i.to_bytes(4, "little") for i in range(len(orders)))
+        sent = 0
+        os.set_blocking(qw, False)
+        try:
+            while sent < len(queue):
+                sent += os.write(qw, queue[sent : sent + 4096])
+        except BlockingIOError:
+            pass
+        finally:
+            os.close(qw)
+        for _ in range(min(cpus, len(orders)) - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the rest take the queue
+                os.close(r), os.close(w)
+                break
+            if pid == 0:
+                try:
+                    drain()
+                    with open(w, "wb") as out:
+                        out.write(marshal.dumps(values))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        _open_finish = finish
+        yield
+        finish()
     finally:
-        queue.close()
+        _open_finish = None
         os.close(qr)
         if children:
             import signal
