@@ -6,7 +6,6 @@ from .arithmetic import (
     LinnikTable,
     cesaro_lhs,
     compute_rq,
-    omega2,
     sieve_von_mangoldt,
 )
 from .errors import (

@@ -20,20 +20,14 @@ powers. The Cesaro-weighted left-hand side
     sum_{n <= N} r_Q(n) (N - n)^k / Gamma(k + 1)
 
 is one exactly rounded math.fsum, fed one block of weighted terms at a time;
-and the truncated theta sum
-
-    omega2(z) = sum_{m >= 1} e^{-m^2 z}
-
-for Re z > 0, with a computed bound on the discarded tail, is one exactly
-rounded math.fsum per part.
+fsum_complex rounds a complex sum exactly, one math.fsum per part.
 """
 
-import cmath
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,11 +36,9 @@ from .errors import DomainError
 __all__ = [
     "LinnikTable",
     "CesaroParams",
-    "TruncatedValue",
     "sieve_von_mangoldt",
     "compute_rq",
     "cesaro_lhs",
-    "omega2",
 ]
 
 # Hard cap on sieve size; segmented sieving beyond this is out of scope.
@@ -92,13 +84,6 @@ class CesaroParams:
             raise DomainError(f"N must be >= 4, got {self.N}")
         if not math.isfinite(self.k):
             raise DomainError("k must be finite")
-
-
-class TruncatedValue(NamedTuple):
-    """A truncated series value together with a bound on the discarded tail."""
-
-    value: complex
-    tail_bound: float
 
 
 def sieve_von_mangoldt(N: int) -> np.ndarray:
@@ -246,26 +231,3 @@ def fsum_complex(terms) -> complex:
     terms = list(terms)
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
-
-def _check_right_half_plane(z: complex) -> complex:
-    z = complex(z)
-    if not (z.real > 0):
-        raise DomainError(f"Re(z) must be positive, got {z}")
-    return z
-
-
-_THETA_EXPONENT = -math.log(1e-18)
-
-
-def omega2(z: complex) -> TruncatedValue:
-    """Truncated one-sided theta sum sum_{m=1..M} e^{-m^2 z} with tail bound,
-    M >= 2 the smallest cutoff with e^{-M^2 Re z} below 1e-18 (M^2 Re z above
-    _THETA_EXPONENT)."""
-    z = _check_right_half_plane(z)
-    a = z.real
-    cutoff = max(2, math.isqrt(int(_THETA_EXPONENT / a)) + 1)
-    head = fsum_complex(cmath.exp(-(m * m) * z) for m in range(1, cutoff + 1))
-    # |e^{-m^2 z}| = e^{-m^2 a}; for m > M, m^2 >= M^2 + (2M+1)(m - M)
-    r = math.exp(-(2 * cutoff + 1) * a)
-    tail = math.exp(-(cutoff + 1) ** 2 * a) / (1 - r) if r < 1 else math.inf
-    return TruncatedValue(head, tail)

@@ -35,7 +35,8 @@ radius L, single-index cutoff M. Every term carries computed tail bounds:
     (u/2 / gamma)^{k+3/2} beyond. Zeros past the loaded table are counted by
     the density log(gamma/2pi)/(2pi).
 
-Sums over points, zeros and probe terms are exactly rounded (math.fsum).
+Sums over points, zeros and probe terms, and the probe's theta sum omega(a),
+are exactly rounded (math.fsum).
 
 evaluate() assembles the report; threshold_probe runs the threshold diagnostic
 for the k > d - 1/2 convergence boundary; scaling_study fits the growth of
@@ -45,7 +46,6 @@ the residual over an N grid.
 import cmath
 import math
 import numbers
-import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -126,7 +126,6 @@ class FormulaReport:
     m3: float
     m4: float
     tail_bounds: dict
-    wallclock: dict
     notes: tuple
 
     @property
@@ -245,17 +244,18 @@ def _points(j: int, cutoff: int, sqrtN: float) -> tuple:
     )
 
 
-def _bessel_orders(params, zs, spec) -> list:
-    """(nu, us) for each Bessel order of m3, then m4, with the arguments u
-    of its points, in the order their sums take them."""
+def _bessel_orders(params, zs, spec):
+    """Yield (nu, us) for each Bessel order of m3, then m4, with the
+    arguments u of its points, in the order their sums take them."""
     rhos = [complex(0.5, g) for g in zs.zeros[: spec.Z]]  # as paired_zero_sum forms them
-    rows = []
     for j, cutoff in ((2, spec.L), (1, spec.M)):
         us = [u for *_, u in _points(j, cutoff, math.sqrt(float(params.N)))]
         for _, _, q, paired in _cells(j, _S):  # the orders point_sum forms
             k = params.k + q
-            rows += [(k + rho, us) for rho in rhos] if paired else [(complex(k), us)]
-    return rows
+            if paired:
+                yield from ((k + rho, us) for rho in rhos)
+            else:
+                yield complex(k), us
 
 
 def _bessel_sum(nu: complex, points) -> complex:
@@ -441,11 +441,10 @@ def _tables_for(N: int):
 
 
 @contextmanager
-def _term_context(name: str, wall: dict):
-    """Time one part of the formula (the left side or a term) into wall[name];
-    re-raise a PrecisionError or DomainError tagged with that part, and an
-    OverflowError, a value past double range, as a DomainError."""
-    t0 = time.perf_counter()
+def _term_context(name: str):
+    """Re-raise a PrecisionError or DomainError of one part of the formula
+    (the left side or a term) tagged with that part, and an OverflowError, a
+    value past double range, as a DomainError."""
     try:
         yield
     except (PrecisionError, DomainError) as exc:
@@ -453,7 +452,6 @@ def _term_context(name: str, wall: dict):
         raise
     except OverflowError as exc:
         raise DomainError(f"{name}: a value exceeds double range ({exc})") from None
-    wall[name] = time.perf_counter() - t0
 
 
 def evaluate(
@@ -469,29 +467,29 @@ def evaluate(
     Every note of the report is written here, in this order: each term
     whose reported tail bound exceeds spec.tol, then each of m2, m3 and m4
     whose reported tail bound exceeds its own |value| (unresolved). Each
-    part is timed into wallclock under its name and tags the failures it
-    raises with that name. m3's and m4's Bessel values are computed first,
-    over the process's CPUs (specfun.bessel_j_prefetch), while lhs, m1 and
-    m2 run here; inside a scaling_study that prefetch forks nothing and
-    finishes the scan's. The values and the report are those of a serial
-    run.
+    part tags the failures it raises with its name. m3's and m4's Bessel
+    values are computed first, over the process's CPUs
+    (specfun.bessel_j_prefetch), while lhs, m1 and m2 run here; inside a
+    scaling_study that prefetch forks nothing, never builds this N's orders,
+    and finishes the scan's. The values and the report are those of a
+    serial run.
     """
     N, k = params.N, params.k
     zs.check_Z(spec.Z)
     if k <= THEOREM_MIN_K:
         raise DomainError(f"k = {k} is outside the theorem range k > 3/2")
 
-    wall, values, tails = {}, {}, {}
+    values, tails = {}, {}
 
     def term_part(name, term):
-        with _term_context(name, wall):
+        with _term_context(name):
             t = term(params, zs, spec)
         values[name], tails[name] = t.value, sum(t.tail_bounds.values())
 
     with bessel_j_prefetch(_bessel_orders(params, zs, spec)):
-        with _term_context("lhs", wall):
+        with _term_context("lhs"):
             lhs = arithmetic.cesaro_lhs(_tables_for(N), params)
-        with _term_context("m1", wall):
+        with _term_context("m1"):
             values["m1"] = m1_term(params)
         term_part("m2", m2_term)
     term_part("m3", m3_term)
@@ -506,14 +504,22 @@ def evaluate(
         for name, tail in tails.items()
         if tail > abs(values[name])
     )
-    return FormulaReport(
-        params=params, lhs=lhs, **values, tail_bounds=tails, wallclock=wall, notes=tuple(notes)
-    )
+    return FormulaReport(params=params, lhs=lhs, **values, tail_bounds=tails, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
 # Threshold probe
 # ---------------------------------------------------------------------------
+
+
+_THETA_EXPONENT = -math.log(1e-18)
+
+
+def _omega(a: float) -> float:
+    """omega(a) = sum_{l>=1} e^{-a l^2} for a > 0, cut at the smallest M >= 2
+    with e^{-M^2 a} below 1e-18 (M^2 a above _THETA_EXPONENT)."""
+    cutoff = max(2, math.isqrt(int(_THETA_EXPONENT / a)) + 1)
+    return math.fsum(math.exp(-(m * m) * a) for m in range(1, cutoff + 1))
 
 
 def _omega_remainder(a: float) -> float:
@@ -525,8 +531,8 @@ def _omega_remainder(a: float) -> float:
     directly (no cancellation) and is ~ sqrt(pi/a) e^{-pi^2/a} as a -> 0.
     """
     if a < math.pi:
-        return math.sqrt(math.pi / a) * arithmetic.omega2(math.pi * math.pi / a).value.real
-    return arithmetic.omega2(a).value.real - 0.5 * (math.sqrt(math.pi / a) - 1.0)
+        return math.sqrt(math.pi / a) * _omega(math.pi * math.pi / a)
+    return _omega(a) - 0.5 * (math.sqrt(math.pi / a) - 1.0)
 
 
 def _lower_gamma(s: float, x: float) -> float:
@@ -669,8 +675,8 @@ def scaling_study(N_list, k: float, zs: ZeroSet, **cutoffs) -> ScalingStudy:
             runs.append((params, default_truncation(params, zs, **cutoffs)))
     except DomainError as exc:
         failure = exc
-    with bessel_j_prefetch([row for params, spec in runs
-                            for row in _bessel_orders(params, zs, spec)]):
+    with bessel_j_prefetch(row for params, spec in runs
+                           for row in _bessel_orders(params, zs, spec)):
         rows = [evaluate(params, zs, spec) for params, spec in runs]
     if failure is not None:
         raise failure

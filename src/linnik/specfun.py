@@ -592,8 +592,9 @@ def bessel_j_prefetch(rows):
     raise. Nothing is forked on one CPU or with fewer than _FAN_OUT_MIN
     values missing. A prefetch opened while a fan-out is open forks nothing:
     after its body it finishes the open one (a scan opens one over all its
-    N, and each N's evaluate finishes it, the first before its sums). On an
-    exception each child is killed and reaped."""
+    N, and each N's evaluate finishes it, the first before its sums). rows
+    may be an iterator: it is read once, and not at all on one CPU or inside
+    an open fan-out. On an exception each child is killed and reaped."""
     global _open_finish
     if _open_finish is not None:
         finish = _open_finish
@@ -601,8 +602,8 @@ def bessel_j_prefetch(rows):
         finish()
         return
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    keys = []  # a zero-free evaluate stops at this count
-    if cpus > 1 and sum(len(us) for _, us in rows) >= _FAN_OUT_MIN:
+    keys = []
+    if cpus > 1:
         cache = bessel_j.cache
         keys = list(dict.fromkeys((nu, u) for nu, us in rows for u in us
                                   if (nu, u) not in cache))[: bessel_j.cap - len(cache)]
@@ -612,8 +613,12 @@ def bessel_j_prefetch(rows):
     by_order = {}
     for i, (nu, u) in enumerate(keys):
         by_order.setdefault(nu, []).append(i)
-    orders = sorted(by_order.values(), reverse=True, key=lambda order: sum(
-        keys[i][1] < _hankel_line(keys[i][0]) for i in order))
+
+    def series_count(item):  # the keys of an order below its Hankel line
+        line = _hankel_line(item[0])
+        return sum(keys[i][1] < line for i in item[1])
+
+    orders = [order for _, order in sorted(by_order.items(), reverse=True, key=series_count)]
     values = {}  # by key index; a child sends its own
 
     def compute(order):

@@ -20,12 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linnik import cli, formula
+from linnik import cli, formula, specfun
 from linnik.arithmetic import (
     CesaroParams,
     cesaro_lhs,
     compute_rq,
-    omega2,
     sieve_von_mangoldt,
 )
 from linnik.formula import (
@@ -45,7 +44,7 @@ from conftest import ACCEPTANCE_GRID
 from frozen_values import FROZEN_SONINE
 from laplace_oracle import laplace_line_integral
 from lattice_oracle import paired_blocks, unpaired_blocks
-from s_oracle import s_tilde
+from s_oracle import omega2, s_tilde
 from test_arithmetic import brute_rq_counts, counts_to_value
 from zero_oracle import all_zero_sum, paired_all_zero_rows
 
@@ -503,8 +502,14 @@ C14_PAIRED = ("zeros", "block3", "block4")
 @pytest.fixture(scope="module")
 def c14_rows(zeros100):
     """_paired_rows at Z = C14_Z, L = M = 64: m3's and m4's paired parts and
-    their paired components over the same zeros as the Hardy sums."""
+    their paired components over the same zeros as the Hardy sums. Their
+    Bessel values are computed first over the CPUs, as evaluate's are."""
     spec = TruncationSpec(Z=C14_Z, L=64, M=64, tol=1.0)
+    with specfun.bessel_j_prefetch(
+        row for N, k in C14_GRID
+        for row in formula._bessel_orders(CesaroParams(N=N, k=k), zeros100, spec)
+    ):
+        pass
     return [row for N, k in C14_GRID
             for row in _paired_rows(zeros100, N, k, spec, C14_Z, C14_PAIRED)]
 

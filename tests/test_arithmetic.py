@@ -13,13 +13,12 @@ from linnik.arithmetic import (
     cesaro_lhs,
     compute_rq,
     fsum_complex,
-    omega2,
     sieve_von_mangoldt,
 )
 from linnik.errors import DomainError
 
 from lhs_oracle import cesaro_lhs_k2
-from s_oracle import s_tilde
+from s_oracle import omega2, s_tilde
 
 
 def brute_prime_powers(limit):

@@ -63,13 +63,11 @@ def forks(monkeypatch):
 
 
 def _bits(report) -> dict:
-    """Every field of a report, floats as hex; of wallclock only the parts."""
+    """Every field of a report, floats as hex."""
     out = {}
     for field in dataclasses.fields(report):
         v = getattr(report, field.name)
-        if field.name == "wallclock":
-            v = sorted(v)
-        elif isinstance(v, float):
+        if isinstance(v, float):
             v = v.hex()
         elif isinstance(v, dict):
             v = {key: x.hex() for key, x in v.items()}
@@ -109,6 +107,22 @@ def test_a_scaling_study_forks_once(run_as, forks, zeros100):
     # one prefetch over the keys of every N; each evaluate's own forks nothing
     run_as(FAN_OUT, lambda: scaling_study([500, 1000, 2000, 4000], 2.0, zeros100))
     assert len(forks) == 1
+    _no_child_left()
+
+
+def test_a_scaling_study_builds_each_Ns_orders_once(run_as, monkeypatch, zeros100):
+    # the scan's prefetch reads every N's rows; each evaluate's own prefetch,
+    # nested in it, reads none. A build forms m3's points (j = 2) once.
+    built, points, orders = [], formula._points, formula._bessel_orders.__code__
+
+    def spying_points(j, cutoff, sqrtN):
+        if j == 2 and sys._getframe(1).f_code is orders:
+            built.append(round(sqrtN * sqrtN))
+        return points(j, cutoff, sqrtN)
+
+    monkeypatch.setattr(formula, "_points", spying_points)
+    run_as(FAN_OUT, lambda: scaling_study([500, 1000, 2000, 4000], 2.0, zeros100, Z=2))
+    assert built == [500, 1000, 2000, 4000]
     _no_child_left()
 
 

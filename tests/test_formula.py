@@ -27,6 +27,8 @@ from linnik.formula import (
 from linnik.specfun import bessel_j, gamma_ratio, log_gamma
 from linnik.zeros import _SAFETY, ZeroSet, zero_amp, zero_tail, zero_tail_bound
 
+from s_oracle import omega2
+
 
 class TestLatticePoints:
     def test_small_radii(self):
@@ -110,7 +112,7 @@ class TestOmega2Pieces:
             for j, pieces in enumerate(formula._OMEGA2)
             for r, e in pieces
         )
-        expected = arithmetic.omega2(x).value.real ** 2
+        expected = formula._omega(x) ** 2
         return got == pytest.approx(expected, rel=1e-11)
 
     @pytest.mark.parametrize("x", XS)
@@ -623,6 +625,15 @@ class TestEvaluate:
 
 
 class TestLemma5Probe:
+    def test_omega_is_the_complex_theta_sum_at_real_a(self):
+        # the probe's real theta sum against the complex one over the same
+        # cutoff, bit for bit; also at pi, where _omega_remainder switches to
+        # the theta identity, and at 2 pi^2, the pi^2/a it then takes at a = 1/2
+        rng = np.random.default_rng(0)
+        points = np.exp(rng.uniform(math.log(1e-3), math.log(50.0), 2000)).tolist()
+        for a in points + [math.pi, 2.0 * math.pi**2]:
+            assert formula._omega(a).hex() == omega2(a).value.real.hex(), a
+
     def test_empty_zero_set(self):
         empty = ZeroSet((), "empty")
         assert threshold_probe(2, 1.75, 100, empty, 0) == ()
