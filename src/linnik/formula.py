@@ -23,10 +23,11 @@ All infinite sums are truncated under a TruncationSpec: Z zeros, lattice
 radius L, single-index cutoff M. Every term carries computed tail bounds:
 
   * lattice/m tails from |J_nu(u)| <~ sqrt(2/(pi u)): a point past the cutoff
-    weighs lam^{-s}, s = Re nu/2 + 1/4, summed past the cutoff by one density
-    bound for every j, with a safety factor 2 for the lattice (_lattice_tail,
-    _cut_tail). default_truncation picks L and M by the same rule, as the
-    smallest cutoffs whose unpaired cells' tail meets tol/4;
+    weighs lam^{-s}, s = Re nu/2 + 1/4, summed by one density bound for every
+    j, with head room 2 for the lattice (_lattice_tail). The cut tail is
+    _cut_tail's, every cell past the cutoff, a paired one times the amplitude
+    of the zeros kept. default_truncation picks L and M by the same rule, as
+    the smallest cutoffs whose cut tail at Z = 0 (the unpaired cells) meets tol/4;
   * zero tails from zeros.zero_tail, the one model of the zeros past Z: m2
     weighs a zero by its Stirling Gamma ratio ~ gamma^-c; m3 and m4 by the
     cancellation of |Gamma(rho)| against the J growth, at most
@@ -35,8 +36,9 @@ radius L, single-index cutoff M. Every term carries computed tail bounds:
     (u/2 / gamma)^{k+3/2} beyond. Zeros past the loaded table are counted by
     the density log(gamma/2pi)/(2pi).
 
-Sums over points, zeros and probe terms, and the probe's theta sum omega(a),
-are exactly rounded (math.fsum).
+The value sums over points, zeros and probe terms, and the probe's theta sum
+omega(a), are exactly rounded (math.fsum). The tail sums (a paired cell's
+head of points, the kept zeros' amplitude) are plain sums, under _SAFETY.
 
 evaluate() assembles the report; threshold_probe runs the threshold diagnostic
 for the k > d - 1/2 convergence boundary; scaling_study fits the growth of
@@ -222,16 +224,19 @@ def _envelope(N: float) -> float:
     return _SAFETY * N**-0.25 / math.pi
 
 
-def _cut_tail(j: int, cutoff: int, N: float, k: float, paired_tails=()) -> float:
-    """Tail bound past the cutoff of the unpaired cells of dimension j: a point
-    there weighs lam^{-s}, s = (k+q)/2 + 1/4, and _lattice_tail bounds their
-    sum. The caller's paired_tails (already in these units) follow them."""
+def _cut_tail(j: int, cutoff: int, N: float, k: float, Z: int = 0) -> float:
+    """Tail bound of every cell of dimension j past the cutoff: a point there
+    weighs lam^{-s}, s = Re nu/2 + 1/4, and _lattice_tail bounds their sum; a
+    paired cell (Re nu = k+q+1/2) weighs 2 zeros.zero_amp(N) per kept zero,
+    summed zero by zero, and adds nothing at Z = 0, where its tail may be inf."""
     lnN = math.log(N)
+    amp = sum([2.0 * zero_amp(N)] * Z)  # not 2 C Z, which rounds apart
     total = 0.0
     for _, p, q, paired in _cells(j, _S):
-        if not paired:
-            total += _pref(p, q, k, lnN) * _lattice_tail(j, cutoff, (k + q) / 2.0 + 0.25)
-    return _envelope(N) * sum(paired_tails, total)
+        if Z or not paired:
+            total += _pref(p, q, k, lnN) * (amp if paired else 1.0) * _lattice_tail(
+                j, cutoff, (k + q + 0.5 * paired) / 2.0 + 0.25)
+    return _envelope(N) * total
 
 
 def _points(j: int, cutoff: int, sqrtN: float) -> tuple:
@@ -267,11 +272,10 @@ def _bessel_sum(nu: complex, points) -> complex:
 
 def _bessel_term(j: int, s_pieces, names, tail_key, cutoff: int, params, zs, spec) -> TermValue:
     """The cells of dimension j and S pieces s_pieces, summed over _points,
-    one component per name, with tail bounds from _cut_tail (under
-    tail_key). Past the cutoff a paired cell carries the amplitude of the
-    zeros kept, with s = (k+q+1/2)/2 + 1/4 (every zero is 1/2 + i gamma);
-    zeros past Z are weighed over all points by zeros.zero_tail, with the
-    plateau edge u_ref/2 and decay k + 3/2.
+    one component per name. The cut tail (under tail_key) is _cut_tail's at
+    spec.Z; zeros past Z are weighed by zeros.zero_tail over all points, the
+    kept ones and those past the cutoff, each point weighing lam^{-s} with
+    s = (k+q+1/2)/2 + 1/4, at the plateau edge u_ref/2 and decay k + 3/2.
 
     j = 0 is lam = 0 alone, at its limit in m1's and m2's operation order:
     pref reduces to pi^p, kept with coef (a component is the bare sum); its
@@ -282,7 +286,6 @@ def _bessel_term(j: int, s_pieces, names, tail_key, cutoff: int, params, zs, spe
     lnN = math.log(N)
     sqrtN = math.sqrt(N)
     points = _points(j, cutoff, sqrtN)
-    C = zero_amp(N)
 
     def point_sum(q, rho=None):
         # the cell's point sum without pref, times the paired weight at a zero rho
@@ -300,17 +303,13 @@ def _bessel_term(j: int, s_pieces, names, tail_key, cutoff: int, params, zs, spe
 
     components = {}
     value = zero_weight = 0.0
-    paired_tails = []
     for name, (coef, p, q, paired) in zip(names, _cells(j, s_pieces)):
         weight, pref = (coef * math.pi**p, 1.0) if j == 0 else (coef, _pref(p, q, k, lnN))
         if paired:
             block = pref * paired_zero_sum(lambda rho, q=q: point_sum(q, rho), zs, spec.Z)
             s = (k + q + 0.5) / 2.0 + 0.25
-            tail = _lattice_tail(j, cutoff, s)
-            amp_in = sum(2.0 * C for _ in zs.zeros[: spec.Z])  # zero by zero: 2 C Z rounds apart
-            paired_tails.append(pref * amp_in * tail)
             head = sum(mult * root ** (-2.0 * s) for root, _, mult, _ in points)
-            zero_weight += pref * (head + tail) if j else (
+            zero_weight += pref * (head + _lattice_tail(j, cutoff, s)) if j else (
                 abs(weight) * zero_tail_bound(N, k + (1 + q), spec.Z, zs))
         else:
             block = pref * point_sum(q)
@@ -318,9 +317,9 @@ def _bessel_term(j: int, s_pieces, names, tail_key, cutoff: int, params, zs, spe
         value += weight * block
     if j == 0:
         return TermValue(value, components, {"zeros": zero_weight})
-    cut_tail = _cut_tail(j, cutoff, N, k, paired_tails)
+    cut_tail = _cut_tail(j, cutoff, N, k, spec.Z)
     edge = math.pi * max(cutoff, 1) * sqrtN  # u_ref/2 for u_ref = 2 pi cutoff sqrt N
-    past_z = _envelope(N) * zero_weight * zero_tail(zs, spec.Z, C, 0.0, edge, k + 1.5)
+    past_z = _envelope(N) * zero_weight * zero_tail(zs, spec.Z, zero_amp(N), 0.0, edge, k + 1.5)
     return TermValue(value, components, {tail_key: cut_tail, "zeros": past_z})
 
 
@@ -367,8 +366,8 @@ def m4_term(
 
 
 def _smallest_cutoff(j: int, hi: int, N: float, k: float, tol: float) -> int:
-    """Smallest cutoff n in [3, hi) whose unpaired cells of dimension j have a
-    _cut_tail <= tol/4; hi if there is none."""
+    """Smallest cutoff n in [3, hi) whose cut tail of dimension j at Z = 0,
+    that of the unpaired cells, is <= tol/4; hi if there is none."""
     for n in range(3, hi):
         if _cut_tail(j, n, N, k) <= tol / 4.0:
             return n
@@ -385,16 +384,16 @@ def default_truncation(
 ) -> TruncationSpec:
     """Keep each cutoff given and choose the missing ones for tol (default
     1e-6 N^{k+1}): Z = 50 (or the table size), L in [3, 64) and M in
-    [3, 256) as the smallest for which the cut tail of the unpaired
-    "lattice" and "m" cells, the rule m3_term and m4_term report, meets
-    tol/4; L = 64 or M = 256 if none does.
+    [3, 256) as the smallest for which _cut_tail at Z = 0 (the unpaired
+    "lattice" and "m" cells; m3_term and m4_term report it at spec.Z)
+    meets tol/4; L = 64 or M = 256 if none does.
 
-    The paired cells' lattice/m tails carry a Z-driven amplitude that no
-    cutoff can push below tol; the term evaluators report them, but they do
-    not drive the choice. evaluate notes every term whose reported tail
-    exceeds tol, including one whose cutoff search ran into its cap. A Z
-    given outside the table (zs.check_Z's message, as for every command), a
-    default tol or a cutoff rule past double range raises DomainError.
+    _cut_tail's paired cells carry a Z-driven amplitude that no cutoff can
+    push below tol; the terms report it, but it does not drive the choice.
+    evaluate notes every term whose reported tail exceeds tol, including one
+    whose cutoff search ran into its cap. A Z given outside the table
+    (zs.check_Z's message, as for every command), a default tol or a cutoff
+    rule past double range raises DomainError.
     """
     if Z is not None:
         zs.check_Z(Z)

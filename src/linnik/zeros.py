@@ -179,8 +179,8 @@ def zero_tail(
 
 def zero_amp(N: float) -> float:
     """zero_tail's C for the paired Bessel cells of M3 and M4: by Stirling,
-    |Gamma(rho) pi^-rho N^{rho/2}| e^{pi gamma/2} <= C gamma^A with
-    C = RATIO_SLACK sqrt(2 pi) pi^-1/2 N^{1/4} and A = beta - 1/2 = 0."""
+    |Gamma(rho) pi^-rho N^{rho/2}| e^{pi gamma/2} <= C gamma^A with A = 0 (every
+    zero is 1/2 + i gamma) and C = RATIO_SLACK sqrt(2 pi) pi^-1/2 N^{1/4}."""
     return _RATIO_SLACK * math.sqrt(2.0 * math.pi) * math.pi ** (-0.5) * N ** (0.5 / 2.0)
 
 

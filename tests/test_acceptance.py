@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from linnik import cli, formula, specfun
 from linnik.arithmetic import (
@@ -30,6 +31,7 @@ from linnik.arithmetic import (
 from linnik.formula import (
     TruncationSpec,
     default_truncation,
+    evaluate,
     fit_loglog_slope,
     m1_term,
     m2_term,
@@ -43,10 +45,10 @@ from linnik.zeros import load_zeros, zero_tail_bound
 from conftest import ACCEPTANCE_GRID
 from frozen_values import FROZEN_SONINE
 from laplace_oracle import laplace_line_integral
-from lattice_oracle import paired_blocks, unpaired_blocks
+from lattice_oracle import il_omega2, paired_blocks, unpaired_blocks
 from s_oracle import omega2, s_tilde
 from test_arithmetic import brute_rq_counts, counts_to_value
-from zero_oracle import all_zero_sum, paired_all_zero_rows
+from zero_oracle import _r_inverse, all_zero_sum, paired_all_zero_rows
 
 EPS = 2.220446049250313e-16
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -654,3 +656,64 @@ def test_c13_cannot_see_a_dropped_or_flipped_paired_component(c13_terms, compone
     # (block3) or 1670 (block4) times itself. Until those tails tighten
     # (ROADMAP items 3 + 4 and 6), c13 catches only errors of that size.
     assert _outside(_c13_rows(c13_terms, component, scale)) == []
+
+
+# Criterion 15: M3 + M4 seen end to end, on the residual less M0, the sum of
+# S's residues at the trivial poles: IL_{k+1}[omega^2 R] from the oracles
+# (zero_oracle._r_inverse over lattice_oracle.il_omega2), which read no zero,
+# no Bessel value, no r_Q table and no cell table. After M0 the residual is
+# M2's, M3's and M4's truncation error alone.
+
+C15_GRID = tuple((N, k) for N in ACCEPTANCE_GRID for k in (2.0, 2.5))
+C15_SPEC = TruncationSpec(Z=100, L=3, M=3, tol=1.0)
+# B_k: |residual - M0| <= B_k N^k. The rows read -1.04e-4, +1.19e-4,
+# +5.6e-6, -2.08e-4 N^k at k = 2 and -2.05e-5, +2.2e-6, +5.9e-6, -2.60e-5
+# N^k at k = 2.5 (N = 500..4000); the closest row, k = 2 at N = 4000, has a
+# margin of 1.44
+C15_BOUND = {2.0: 3e-4, 2.5: 5e-5}
+
+
+def _m0(N: int, k: float) -> float:
+    """M0 = IL_{k+1}[omega^2 R], the residues of z^{-k-1} omega(z)^2 S(z) at
+    the trivial poles, at 120 bits."""
+    with mp.workprec(120):
+        (m0,) = _r_inverse(lambda a, log: (il_omega2(N, a, log),), mp.mpf(k) + 1)
+        return float(m0)
+
+
+@pytest.fixture(scope="module")
+def c15_rows(zeros100):
+    """(N, k, m3, m4, residual - M0, B_k N^k) over C15_GRID at C15_SPEC."""
+    rows = []
+    for N, k in C15_GRID:
+        report = evaluate(CesaroParams(N=N, k=k), zeros100, C15_SPEC)
+        rows.append((N, k, report.m3, report.m4, report.residual - _m0(N, k),
+                     C15_BOUND[k] * float(N) ** k))
+    return rows
+
+
+def _c15_failed(rows, term: str = "m3", scale: float = 1.0) -> list:
+    """The (N, k) of the rows outside B_k N^k once the term enters the
+    residual times scale (dropped: 0, flipped: -1)."""
+    column = {"m3": 2, "m4": 3}[term]
+    return [row[:2] for row in rows
+            if not abs(row[4] + (1.0 - scale) * row[column]) <= row[5]]
+
+
+def test_c15_m3_m4_seen_end_to_end(c15_rows):
+    ok = not _c15_failed(c15_rows)
+    ratios = [row[4] / float(row[0]) ** row[1] for row in c15_rows]
+    _report(15, "m3 + m4 end to end", ok,
+            f"(residual - M0)/N^k = {min(ratios):.2e}..{max(ratios):.2e} against "
+            f"B_k = {C15_BOUND[2.0]:.0e} (k = 2), {C15_BOUND[2.5]:.0e} (k = 2.5); "
+            f"N = 500..4000, Z = {C15_SPEC.Z}, L = M = {C15_SPEC.L}")
+    assert ok
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0], ids=["dropped", "flipped"])
+@pytest.mark.parametrize("term", ["m3", "m4"])
+def test_c15_fails_when_m3_or_m4_is_dropped_or_flipped(c15_rows, term, scale):
+    # every mutant fails a row: a dropped m3 fails 3 of the 8 rows (N = 500
+    # and 4000 at k = 2, N = 1000 at k = 2.5), a flipped m3 5, a dropped m4 7
+    # (all but N = 1000, k = 2) and a flipped m4 all 8
+    assert _c15_failed(c15_rows, term, scale)

@@ -92,6 +92,23 @@ class TestLatticePoints:
         )
         assert formula._cut_tail(1, 3, N, k) == expected != unpatched
 
+    @pytest.mark.parametrize("N", [500, 2000])
+    def test_the_terms_report_the_cut_tail_of_every_cell(self, zeros100, N):
+        # _cut_tail is the one sum of a cut tail: m3's and m4's are its value
+        # at their Z, paired cells included, bit for bit
+        params, k = CesaroParams(N=N, k=2.0), 2.0
+        for Z in (0, 2, 50):
+            spec = TruncationSpec(Z=Z, L=3, M=3, tol=1.0)
+            lattice = m3_term(params, zeros100, spec).tail_bounds["lattice"]
+            msum = m4_term(params, zeros100, spec).tail_bounds["msum"]
+            assert lattice == formula._cut_tail(2, 3, float(N), k, Z), Z
+            assert msum == formula._cut_tail(1, 3, float(N), k, Z), Z
+        # at k <= 0 a paired cell's lattice tail is inf (s <= j/2) while the
+        # unpaired cells' is finite; with no kept zero the paired cells add
+        # nothing, not 0 * inf
+        assert math.isfinite(formula._cut_tail(2, 3, 500.0, 0.0, 0))
+        assert formula._cut_tail(2, 3, 500.0, 0.0, 1) == math.inf
+
 
 class TestOmega2Pieces:
     """formula._OMEGA2, each piece times the theta sum of its index set, adds
