@@ -71,7 +71,8 @@ class CesaroParams:
 
     k > 3/2 is the theorem range, and formula.evaluate refuses any other k.
     cesaro_lhs, the term evaluators and threshold_probe take any k their own
-    checks allow, for probes below the threshold.
+    checks allow, for probes below the threshold. Every command takes N and k
+    through it, so one check refuses a non-integer N, N < 4 and a non-finite k.
     """
 
     N: int

@@ -144,7 +144,7 @@ def cmd_zeros(args) -> int:
 def cmd_probe(args) -> int:
     zs = _load_zero_set(args.zeros)
     Z = zs.count if args.Z is None else args.Z
-    partials = formula.threshold_probe(args.d, args.k, args.N, zs, Z)
+    partials = formula.threshold_probe(args.d, CesaroParams(N=args.N, k=args.k), zs, Z)
     _write_csv("zeros_included,partial_sum", enumerate(partials, start=1), args.out)
     return EXIT_OK
 

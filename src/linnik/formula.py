@@ -542,8 +542,7 @@ def _lower_gamma(s: float, x: float) -> float:
 
 def threshold_probe(
     d: int,
-    k: float,
-    N: int,
+    params: CesaroParams,
     zs: ZeroSet,
     Z: int,
 ) -> tuple:
@@ -552,8 +551,8 @@ def threshold_probe(
         sum_{l in (Z>=1)^d} sum_{gamma>0} gamma^{-k-3/2}
             int_0^gamma e^{-N ||l||^2 v^2 / gamma^2} e^{-v} v^{k+1/2} dv,
 
-    recorded after each of the first Z zeros 1/2 + i gamma of zs (the
-    integral is cut at min(gamma, 40)).
+    at params' N and k, recorded after each of the first Z zeros
+    1/2 + i gamma of zs (the integral is cut at min(gamma, 40)).
 
     The lattice sum is exact: it factors as omega(a)^d with a = N v^2/gamma^2
     and omega(a) = sum_{l>=1} e^{-a l^2}. Writing omega = (c/v - 1)/2 + E
@@ -567,20 +566,19 @@ def threshold_probe(
     up to terms of that exponential order; its leading power
     gamma^{d-k-3/2}, against the zero density, makes the series converge
     iff k > d - 1/2. The main part needs k + 1/2 > d - 1 (else the
-    integral diverges at v = 0); that, a Z outside 0..zs.count, N <= 0,
-    k <= 0, d outside {1, 2, 3} or a term past double range raises
+    integral diverges at v = 0); that, a Z outside 0..zs.count, k <= 0,
+    d not an integer in {1, 2, 3} or a term past double range raises
     DomainError. A term's integral that is not above the quadrature's
     absolute tolerance 1e-12 main_abs (at large k the two parts cancel below
     it) raises PrecisionError, once every term has been checked against
     double range.
     """
+    N, k = params.N, params.k
     zs.check_Z(Z)
-    if d not in (1, 2, 3):
+    if not isinstance(d, numbers.Integral) or d not in (1, 2, 3):
         raise DomainError("probe supports d in {1, 2, 3}")
     if k <= 0:
         raise DomainError("probe requires k > 0")
-    if N <= 0:
-        raise DomainError(f"probe requires N > 0, got {N}")
     if k + 0.5 <= d - 1:
         raise DomainError(f"probe integral diverges at v = 0: k + 1/2 = {k + 0.5} <= d - 1")
     terms = []

@@ -161,13 +161,15 @@ def gamma_ratio(rho, offset) -> complex:
     The subtraction of the two log-gamma values and the exponential run at
     extended precision, so the ratio keeps full double accuracy even when the
     separate gamma values would over- or underflow. Memoized per
-    (rho, offset); a pole of either Gamma raises DomainError and keeps
-    nothing.
+    (rho, offset); a non-finite rho or rho + offset, or a pole of either
+    Gamma, raises DomainError and keeps nothing.
     """
     rho = complex(rho)
     off = complex(offset)
-    _refuse_pole(rho)
-    _refuse_pole(rho + off)
+    for s in (rho, rho + off):
+        if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+            raise DomainError("gamma_ratio arguments must be finite")
+        _refuse_pole(s)
     with mp.workprec(_LG_PREC):
         return complex(mp.exp(_loggamma_mp(rho) - _loggamma_mp(rho + off)))
 

@@ -119,7 +119,10 @@ def bundled_zeros_path() -> Path:
 
 def compute_zeros(count: int) -> ZeroSet:
     """The first `count` zeros from mpmath.zetazero at 80 bits, each ordinate
-    rounded to the nearest double."""
+    rounded to the nearest double. A count that is not an integer >= 1
+    raises DomainError."""
+    if not isinstance(count, numbers.Integral):
+        raise DomainError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     with mp.workprec(80):

@@ -260,7 +260,7 @@ def test_c08_threshold_probe(zeros100):
     gammas = zeros100.zeros[24:50]
     devs, slopes, partials = {}, {}, {}
     for k in (1.75, 1.5, 1.0):
-        ps = threshold_probe(2, k, N, zeros100, 50)
+        ps = threshold_probe(2, CesaroParams(N=N, k=k), zeros100, 50)
         terms = [b - a for a, b in zip(ps[23:49], ps[24:50])]
         devs[k] = max(
             abs(t / _probe_closed_form_d2(g, k, N) - 1.0) for t, g in zip(terms, gammas)

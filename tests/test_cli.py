@@ -345,6 +345,22 @@ class TestProbeCommand:
         assert captured.out == ""
         assert "validation error" in captured.err
 
+    @pytest.mark.parametrize("k", [["--k", "nan"], ["--k", "inf"], ["--k=-inf"]],
+                             ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_k_is_refused_as_evaluate_refuses_it(self, capsys, k):
+        # CesaroParams owns N and k for every command, so a k that mpmath's
+        # series cannot take is refused before any work
+        assert run(["probe", "--d", "2", *k, "--N", "100", "--Z", "2"]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: k must be finite\n"
+
+    def test_N_below_four_is_refused_as_evaluate_refuses_it(self, capsys):
+        assert run(["probe", "--d", "2", "--k", "1.75", "--N", "3", "--Z", "2"]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: N must be >= 4, got 3\n"
+
     def test_nonpositive_N_is_a_validation_error(self, capsys):
         for N in ("0", "-5"):
             assert run(["probe", "--d", "2", "--k", "1.75", "--N", N, "--Z", "2"]) == cli.EXIT_DATA

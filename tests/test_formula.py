@@ -653,31 +653,37 @@ class TestLemma5Probe:
 
     def test_empty_zero_set(self):
         empty = ZeroSet((), "empty")
-        assert threshold_probe(2, 1.75, 100, empty, 0) == ()
+        assert threshold_probe(2, CesaroParams(N=100, k=1.75), empty, 0) == ()
 
     def test_partial_sums_nonnegative_nondecreasing(self, zeros100):
-        ps = threshold_probe(2, 1.75, 100, zeros100, 30)
+        ps = threshold_probe(2, CesaroParams(N=100, k=1.75), zeros100, 30)
         assert len(ps) == 30
         assert all(p >= 0.0 for p in ps)
         assert all(b >= a for a, b in zip(ps, ps[1:]))
 
     def test_divergent_grows_faster_than_convergent(self, zeros100):
-        conv = threshold_probe(2, 1.75, 100, zeros100, 50)
-        div = threshold_probe(2, 1.0, 100, zeros100, 50)
+        conv = threshold_probe(2, CesaroParams(N=100, k=1.75), zeros100, 50)
+        div = threshold_probe(2, CesaroParams(N=100, k=1.0), zeros100, 50)
         assert div[49] / div[24] > conv[49] / conv[24]
 
     def test_dimension_validation(self, zeros100):
         with pytest.raises(DomainError):
-            threshold_probe(4, 2.0, 100, zeros100, 5)
+            threshold_probe(4, CesaroParams(N=100, k=2.0), zeros100, 5)
         with pytest.raises(DomainError):
-            threshold_probe(2, -1.0, 100, zeros100, 5)
+            threshold_probe(2, CesaroParams(N=100, k=-1.0), zeros100, 5)
         with pytest.raises(DomainError):
-            threshold_probe(2, 1.75, 0, zeros100, 5)
+            threshold_probe(2, CesaroParams(N=0, k=1.75), zeros100, 5)
         # k + 1/2 <= d - 1: the per-zero integral diverges at v = 0
         with pytest.raises(DomainError):
-            threshold_probe(3, 1.0, 100, zeros100, 5)
+            threshold_probe(3, CesaroParams(N=100, k=1.0), zeros100, 5)
         with pytest.raises(DomainError):
-            threshold_probe(2, 0.5, 100, zeros100, 5)
+            threshold_probe(2, CesaroParams(N=100, k=0.5), zeros100, 5)
+
+    def test_a_non_integer_dimension_is_refused(self, zeros100):
+        # 2.0 is in (1, 2, 3), and math.comb takes only integers
+        with pytest.raises(DomainError) as exc:
+            threshold_probe(2.0, CesaroParams(N=100, k=1.75), zeros100, 5)
+        assert str(exc.value) == "probe supports d in {1, 2, 3}"
 
     @pytest.mark.parametrize("d,k", [(1, 1.0), (1, 1.75), (3, 1.75), (3, 2.5)])
     def test_terms_match_closed_form(self, zeros100, d, k):
@@ -685,7 +691,7 @@ class TestLemma5Probe:
         # gamma^{-k-3/2} sum_j C(d,j) (sqrt(pi) gamma/(2 sqrt N))^j (-1/2)^{d-j}
         # Gamma(k+3/2-j)
         N = 25
-        ps = threshold_probe(d, k, N, zeros100, 50)
+        ps = threshold_probe(d, CesaroParams(N=N, k=k), zeros100, 50)
         for j in range(24, 50):
             gamma = zeros100.zeros[j]
             x = math.sqrt(math.pi) * gamma / (2.0 * math.sqrt(N))

@@ -112,6 +112,15 @@ class TestGammaRatio:
                     gamma_ratio(rho, offset)
                 assert str(exc.value) == "gamma pole at non-positive integer -2"
 
+    @pytest.mark.parametrize("rho, offset", [(math.nan, 1.0), (1.0, -math.inf)],
+                             ids=["nan", "-inf"])
+    def test_non_finite_argument(self, rho, offset):
+        # as log_gamma refuses one, before the pole check's math.floor, which
+        # an infinity overflows, and with no nan value returned
+        with pytest.raises(DomainError) as exc:
+            gamma_ratio(rho, offset)
+        assert str(exc.value) == "gamma_ratio arguments must be finite"
+
 
 class TestBesselJ:
     def test_at_zero_argument(self):

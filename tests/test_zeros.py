@@ -126,6 +126,12 @@ class TestComputeZeros:
         with pytest.raises(DomainError):
             compute_zeros(0)
 
+    def test_non_integer_count(self):
+        # range() takes only integers; the message is CesaroParams' for N
+        with pytest.raises(DomainError) as exc:
+            compute_zeros(2.5)
+        assert str(exc.value) == "count must be an integer, got 2.5"
+
 
 def test_bundled_table_checksum():
     """The packaged table is the data every frozen value rests on; a changed
@@ -199,7 +205,7 @@ class TestZeroTailBound:
 
 @pytest.mark.parametrize("Z", [-1, 101])
 @pytest.mark.parametrize("refuse", [
-    lambda zs, Z: threshold_probe(2, 1.75, 100, zs, Z),
+    lambda zs, Z: threshold_probe(2, CesaroParams(N=100, k=1.75), zs, Z),
     lambda zs, Z: paired_zero_sum(lambda rho: 0.0, zs, Z),
     lambda zs, Z: zero_tail(zs, Z, 1.0, 0.0, 100.0, 3.5),
     # a TruncationSpec refuses Z < 0 itself, so a plain namespace stands in
@@ -213,7 +219,7 @@ def test_a_Z_outside_the_table_is_refused_with_one_message(zeros100, refuse, Z):
 
 
 @pytest.mark.parametrize("refuse", [
-    lambda zs, Z: threshold_probe(2, 1.75, 100, zs, Z),
+    lambda zs, Z: threshold_probe(2, CesaroParams(N=100, k=1.75), zs, Z),
     lambda zs, Z: paired_zero_sum(lambda rho: 0.0, zs, Z),
     lambda zs, Z: zero_tail(zs, Z, 1.0, 0.0, 100.0, 3.5),
     # a TruncationSpec refuses a non-integer Z itself, so a plain namespace stands in
